@@ -41,7 +41,7 @@ from .covariance import (
     shear_limit_covariance,
     write_covariance,
 )
-from .fields import FourierField, make_field, mode_table, parse_record
+from .fields import FourierField, format_record, make_field, mode_table, parse_record
 from .flows import Flow, ShearProfile, make_cellular, make_custom, make_shear
 from .operators import DENSE_CAP, advection_matrix, generator, semigroup_norm
 from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
@@ -87,6 +87,21 @@ def _parse_records(text: str):
     return [parse_record(line) for line in text.splitlines() if line.strip()]
 
 
+def _get_scalar(cfg, section: str, key: str, conv, problems: list,
+                fallback=None, required: bool = False):
+    """``conv`` of one config value; a missing or malformed value goes to ``problems``."""
+    raw = cfg.get(section, key, fallback=None)
+    if raw is None:
+        if required:
+            problems.append(f"{section}.{key}: missing")
+        return fallback
+    try:
+        return conv(raw)
+    except ValueError:
+        problems.append(f"{section}.{key}: bad value {raw!r}")
+        return fallback
+
+
 def _parse_floats(text: str, name: str, problems: list) -> list:
     try:
         return [float(v) for v in text.split()]
@@ -123,7 +138,7 @@ def _build_flow(cfg: configparser.ConfigParser, N: int, problems: list) -> Flow 
             )
             return make_shear(profile)
         if kind in ("cellular", "custom"):
-            psi_N = cfg.getint("flow", "streamfunction_N", fallback=N)
+            psi_N = _get_scalar(cfg, "flow", "streamfunction_N", int, problems, N)
             entries = _parse_records(cfg.get("flow", "streamfunction", fallback=""))
             psi = make_field(psi_N, entries)
             return make_cellular(psi) if kind == "cellular" else make_custom(psi)
@@ -158,7 +173,12 @@ _REQUIRED = {
 def parse_spec(path) -> ExperimentSpec:
     """Parse + validate a config file; raises ConfigError listing every violation."""
     cfg = configparser.ConfigParser(interpolation=None)
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError([f"{exc.section}.{exc.option}: repeated key (line {exc.lineno})"])
+    except configparser.Error as exc:
+        raise ConfigError([f"config: {exc}"])
     problems: list = []
     warnings: list = []
     if not read:
@@ -170,17 +190,10 @@ def parse_spec(path) -> ExperimentSpec:
         problems.append(
             f"experiment.type: got {experiment!r}, want one of {', '.join(EXPERIMENTS)}"
         )
-    N = None
-    if cfg.get("experiment", "N", fallback=None) is None:
-        problems.append("experiment.N: missing")
-    else:
-        try:
-            N = cfg.getint("experiment", "N")
-            if N < 1:
-                problems.append(f"experiment.N: must be >= 1, got {N}")
-                N = None
-        except ValueError:
-            problems.append("experiment.N: not an integer")
+    N = _get_scalar(cfg, "experiment", "N", int, problems, required=True)
+    if N is not None and N < 1:
+        problems.append(f"experiment.N: must be >= 1, got {N}")
+        N = None
     if N is None or experiment not in EXPERIMENTS:
         raise ConfigError(problems)
 
@@ -200,6 +213,8 @@ def parse_spec(path) -> ExperimentSpec:
         warnings.append("noise: zero total intensity (degenerate experiment)")
 
     getf = lambda key, fb=None: cfg.get(section, key, fallback=fb)
+    scalar = lambda key, conv, fb=None, required=False: _get_scalar(
+        cfg, section, key, conv, problems, fb, required)
 
     if need("nu_ladder"):
         text = getf("nu", "")
@@ -215,28 +230,14 @@ def parse_spec(path) -> ExperimentSpec:
         params["nu_ladder"] = ladder
 
     if experiment == "simulate":
-        for key, conv, required in (
-            ("nu", float, True),
-            ("dt", float, True),
-            ("horizon", float, True),
-            ("ensemble", int, True),
-            ("seed", int, True),
-        ):
-            raw = getf(key)
-            if raw is None:
-                problems.append(f"{section}.{key}: missing")
-                continue
-            try:
-                params[key] = conv(raw)
-            except ValueError:
-                problems.append(f"{section}.{key}: bad value {raw!r}")
-        try:
-            raw = getf("burn_in")
-            # omitted: five e-folds of the slowest heat rate, 5/(nu lambda_1)
-            params["burn_in"] = float(raw) if raw is not None else None
-            params["s"] = float(getf("s", "1.0"))
-        except ValueError as exc:
-            problems.append(f"{section}.burn_in/s: {exc}")
+        for key, conv in (("nu", float), ("dt", float), ("horizon", float),
+                          ("ensemble", int), ("seed", int)):
+            value = scalar(key, conv, required=True)
+            if value is not None:
+                params[key] = value
+        # omitted: five e-folds of the slowest heat rate, 5/(nu lambda_1)
+        params["burn_in"] = scalar("burn_in", float)
+        params["s"] = scalar("s", float, 1.0)
         params["scheme"] = getf("scheme", "SemiImplicitEM")
         if params.get("scheme") not in ("SemiImplicitEM", "ExactGaussian"):
             problems.append(f"{section}.scheme: unknown scheme {params.get('scheme')!r}")
@@ -256,8 +257,7 @@ def parse_spec(path) -> ExperimentSpec:
         if any(v <= 0 for v in params.get("T", [])):
             problems.append(f"{section}.T: horizons must be positive")
         params["method"] = getf("method", "auto")
-        h_raw = getf("h")
-        params["h"] = float(h_raw) if h_raw is not None else None
+        params["h"] = scalar("h", float)
         try:
             params["f0"] = make_field(N, _parse_records(getf("f0", "")))
             if not np.any(params["f0"].coeffs):
@@ -266,17 +266,15 @@ def parse_spec(path) -> ExperimentSpec:
             problems.append(f"{section}.f0: {exc}")
 
     if experiment == "dissipation-probe":
-        raw = getf("tau")
-        if raw is None:
-            problems.append(f"{section}.tau: missing")
-        else:
-            params["tau"] = float(raw)
-            if params["tau"] <= 0:
+        tau = scalar("tau", float, required=True)
+        if tau is not None:
+            params["tau"] = tau
+            if tau <= 0:
                 problems.append(f"{section}.tau: must be positive")
 
     if experiment == "cellular-support":
-        params["bins"] = cfg.getint(section, "bins", fallback=64)
-        params["grid"] = cfg.getint(section, "grid", fallback=max(256, 4 * N))
+        params["bins"] = scalar("bins", int, 64)
+        params["grid"] = scalar("grid", int, max(256, 4 * N))
         if params["bins"] < 2:
             problems.append(f"{section}.bins: need at least 2")
         if params["grid"] < 4 * N:
@@ -298,11 +296,11 @@ def parse_spec(path) -> ExperimentSpec:
             "dense Lyapunov/eigen solves will be refused"
         )
 
+    threads = _get_scalar(cfg, "experiment", "threads", int, problems, 1)
     if problems:
         raise ConfigError(problems)
 
     out = Path(cfg.get("experiment", "out", fallback="torusmix-out"))
-    threads = cfg.getint("experiment", "threads", fallback=1)
     return ExperimentSpec(
         experiment=experiment, N=N, flow=flow, noise=noise, params=params,
         out=out, threads=threads, warnings=warnings,
@@ -320,6 +318,11 @@ def _fmt(v) -> str:
     if v is None:
         return "auto"
     return str(v)
+
+
+def _records(table, coeffs) -> str:
+    """'; '-joined records of the nonzero coefficients."""
+    return "; ".join(format_record(table, i, coeffs[i]) for i in np.flatnonzero(coeffs))
 
 
 def _write_manifest(spec: ExperimentSpec, outdir: Path, seed_override) -> None:
@@ -343,31 +346,16 @@ def _write_manifest(spec: ExperimentSpec, outdir: Path, seed_override) -> None:
             lines.append(f"flow.profile.sin = {' '.join(map(_fmt, spec.flow.profile.sin_amps))}")
         if spec.flow.streamfunction is not None:
             psi = spec.flow.streamfunction
-            t = psi.table
-            recs = "; ".join(
-                f"{t.k1[i]} {t.k2[i]} {'cos' if t.parity[i] == 0 else 'sin'} {psi.coeffs[i]:.17g}"
-                for i in np.flatnonzero(psi.coeffs)
-            )
             lines.append(f"flow.streamfunction.N = {psi.N}")
-            lines.append(f"flow.streamfunction = {recs}")
+            lines.append(f"flow.streamfunction = {_records(psi.table, psi.coeffs)}")
     else:
         lines.append("flow.kind = none")
     if spec.noise is not None:
-        t = mode_table(spec.N)
-        recs = "; ".join(
-            f"{t.k1[i]} {t.k2[i]} {'cos' if t.parity[i] == 0 else 'sin'} {spec.noise.amps[i]:.17g}"
-            for i in spec.noise.support
-        )
-        lines.append(f"noise.modes = {recs}")
+        lines.append(f"noise.modes = {_records(mode_table(spec.N), spec.noise.amps)}")
         lines.append(f"noise.intensity = {_fmt(spec.noise.total_intensity)}")
     for key, value in sorted(spec.params.items()):
         if isinstance(value, FourierField):
-            t = value.table
-            recs = "; ".join(
-                f"{t.k1[i]} {t.k2[i]} {'cos' if t.parity[i] == 0 else 'sin'} {value.coeffs[i]:.17g}"
-                for i in np.flatnonzero(value.coeffs)
-            )
-            lines.append(f"{spec.experiment}.{key} = {recs}")
+            lines.append(f"{spec.experiment}.{key} = {_records(value.table, value.coeffs)}")
         elif isinstance(value, list):
             lines.append(f"{spec.experiment}.{key} = {' '.join(map(_fmt, value))}")
         else:

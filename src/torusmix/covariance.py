@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 import scipy.linalg as sla
 
-from .fields import mode_table
+from .fields import _open_text, mode_table
 from .operators import DENSE_CAP, OperatorMatrix, invariant_blocks
 
 __all__ = [
@@ -151,7 +151,7 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
     n = A.shape[0]
     if n > DENSE_CAP:
         raise ValueError(f"dense Lyapunov solver limited to dimension {DENSE_CAP}")
-    Asp = A.sparse()
+    Asp = A.matrix
     psi2 = nu * noise.amps**2
     Q = np.zeros((n, n))
     for idx in invariant_blocks(A):
@@ -294,33 +294,24 @@ _COV_HEADER = "# torusmix covariance v1"
 
 def write_covariance(Q: CovarianceOperator, path_or_file) -> None:
     """Dense text export: header (N, provenance) then row-major decimals."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    with _open_text(path_or_file, "w") as fh:
         fh.write(_COV_HEADER + "\n")
         fh.write(f"N {Q.N}\n")
         fh.write(f"provenance {Q.provenance}\n")
         for row in Q.matrix:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_covariance(path_or_file) -> CovarianceOperator:
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "r") if own else path_or_file
-    try:
+    with _open_text(path_or_file) as fh:
         if fh.readline().strip() != _COV_HEADER:
             raise ValueError("not a torusmix covariance file")
         tag, N = fh.readline().split()
-        assert tag == "N"
+        if tag != "N":
+            raise ValueError("missing truncation header line")
         provenance = fh.readline().split(maxsplit=1)[1].strip()
         rows = [np.array(line.split(), dtype=float) for line in fh if line.strip()]
-        return CovarianceOperator(int(N), np.vstack(rows), provenance=provenance)
-    finally:
-        if own:
-            fh.close()
+    return CovarianceOperator(int(N), np.vstack(rows), provenance=provenance)
 
 
 def eigenvalue_summary(Q: CovarianceOperator) -> np.ndarray:

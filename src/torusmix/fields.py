@@ -36,6 +36,7 @@ doubles exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -378,6 +379,13 @@ def field_from_grid(values: np.ndarray, N: int) -> FourierField:
 _FIELD_HEADER = "# torusmix field v1"
 
 
+def _open_text(path_or_file, mode: str = "r"):
+    """Context manager over a path (opened, then closed) or an open handle (kept open)."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        return open(path_or_file, mode)
+    return contextlib.nullcontext(path_or_file)
+
+
 def parse_record(line: str) -> tuple[Mode, str, float]:
     """Parse one 'k1 k2 parity amplitude' record (shared with CLI configs)."""
     parts = line.split()
@@ -389,28 +397,23 @@ def parse_record(line: str) -> tuple[Mode, str, float]:
     return Mode(int(k1), int(k2)), parity, float(amp)
 
 
+def format_record(table: ModeTable, i: int, amplitude: float) -> str:
+    """The 'k1 k2 parity amplitude' record of coefficient i (inverse of parse_record)."""
+    return f"{table.k1[i]} {table.k2[i]} {PARITIES[table.parity[i]]} {amplitude:.17g}"
+
+
 def write_field(f: FourierField, path_or_file) -> None:
     """Write every coefficient as 'k1 k2 parity amplitude' text records."""
     table = f.table
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    with _open_text(path_or_file, "w") as fh:
         fh.write(_FIELD_HEADER + "\n")
         fh.write(f"N {f.N}\n")
         for i in range(table.size):
-            fh.write(
-                f"{table.k1[i]} {table.k2[i]} {PARITIES[table.parity[i]]} "
-                f"{f.coeffs[i]:.17g}\n"
-            )
-    finally:
-        if own:
-            fh.close()
+            fh.write(format_record(table, i, f.coeffs[i]) + "\n")
 
 
 def read_field(path_or_file) -> FourierField:
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "r") if own else path_or_file
-    try:
+    with _open_text(path_or_file) as fh:
         header = fh.readline().strip()
         if header != _FIELD_HEADER:
             raise ValueError(f"not a torusmix field file (header {header!r})")
@@ -424,10 +427,7 @@ def read_field(path_or_file) -> FourierField:
                 continue
             mode, parity, amp = parse_record(line)
             entries.append((mode, parity, amp))
-        return make_field(int(N), entries)
-    finally:
-        if own:
-            fh.close()
+    return make_field(int(N), entries)
 
 
 def random_field(N: int, rng: np.random.Generator, scale: float = 1.0) -> FourierField:

@@ -11,12 +11,18 @@ package.
 Dissipation is diagonal, -(|k|^2)^s per coefficient, and the generator of
 the viscous dynamics  f' = -u.grad f + nu Delta^s f  is  A = -B + nu D.
 
-Semigroup evaluation is dense (scaling-and-squaring ``expm``) up to
-``DENSE_CAP`` rows and switches to Krylov-type action (``expm_multiply``)
-above.  Norms and exponentials additionally exploit the invariant-subspace
-block structure of A (connected components of the sparsity pattern): shear
-generators decouple by x-wavenumber, the sin(x)sin(y) cellular generator by
-the parity of k1 + k2.
+Every operator is stored as a CSR sparse matrix, whatever N.  Dense algebra
+happens only inside an invariant block or where the result itself is dense.
+The invariant blocks of A are the connected components of its sparsity
+pattern: shear generators decouple by x-wavenumber; the sin(x)sin(y)
+cellular generator splits by the parity of k1 + k2 and by the cosine/sine
+family into four blocks, plus the four corner modes (+-N, +-N), which
+decouple (blocks of 70, 70, 72, 72 and 4 singletons at N = 8; 270, 270, 272,
+272 and 4 at N = 16).  Semigroup actions use ``expm_multiply``;
+``semigroup_norm`` takes a dense SVD of exp(tA) per block up to
+``DENSE_CAP`` rows and a Lanczos iteration above.  The solvers whose result
+is a dense n x n matrix (Lyapunov, the quadrature oracle, the exact Gaussian
+sampler) refuse n > ``DENSE_CAP``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, expm_multiply
 
-from .fields import FourierField, mode_table
+from .fields import FourierField, _open_text, mode_table
 from .flows import Flow
 
 __all__ = [
@@ -46,25 +52,28 @@ __all__ = [
     "write_operator_triplets",
 ]
 
-# Dense linear algebra (expm, Schur, SVD) is used up to this dimension;
-# above it, matrix functions are evaluated by Krylov-type actions.
+# Largest dense matrix function: per invariant block in semigroup_norm (SVD
+# below, Lanczos above), and for the whole space in the solvers whose result
+# is a dense n x n matrix, which refuse larger n.
 DENSE_CAP = 4000
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Matrix of a linear operator on the canonical coefficient ordering.
+    """CSR matrix of a linear operator on the canonical coefficient ordering.
 
-    ``matrix`` is a dense ndarray for dimensions up to DENSE_CAP and a CSR
-    sparse matrix above.  ``nu`` and ``s`` are populated for generators
-    (and ``s`` for dissipation matrices).
+    ``matrix`` is converted to CSR on construction.  ``nu`` and ``s`` are
+    populated for generators (and ``s`` for dissipation matrices).
     """
 
     N: int
     kind: str                       # 'advection' | 'dissipation' | 'generator'
-    matrix: object = field(repr=False)
+    matrix: sp.csr_matrix = field(repr=False)
     nu: float | None = None
     s: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix))
 
     @property
     def shape(self):
@@ -72,22 +81,11 @@ class OperatorMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
+        """Always True: operators have a single, sparse representation."""
+        return True
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray() if self.is_sparse else self.matrix
-
-    def sparse(self) -> sp.csr_matrix:
-        return self.matrix if self.is_sparse else sp.csr_matrix(self.matrix)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-
-def _pack(N: int, kind: str, coo: sp.coo_matrix, **meta) -> OperatorMatrix:
-    n = coo.shape[0]
-    matrix = coo.toarray() if n <= DENSE_CAP else coo.tocsr()
-    return OperatorMatrix(N=N, kind=kind, matrix=matrix, **meta)
+        return self.matrix.toarray()
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +130,7 @@ def advection_matrix(flow: Flow | None, N: int) -> OperatorMatrix:
     table = mode_table(N)
     n = table.size
     if flow is None:
-        return _pack(N, "advection", sp.coo_matrix((n, n)))
+        return OperatorMatrix(N, "advection", sp.csr_matrix((n, n)))
     if flow.max_wavenumber > 2 * N:
         raise ValueError(
             f"velocity support {flow.max_wavenumber} exceeds 2N = {2 * N}"
@@ -157,7 +155,7 @@ def advection_matrix(flow: Flow | None, N: int) -> OperatorMatrix:
     Br = sp.coo_matrix((Br.data.real, (Br.row, Br.col)), shape=(n, n))
     # exact zeros can survive as stored entries after the basis rotation
     Br.eliminate_zeros()
-    return _pack(N, "advection", Br)
+    return OperatorMatrix(N, "advection", Br)
 
 
 def dissipation_matrix(N: int, s: float = 1.0) -> OperatorMatrix:
@@ -166,7 +164,7 @@ def dissipation_matrix(N: int, s: float = 1.0) -> OperatorMatrix:
         raise ValueError("fractional order s must be positive")
     lam = mode_table(N).lam.astype(float)
     diag = -(lam**s)
-    return _pack(N, "dissipation", sp.coo_matrix(sp.diags(diag)), s=float(s))
+    return OperatorMatrix(N, "dissipation", sp.diags(diag), s=float(s))
 
 
 def generator(flow: Flow | None, nu: float, N: int, s: float = 1.0) -> OperatorMatrix:
@@ -175,8 +173,8 @@ def generator(flow: Flow | None, nu: float, N: int, s: float = 1.0) -> OperatorM
         raise ValueError("diffusivity nu must be >= 0")
     B = advection_matrix(flow, N)
     D = dissipation_matrix(N, s)
-    A = -B.sparse() + float(nu) * D.sparse()
-    return _pack(N, "generator", A.tocoo(), nu=float(nu), s=float(s))
+    A = -B.matrix + float(nu) * D.matrix
+    return OperatorMatrix(N, "generator", A, nu=float(nu), s=float(s))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +189,7 @@ def invariant_blocks(op: OperatorMatrix) -> list[np.ndarray]:
     block-diagonal with respect to the returned index sets (each sorted
     ascending); isolated coordinates appear as singleton blocks.
     """
-    A = op.sparse()
+    A = op.matrix
     pattern = (abs(A) + abs(A.T)) > 0
     ncomp, labels = connected_components(pattern, directed=False)
     blocks = [np.flatnonzero(labels == c) for c in range(ncomp)]
@@ -215,20 +213,7 @@ def semigroup_apply(op: OperatorMatrix, t: float, f: FourierField) -> FourierFie
     _check_semigroup_time(op, t)
     if t == 0.0:
         return f
-    if not op.is_sparse:
-        out = sla.expm(t * op.matrix) @ f.coeffs
-    else:
-        out = expm_multiply(op.matrix * t, f.coeffs)
-    return FourierField(f.N, out)
-
-
-def propagator(op: OperatorMatrix, t: float) -> np.ndarray:
-    """Dense exp(t A); dimension-capped (used by exact samplers and oracles)."""
-    _check_semigroup_time(op, t)
-    n = op.shape[0]
-    if n > DENSE_CAP:
-        raise ValueError(f"dense propagator limited to dimension {DENSE_CAP}, got {n}")
-    return sla.expm(t * op.dense())
+    return FourierField(f.N, expm_multiply(op.matrix * t, f.coeffs))
 
 
 def _dense_norm(A: np.ndarray, t: float) -> float:
@@ -262,7 +247,7 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     if t == 0.0:
         return 1.0
     blocks = invariant_blocks(op)
-    A = op.sparse()
+    A = op.matrix
     best = 0.0
     for idx in blocks:
         if len(idx) == 1:
@@ -279,13 +264,8 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
 
 def write_operator_triplets(op: OperatorMatrix, path_or_file) -> None:
     """Plain 'i j value' triplet dump (debugging aid)."""
-    coo = sp.coo_matrix(op.sparse())
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    coo = op.matrix.tocoo()
+    with _open_text(path_or_file, "w") as fh:
         fh.write(f"# torusmix operator v1 kind={op.kind} N={op.N} shape={coo.shape[0]}\n")
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{i} {j} {v:.17g}\n")
-    finally:
-        if own:
-            fh.close()

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .covariance import CovarianceOperator, NoiseSpec
-from .fields import FourierField, mode_table
+from .fields import FourierField, _open_text, mode_table
 from .flows import Flow
 from .operators import DENSE_CAP, advection_matrix, dissipation_matrix, generator
 
@@ -154,16 +154,11 @@ class TrajectoryStats:
         return self.accumulator.count
 
     def write_csv(self, path_or_file) -> None:
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        fh = open(path_or_file, "w") if own else path_or_file
-        try:
+        with _open_text(path_or_file, "w") as fh:
             fh.write("t,mean_l2_sq,mean_h1_sq,energy_residual\n")
             for row in zip(self.times, self.mean_l2_sq, self.mean_h1_sq,
                            self.residual_series):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if own:
-                fh.close()
 
 
 def gaussian_increment_covariance(
@@ -256,7 +251,7 @@ def simulate(
         r = L.shape[1]
     else:
         Bmat = advection_matrix(config.flow, N).matrix
-        dd = dissipation_matrix(N, config.s).dense().diagonal()
+        dd = dissipation_matrix(N, config.s).matrix.diagonal()
         implicit_div = 1.0 / (1.0 - config.dt * config.nu * dd)  # dd <= -1
         noise_scale = math.sqrt(config.nu * config.dt)
 

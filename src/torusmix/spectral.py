@@ -30,6 +30,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .fields import (
     FourierField,
+    _open_text,
     complex_lattice,
     field_from_complex_lattice,
     field_from_grid,
@@ -62,15 +63,10 @@ class SpectrumReport:
     kernel_dim: int = 0
 
     def to_csv(self, path_or_file) -> None:
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        fh = open(path_or_file, "w") if own else path_or_file
-        try:
+        with _open_text(path_or_file, "w") as fh:
             fh.write("index,lambda\n")
             for i, lam in enumerate(self.frequencies):
                 fh.write(f"{i},{lam:.17g}\n")
-        finally:
-            if own:
-                fh.close()
 
 
 @dataclass(frozen=True)
@@ -86,15 +82,10 @@ class GrowthCurve:
     h_effective: np.ndarray = field(default=None, repr=False)
 
     def to_csv(self, path_or_file) -> None:
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        fh = open(path_or_file, "w") if own else path_or_file
-        try:
+        with _open_text(path_or_file, "w") as fh:
             fh.write("T,G\n")
             for t, g in zip(self.times, self.values):
                 fh.write(f"{t:.17g},{g:.17g}\n")
-        finally:
-            if own:
-                fh.close()
 
 
 def spectrum(B: OperatorMatrix) -> SpectrumReport:
@@ -266,7 +257,7 @@ def _h1sq_series_truncated(flow: Flow, f0: FourierField, times: np.ndarray) -> n
     B = advection_matrix(flow, f0.N)
     lam = mode_table(f0.N).lam.astype(float)
     t0, t1, num = float(times[0]), float(times[-1]), len(times)
-    states = expm_multiply(-B.sparse(), f0.coeffs, start=t0, stop=t1,
+    states = expm_multiply(-B.matrix, f0.coeffs, start=t0, stop=t1,
                            num=num, endpoint=True)
     return np.einsum("ij,j->i", states**2, lam)
 
@@ -392,7 +383,7 @@ def low_mode_time_average(
         series = _low_mode_mass_series_shear(flow.profile, g0, times, lam_max, ygrid)
     else:
         B = advection_matrix(flow, f0.N)
-        states = expm_multiply(-B.sparse(), g0.coeffs, start=0.0, stop=float(T),
+        states = expm_multiply(-B.matrix, g0.coeffs, start=0.0, stop=float(T),
                                num=num, endpoint=True)
         mask = (table.lam <= lam_max).astype(float)
         series = np.einsum("ij,j->i", states**2, mask)

@@ -378,3 +378,85 @@ def test_manifest_records_flow_and_noise(tmp_path):
     assert "noise.modes = 0 1 cos 1" in manifest
     assert "torusmix_version" in manifest
     assert "rng_algorithm" in manifest
+
+
+BAD_SCALARS = {
+    "growth.h": f"""
+[experiment]
+type = growth
+N = 6
+{SHEAR_FLOW}
+[growth]
+T = 1.0
+h = abc
+f0 =
+    1 0 cos 1.0
+""",
+    "dissipation-probe.tau": f"""
+[experiment]
+type = dissipation-probe
+N = 8
+{CELL_FLOW}
+[dissipation-probe]
+tau = abc
+nu = 0.5
+""",
+    "experiment.threads": f"""
+[experiment]
+type = spectrum
+N = 4
+threads = two
+{SHEAR_FLOW}
+""",
+    "covariance-ladder.nu": f"""
+[experiment]
+type = covariance-ladder
+N = 4
+{SHEAR_FLOW}
+[noise]
+modes =
+    0 1 cos 1.0
+
+[covariance-ladder]
+nu = 0.2
+nu = 0.1
+""",
+    "cellular-support.bins": f"""
+[experiment]
+type = cellular-support
+N = 8
+{CELL_FLOW}
+[noise]
+modes =
+    0 1 cos 1.0
+
+[cellular-support]
+nu = 0.1
+bins = many
+""",
+    "cellular-support.grid": f"""
+[experiment]
+type = cellular-support
+N = 8
+{CELL_FLOW}
+[noise]
+modes =
+    0 1 cos 1.0
+
+[cellular-support]
+nu = 0.1
+grid = 12.5
+""",
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_SCALARS))
+def test_bad_config_value_is_config_error(tmp_path, capsys, field):
+    cfg = write_config(tmp_path, BAD_SCALARS[field])
+    assert main(["validate", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "invalid" in out and field in out
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert any(field in problem for problem in record["fields"])

@@ -259,16 +259,28 @@ def test_covariance_distance_basics(shear):
 # ---------------------------------------------------------------------------
 
 
-def test_covariance_export_round_trip(shear):
+def test_covariance_export_round_trip(shear, tmp_path):
     noise = unit_noise(4, [((0, 1), "cos", 1.0), ((1, 0), "sin", 0.3)])
     Q = lyapunov_covariance(generator(shear, 0.1, 4), noise)
     buf = io.StringIO()
     write_covariance(Q, buf)
     buf.seek(0)
-    R = read_covariance(buf)
-    assert R.N == Q.N
-    assert np.array_equal(R.matrix, Q.matrix)
-    assert R.provenance == Q.provenance
+    path = tmp_path / "Q.txt"
+    write_covariance(Q, path)
+    for source in (buf, path):
+        R = read_covariance(source)
+        assert R.N == Q.N
+        assert np.array_equal(R.matrix, Q.matrix)
+        assert R.provenance == Q.provenance
+
+
+def test_covariance_import_rejects_bad_tag(shear):
+    Q = lyapunov_covariance(generator(shear, 0.1, 2), unit_noise(2, [((0, 1), "cos", 1.0)]))
+    buf = io.StringIO()
+    write_covariance(Q, buf)
+    text = buf.getvalue().replace("\nN 2\n", "\nM 2\n")
+    with pytest.raises(ValueError, match="truncation"):
+        read_covariance(io.StringIO(text))
 
 
 def test_eigenvalue_summary_descending(shear):

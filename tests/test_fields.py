@@ -169,14 +169,18 @@ def test_field_from_grid_round_trip(rng):
     assert np.allclose(g.coeffs, f.coeffs, atol=1e-12)
 
 
-def test_serialization_bit_exact_round_trip(rng):
+def test_serialization_bit_exact_round_trip(rng, tmp_path):
     f = random_field(4, rng, scale=math.pi)
     buf = io.StringIO()
     write_field(f, buf)
     buf.seek(0)
-    g = read_field(buf)
-    assert g.N == f.N
-    assert np.array_equal(g.coeffs, f.coeffs)  # exact, not approx
+    path = tmp_path / "f.txt"
+    write_field(f, path)
+    assert path.read_text() == buf.getvalue()
+    for source in (buf, path):
+        g = read_field(source)
+        assert g.N == f.N
+        assert np.array_equal(g.coeffs, f.coeffs)  # exact, not approx
 
 
 def test_serialization_rejects_foreign_file():

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from torusmix import (
+    DENSE_CAP,
     advection_matrix,
     dissipation_matrix,
     generator,
@@ -93,7 +95,7 @@ def test_dissipation_rejects_nonpositive_order():
         dissipation_matrix(4, 0.0)
 
 
-def test_generator_structure(shear):
+def test_generator_structure(shear, cellular):
     N = 5
     A = generator(shear, 0.3, N)
     B = advection_matrix(shear, N).dense()
@@ -105,6 +107,14 @@ def test_generator_structure(shear):
     # inviscid generator is skew
     A0 = generator(shear, 0.0, N).dense()
     assert np.max(np.abs(A0 + A0.T)) < 1e-14
+    # one representation: CSR at every N, on both sides of DENSE_CAP
+    assert mode_table(31).size <= DENSE_CAP < mode_table(32).size
+    for N in (4, 31, 32):
+        B, D = advection_matrix(cellular, N), dissipation_matrix(N)
+        A = generator(cellular, 0.3, N)
+        for op in (B, D, A):
+            assert sp.issparse(op.matrix) and op.matrix.format == "csr"
+        assert np.array_equal(A.dense(), -B.dense() + 0.3 * D.dense())
 
 
 def test_generator_spectral_abscissa(shear, cellular):
@@ -191,7 +201,7 @@ def test_krylov_norm_matches_dense(cellular):
     A = generator(cellular, 0.1, 5)
     blocks = invariant_blocks(A)
     big = max(blocks, key=len)
-    sub = A.sparse()[np.ix_(big, big)].tocsr()
+    sub = A.matrix[np.ix_(big, big)].tocsr()
     t = 3.0
     dense = sla.svdvals(sla.expm(t * sub.toarray()))[0]
     assert _krylov_norm(sub, t) == pytest.approx(dense, rel=1e-6)
