@@ -306,12 +306,16 @@ def read_covariance(path_or_file) -> CovarianceOperator:
     with _open_text(path_or_file) as fh:
         if fh.readline().strip() != _COV_HEADER:
             raise ValueError("not a torusmix covariance file")
-        tag, N = fh.readline().split()
-        if tag != "N":
-            raise ValueError("missing truncation header line")
-        provenance = fh.readline().split(maxsplit=1)[1].strip()
+        words = fh.readline().split()
+        if len(words) != 2 or words[0] != "N":
+            raise ValueError("missing truncation header line 'N <truncation>'")
+        tag, _, provenance = fh.readline().strip().partition(" ")
+        if tag != "provenance":
+            raise ValueError("missing provenance line")
         rows = [np.array(line.split(), dtype=float) for line in fh if line.strip()]
-    return CovarianceOperator(int(N), np.vstack(rows), provenance=provenance)
+    if not rows:
+        raise ValueError("missing matrix rows")
+    return CovarianceOperator(int(words[1]), np.vstack(rows), provenance=provenance.strip())
 
 
 def eigenvalue_summary(Q: CovarianceOperator) -> np.ndarray:

@@ -18,11 +18,24 @@ pattern: shear generators decouple by x-wavenumber; the sin(x)sin(y)
 cellular generator splits by the parity of k1 + k2 and by the cosine/sine
 family into four blocks, plus the four corner modes (+-N, +-N), which
 decouple (blocks of 70, 70, 72, 72 and 4 singletons at N = 8; 270, 270, 272,
-272 and 4 at N = 16).  Semigroup actions use ``expm_multiply``;
-``semigroup_norm`` takes a dense SVD of exp(tA) per block up to
-``DENSE_CAP`` rows and a Lanczos iteration above.  The solvers whose result
-is a dense n x n matrix (Lyapunov, the quadrature oracle, the exact Gaussian
-sampler) refuse n > ``DENSE_CAP``.
+272 and 4 at N = 16).
+
+``semigroup_norm`` splits each block further into symmetry sectors.  The
+maps f(x) -> f(Mx + tau), with M a reflection of the square lattice (x, y,
+diagonal, antidiagonal) and tau in {0, pi}^2, are signed permutations of the
+basis.  One that commutes with A, maps a block onto itself and is an
+involution there splits the block into its +1 and -1 eigenspaces, spanned
+by coordinates and by pairs (e_i +- e_j) / sqrt 2 (Fassler & Stiefel,
+*Group Theoretical Methods and Their Applications*).  x -> -x halves every
+sin(x)sin(y) block (70 -> 31 + 39 and 35 + 35, 72 -> 32 + 40 and 36 + 36 at
+N = 8; 1054/1056 -> 511 to 544 at N = 32), x -> pi - x every cos(x)cos(y)
+block, and y -> pi - y the 17-row blocks of the sin(y) shear at N = 8
+(9 + 8).  Per sector, the norm is the square root of the top eigenvalue of
+E^T E with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
+iteration above.  Semigroup actions use ``expm_multiply``.  The solvers
+whose result is a dense n x n matrix (Lyapunov, the quadrature oracle, the
+exact Gaussian sampler) refuse n > ``DENSE_CAP``; they work on coordinate
+blocks, not sectors.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, expm_multiply
 
-from .fields import FourierField, _open_text, mode_table
+from .fields import PARITIES, FourierField, _open_text, mode_table
 from .flows import Flow
 
 __all__ = [
@@ -52,7 +65,7 @@ __all__ = [
     "write_operator_triplets",
 ]
 
-# Largest dense matrix function: per invariant block in semigroup_norm (SVD
+# Largest dense matrix function: per symmetry sector in semigroup_norm (dense
 # below, Lanczos above), and for the whole space in the solvers whose result
 # is a dense n x n matrix, which refuse larger n.
 DENSE_CAP = 4000
@@ -216,8 +229,87 @@ def semigroup_apply(op: OperatorMatrix, t: float, f: FourierField) -> FourierFie
     return FourierField(f.N, expm_multiply(op.matrix * t, f.coeffs))
 
 
+# The reflections of the square lattice: x, y, diagonal, antidiagonal.  Each
+# is symmetric, so f(Mx + tau) maps the mode k to M k.
+_REFLECTIONS = (((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)))
+
+
+@lru_cache(maxsize=None)
+def _lattice_maps(N: int) -> tuple:
+    """Signed permutations (p, s) of the maps f(x) -> f(Mx + tau) (internal).
+
+    M runs over ``_REFLECTIONS`` and tau over {0, pi}^2.  Basis function i
+    goes to s[i] times basis function p[i]: cos(k.(Mx + tau)) is
+    (-1)^(k.tau/pi) cos(Mk.x), and a sine whose image Mk is not a
+    half-lattice representative changes sign.
+    """
+    table = mode_table(N)
+    maps = []
+    for M in _REFLECTIONS:
+        m1, m2 = np.asarray(M) @ np.stack([table.k1, table.k2])
+        rep = (m1 > 0) | ((m1 == 0) & (m2 > 0))
+        r1, r2 = np.where(rep, m1, -m1), np.where(rep, m2, -m2)
+        p = np.array([table.index[(int(a), int(b), PARITIES[q])]
+                      for a, b, q in zip(r1, r2, table.parity)])
+        flip = np.where(rep | (table.parity == 0), 1.0, -1.0)
+        p.setflags(write=False)
+        for t1 in (0, 1):
+            for t2 in (0, 1):
+                s = flip * np.where((t1 * table.k1 + t2 * table.k2) % 2, -1.0, 1.0)
+                s.setflags(write=False)
+                maps.append((p, s))
+    return tuple(maps)
+
+
+def _symmetry_sectors(op: OperatorMatrix) -> list[sp.csc_matrix]:
+    """Orthonormal bases V (n x b) of subspaces that reduce ``op`` (internal).
+
+    Each invariant block is split by the first lattice map (p, s) of
+    ``_lattice_maps`` that commutes with A to 1e-14 of max|A|, maps the block
+    onto itself, is an involution there (p(p(i)) = i, s_i s_p(i) = 1) and
+    is neither +I nor -I there.  Its +1 and -1 eigenspaces are spanned by
+    the fixed coordinates e_i and by the pairs (e_i +- s_i e_p(i)) / sqrt 2;
+    a block with no such map is one sector.  V^T A V' = 0 across sectors.
+    """
+    A = op.matrix
+    n = A.shape[0]
+    tol = 1e-14 * np.abs(A.data).max(initial=0.0)
+    commuting = []
+    for p, s in _lattice_maps(op.N):
+        T = sp.csr_matrix((s, (p, np.arange(n))), shape=(n, n))
+        if np.abs((T @ A - A @ T).data).max(initial=0.0) <= tol:
+            commuting.append((p, s))
+    sectors = []
+    r = 1.0 / math.sqrt(2.0)
+    for idx in invariant_blocks(op):
+        for p, s in commuting:
+            q, si = p[idx], s[idx]
+            if (np.array_equal(np.sort(q), idx) and np.array_equal(p[q], idx)
+                    and np.all(si * s[q] == 1.0) and not np.all((q == idx) & (si == si[0]))):
+                break
+        else:
+            q, si = idx, np.ones(len(idx))      # no map splits the block
+        pair = idx < q
+        for sign in (1.0, -1.0):
+            single = idx[(q == idx) & (si == sign)]
+            b = len(single) + np.count_nonzero(pair)
+            if b == 0:
+                continue
+            cols = np.arange(b)
+            rows = np.concatenate([single, idx[pair], q[pair]])
+            vals = np.concatenate([np.ones(len(single)), np.full(b - len(single), r),
+                                   sign * si[pair] * r])
+            col = np.concatenate([cols, cols[len(single):]])
+            sectors.append(sp.csc_matrix((vals, (rows, col)), shape=(n, b)))
+    return sectors
+
+
 def _dense_norm(A: np.ndarray, t: float) -> float:
-    return float(sla.svdvals(sla.expm(t * A))[0])
+    """Largest singular value of exp(tA): top eigenvalue of E^T E."""
+    E = sla.expm(t * A)
+    b = E.shape[0]
+    lam = sla.eigh(E.T @ E, eigvals_only=True, subset_by_index=[b - 1, b - 1])
+    return float(math.sqrt(max(lam[0], 0.0)))
 
 
 def _krylov_norm(A: sp.csr_matrix, t: float, tol: float = 1e-8) -> float:
@@ -238,27 +330,27 @@ def _krylov_norm(A: sp.csr_matrix, t: float, tol: float = 1e-8) -> float:
 def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     """Operator norm ||exp(t A)||_{L2 -> L2} at relative accuracy ~1e-8.
 
-    Decomposes into invariant blocks first; each block uses a dense SVD when
-    it fits under DENSE_CAP and a Lanczos iteration on exp(tA) exp(tA)^T
-    otherwise.
+    Splits A into symmetry sectors first (``_symmetry_sectors``: invariant
+    blocks, halved by a lattice reflection that commutes with A where there
+    is one).  Each sector matrix V^T A V uses a dense exp and the top
+    eigenvalue of E^T E when it fits under DENSE_CAP, and a Lanczos
+    iteration on exp(tA) exp(tA)^T otherwise.
     """
     if t < 0:
         raise ValueError("semigroup norm defined for t >= 0")
     if t == 0.0:
         return 1.0
-    blocks = invariant_blocks(op)
     A = op.matrix
     best = 0.0
-    for idx in blocks:
-        if len(idx) == 1:
-            a = A[idx[0], idx[0]]
-            best = max(best, math.exp(t * a))
-            continue
-        sub = A[np.ix_(idx, idx)]
-        if len(idx) <= DENSE_CAP:
+    for V in _symmetry_sectors(op):
+        sub = (V.T @ A @ V).tocsr()
+        b = sub.shape[0]
+        if b == 1:
+            best = max(best, math.exp(t * sub[0, 0]))
+        elif b <= DENSE_CAP:
             best = max(best, _dense_norm(sub.toarray(), t))
         else:
-            best = max(best, _krylov_norm(sub.tocsr(), t))
+            best = max(best, _krylov_norm(sub, t))
     return best
 
 

@@ -283,6 +283,20 @@ def test_covariance_import_rejects_bad_tag(shear):
         read_covariance(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "lines,missing",
+    [(1, "truncation header"), (2, "provenance"), (3, "matrix rows")],
+    ids=["header-only", "cut-after-N", "no-rows"],
+)
+def test_covariance_import_rejects_truncated_file(shear, lines, missing):
+    Q = lyapunov_covariance(generator(shear, 0.1, 2), unit_noise(2, [((0, 1), "cos", 1.0)]))
+    buf = io.StringIO()
+    write_covariance(Q, buf)
+    text = "".join(buf.getvalue().splitlines(keepends=True)[:lines])
+    with pytest.raises(ValueError, match=missing):
+        read_covariance(io.StringIO(text))
+
+
 def test_eigenvalue_summary_descending(shear):
     noise = unit_noise(4, [((0, 1), "cos", 1.0)])
     Q = lyapunov_covariance(generator(shear, 0.1, 4), noise)

@@ -5,22 +5,29 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torusmix import (
     DENSE_CAP,
+    FourierField,
     advection_matrix,
     dissipation_matrix,
     generator,
     invariant_blocks,
+    make_cellular,
+    make_custom,
     make_field,
+    make_shear,
     mode_table,
     semigroup_apply,
     semigroup_norm,
     sobolev_norm,
     write_operator_triplets,
 )
-from torusmix.fields import random_field
-from torusmix.operators import _krylov_norm
+from torusmix.fields import field_from_grid, random_field, sample_grid
+from torusmix.flows import ShearProfile
+from torusmix.operators import _krylov_norm, _symmetry_sectors
 
 
 def test_advection_hand_convolution_sin_shear(shear):
@@ -205,6 +212,12 @@ def test_krylov_norm_matches_dense(cellular):
     t = 3.0
     dense = sla.svdvals(sla.expm(t * sub.toarray()))[0]
     assert _krylov_norm(sub, t) == pytest.approx(dense, rel=1e-6)
+    # and on a symmetry sector, the matrix semigroup_norm hands to Lanczos
+    V = max(_symmetry_sectors(A), key=lambda V: V.shape[1])
+    sub = (V.T @ A.matrix @ V).tocsr()
+    assert V.shape[1] < len(big)
+    dense = sla.svdvals(sla.expm(t * sub.toarray()))[0]
+    assert _krylov_norm(sub, t) == pytest.approx(dense, rel=1e-6)
 
 
 def test_galerkin_consistency_under_refinement(cellular):
@@ -234,6 +247,109 @@ def test_invariant_blocks_partition(shear):
         label[idx] = b
     i, j = np.nonzero(M)
     assert np.all(label[i] == label[j])
+
+
+def _sector_splits(op):
+    """Check the sectors of ``op``; return (block size, sector sizes) per block."""
+    A = op.matrix
+    n = A.shape[0]
+    blocks = invariant_blocks(op)
+    sectors = _symmetry_sectors(op)
+    assert sum(V.shape[1] for V in sectors) == n
+    W = sp.hstack(sectors).toarray()
+    assert np.allclose(W.T @ W, np.eye(n), rtol=0, atol=1e-15)
+    left = [V.T @ A for V in sectors]
+    for i, Vi_A in enumerate(left):
+        for j, Vj in enumerate(sectors):
+            if i != j:
+                assert np.all((Vi_A @ Vj).data == 0.0)
+    label = np.empty(n, dtype=int)
+    for b, idx in enumerate(blocks):
+        label[idx] = b
+    sizes = [[] for _ in blocks]
+    for V in sectors:
+        (b,) = np.unique(label[V.tocoo().row])  # each sector lies in one block
+        sizes[b].append(V.shape[1])
+    return sorted((len(idx), tuple(sorted(s))) for idx, s in zip(blocks, sizes))
+
+
+def test_symmetry_sectors_cellular(cellular):
+    # x -> -x commutes with the sin x sin y generator and halves each block;
+    # cos x cos y is sin x sin y translated by (pi/2, pi/2), so it splits
+    # alike, but only under reflections through pi such as x -> pi - x
+    cos_cos = make_cellular(make_field(2, [((1, -1), "cos", 1.0), ((1, 1), "cos", 1.0)]))
+    expected = [(1, (1,))] * 4 + [
+        (70, (31, 39)), (70, (35, 35)), (72, (32, 40)), (72, (36, 36))]
+    for flow in (cellular, cos_cos):
+        assert _sector_splits(generator(flow, 0.05, 8)) == expected
+
+
+def test_symmetry_sectors_shear(shear):
+    # y -> pi - y commutes with sin y d/dx: each x-wavenumber block splits
+    splits = _sector_splits(generator(shear, 0.05, 8))
+    assert splits == [(1, (1,))] * 16 + [(17, (8, 9))] * 16
+
+
+def test_symmetry_sectors_random_flow_unsplit(rng):
+    op = generator(make_custom(random_field(3, rng)), 0.05, 8)
+    splits = _sector_splits(op)
+    assert all(sizes == (size,) for size, sizes in splits)
+
+
+# f -> f(Mx + tau) for the lattice reflections M and tau in {0, pi}^2 (in
+# units of pi) whose affine map is an involution
+_INVOLUTIONS = [
+    (M, tau)
+    for M in (((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)))
+    for tau in ((0, 0), (0, 1), (1, 0), (1, 1))
+    if all((M[r][0] * tau[0] + M[r][1] * tau[1] + tau[r]) % 2 == 0 for r in (0, 1))
+]
+
+
+def _reflect(psi, M, tau, G=8):
+    """psi(Mx + tau), through point values on a G x G grid (G even)."""
+    values = sample_grid(psi, G)
+    i, j = np.meshgrid(np.arange(G), np.arange(G), indexing="ij")
+    gi = (M[0][0] * i + M[0][1] * j + tau[0] * G // 2) % G
+    gj = (M[1][0] * i + M[1][1] * j + tau[1] * G // 2) % G
+    return field_from_grid(values[gi, gj], psi.N)
+
+
+@st.composite
+def symmetric_flows(draw):
+    """A flow that commutes with one lattice reflection f -> f(Mx + tau).
+
+    Amplitudes come from a drawn seed, so they are generic: the reflection
+    then maps each invariant block onto itself and splits it.
+    Streamfunctions are made odd under the map (u = grad^perp psi then
+    satisfies u(Mx + tau) = M u(x)).  Shear profiles keep the harmonics of
+    one of the three symmetry classes a shear flow can have: odd j
+    (x -> -x, y -> y + pi), cosines (y -> -y), or cos of even j and sin of
+    odd j (y -> pi - y).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        psi = FourierField(2, rng.uniform(-1.0, 1.0, mode_table(2).size))
+        M, tau = draw(st.sampled_from(_INVOLUTIONS))
+        return make_custom((psi - _reflect(psi, M, tau)) * 0.5)
+    keep = draw(st.sampled_from([
+        lambda j, cos: j % 2 == 1, lambda j, cos: cos, lambda j, cos: (j % 2 == 0) == cos]))
+    a, b = rng.uniform(-1.0, 1.0, (2, 3))
+    return make_shear(ShearProfile(
+        [x if keep(j, True) else 0.0 for j, x in enumerate(a, start=1)],
+        [x if keep(j, False) else 0.0 for j, x in enumerate(b, start=1)]))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=symmetric_flows(), N=st.integers(2, 6),
+       nu=st.floats(0.01, 1.0), t=st.floats(0.1, 10.0))
+def test_semigroup_norm_matches_block_svd_on_symmetric_flows(flow, N, nu, t):
+    op = generator(flow, nu, N)
+    blocks = invariant_blocks(op)
+    assert len(_symmetry_sectors(op)) > len(blocks)
+    A = op.dense()
+    reference = max(sla.svdvals(sla.expm(t * A[np.ix_(idx, idx)]))[0] for idx in blocks)
+    assert semigroup_norm(op, t) == pytest.approx(reference, rel=1e-12)
 
 
 def test_triplet_export_round_trip(shear):
