@@ -25,7 +25,7 @@ config = tm.SimConfig(flow=shear, nu=nu, noise=noise, scheme="ExactGaussian",
 print(f"ensemble: {config.ensemble} members, dt={config.dt}, horizon={config.horizon}, "
       f"burn-in {config.burn_in} (five e-folds of the slowest forced mode)")
 
-stats = tm.simulate(config, tm.make_field(N, []), keep_member_covariances=True)
+stats = tm.simulate(config, tm.make_field(N, []))
 Q_emp = tm.empirical_covariance(stats)
 Q_lyap = tm.lyapunov_covariance(tm.generator(shear, nu, N), noise)
 

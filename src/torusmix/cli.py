@@ -3,7 +3,7 @@
 Subcommands::
 
     torusmix validate --config exp.ini
-    torusmix run --config exp.ini [--out DIR] [--threads K] [--seed S]
+    torusmix run --config exp.ini [--out DIR] [--seed S]
 
 Configs are INI files (sections of key = value pairs); coefficient lists use
 the same ``k1 k2 cos|sin amplitude`` records as the field serialization
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -75,7 +76,7 @@ class ExperimentSpec:
     noise: NoiseSpec | None
     params: dict
     out: Path
-    threads: int = 1
+    sim_config: SimConfig | None = None  # the validated simulate plan
     warnings: list = dc_field(default_factory=list)
 
     @property
@@ -201,6 +202,7 @@ def parse_spec(path) -> ExperimentSpec:
     noise = _build_noise(cfg, N, problems)
     section = experiment
     params: dict = {}
+    sim_config = None
 
     def need(key: str):
         return key in _REQUIRED[experiment]
@@ -239,15 +241,20 @@ def parse_spec(path) -> ExperimentSpec:
         params["burn_in"] = scalar("burn_in", float)
         params["s"] = scalar("s", float, 1.0)
         params["scheme"] = getf("scheme", "SemiImplicitEM")
-        if params.get("scheme") not in ("SemiImplicitEM", "ExactGaussian"):
-            problems.append(f"{section}.scheme: unknown scheme {params.get('scheme')!r}")
-        if "nu" in params and params["nu"] < 0:
-            problems.append(f"{section}.nu: must be >= 0")
         f0_text = getf("f0", "")
         try:
             params["f0"] = make_field(N, _parse_records(f0_text))
         except ValueError as exc:
             problems.append(f"{section}.f0: {exc}")
+        if not problems:
+            try:
+                sim_config = SimConfig(
+                    flow=flow, noise=noise,
+                    **{key: params[key] for key in ("nu", "scheme", "dt", "horizon",
+                                                    "burn_in", "ensemble", "seed", "s")},
+                )
+            except ValueError as exc:
+                problems.append(f"{section}: {exc}")
 
     if experiment == "growth":
         text = getf("T", "")
@@ -296,14 +303,15 @@ def parse_spec(path) -> ExperimentSpec:
             "dense Lyapunov/eigen solves will be refused"
         )
 
-    threads = _get_scalar(cfg, "experiment", "threads", int, problems, 1)
+    # accepted for older configs; the ensemble runs as one batched loop
+    _get_scalar(cfg, "experiment", "threads", int, problems)
     if problems:
         raise ConfigError(problems)
 
     out = Path(cfg.get("experiment", "out", fallback="torusmix-out"))
     return ExperimentSpec(
         experiment=experiment, N=N, flow=flow, noise=noise, params=params,
-        out=out, threads=threads, warnings=warnings,
+        out=out, sim_config=sim_config, warnings=warnings,
     )
 
 
@@ -331,7 +339,6 @@ def _write_manifest(spec: ExperimentSpec, outdir: Path, seed_override) -> None:
         f"experiment = {spec.experiment}",
         f"N = {spec.N}",
         f"dimension = {spec.dimension}",
-        f"threads = {spec.threads}",
         f"rng_algorithm = {RNG_ALGORITHM}",
         "mode_ordering = (|k|^2, |k1|, |k2|, k1, k2), cos before sin",
     ]
@@ -397,19 +404,14 @@ def _run_covariance_ladder(spec: ExperimentSpec, outdir: Path) -> None:
 
 
 def _run_simulate(spec: ExperimentSpec, outdir: Path, seed_override) -> None:
-    p = spec.params
-    seed = seed_override if seed_override is not None else p["seed"]
-    config = SimConfig(
-        flow=spec.flow, nu=p["nu"], noise=spec.noise, scheme=p["scheme"],
-        dt=p["dt"], horizon=p["horizon"], burn_in=p["burn_in"],
-        ensemble=p["ensemble"], seed=seed, s=p["s"],
-    )
-    stats = simulate(config, p["f0"], workers=spec.threads)
+    config = spec.sim_config
+    if seed_override is not None:
+        config = dataclasses.replace(config, seed=seed_override)
+    stats = simulate(config, spec.params["f0"])
     stats.write_csv(outdir / "stats.csv")
-    if stats.accumulator.count >= 2:
-        Q = empirical_covariance(stats)
-        write_covariance(Q, outdir / "empirical_covariance.txt")
-        _write_eigs_csv(outdir / "eigenvalues.csv", Q)
+    Q = empirical_covariance(stats)
+    write_covariance(Q, outdir / "empirical_covariance.txt")
+    _write_eigs_csv(outdir / "eigenvalues.csv", Q)
 
 
 def _run_spectrum(spec: ExperimentSpec, outdir: Path) -> None:
@@ -513,7 +515,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config (INI)")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None, help="worker cap")
         p.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
 
@@ -530,8 +531,6 @@ def main(argv=None) -> int:
         return 2
     if args.out is not None:
         spec.out = Path(args.out)
-    if args.threads is not None:
-        spec.threads = args.threads
 
     if args.command == "validate":
         print(validate_report(spec))

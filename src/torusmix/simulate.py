@@ -14,19 +14,23 @@ schemes are provided:
 ``ExactGaussian``
     Exact in law: f^{n+1} = exp(dt A) f^n + eta_n with eta_n drawn from the
     Gaussian increment N(0, Sigma_dt), Sigma_dt = nu int_0^dt exp(sA)
-    Psi Psi^T exp(sA)^T ds, computed once by Gauss-Legendre quadrature with
-    node doubling to a 1e-10 tolerance and factorized.
+    Psi Psi^T exp(sA)^T ds, computed once by Van Loan's block exponential
+    and factorized.
 
-Randomness comes from counter-based Philox streams keyed by (seed, member),
-so ensembles are reproducible bit for bit and members can run in parallel
-without correlation.  Ensemble reductions merge per-member accumulators in
-member order, which keeps results identical whatever the worker count.
+The ensemble is one n x M state, column m holding member m, so a step is
+one sparse product ``B @ F`` (SemiImplicitEM) or one dense ``E @ F`` plus
+``L @ Xi`` (ExactGaussian) for all members at once.  Randomness comes from
+counter-based Philox streams keyed by (seed, member); each member draws a
+window of steps at a time, the same numbers in the same order as one draw
+per step, so a member's trajectory does not depend on the ensemble size.
+Post-burn-in states are gathered per window and reduced with one centred
+GEMM per member into per-member accumulators, which the ensemble reduction
+merges in member order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +54,9 @@ __all__ = [
 
 RNG_ALGORITHM = "philox4x64 (numpy Philox, key = (seed, member))"
 
+# steps per noise draw and per covariance reduction; results do not depend on it
+_WINDOW = 64
+
 
 class SimulationUnstable(RuntimeError):
     """Trajectory norm exceeded the blow-up guard."""
@@ -61,6 +68,7 @@ class SimConfig:
 
     ``burn_in = None`` resolves to five e-folds of the slowest heat rate,
     5 / (nu lambda_1), rounded up to the step grid (0 when nu = 0).
+    ``horizon`` and ``burn_in`` must be integer multiples of ``dt``.
     """
 
     flow: Flow | None
@@ -75,8 +83,8 @@ class SimConfig:
     s: float = 1.0                       # fractional dissipation order
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.ensemble < 1:
             raise ValueError("ensemble size must be >= 1")
         if self.scheme not in ("SemiImplicitEM", "ExactGaussian"):
@@ -87,10 +95,23 @@ class SimConfig:
             auto = 5.0 / self.nu if self.nu > 0 else 0.0
             auto = math.ceil(auto / self.dt - 1e-9) * self.dt
             object.__setattr__(self, "burn_in", auto)
-        if not self.horizon > self.burn_in >= 0:
+        for name in ("horizon", "burn_in"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and abs(round(value / self.dt) * self.dt - value)
+                    <= 1e-9 * max(1.0, abs(self.horizon))):
+                raise ValueError(f"{name} must be an integer multiple of dt")
+        if not (self.burn_in >= 0 and self.steps > self.burn_steps):
             raise ValueError(
                 f"need horizon > burn_in >= 0 (burn_in resolved to {self.burn_in:g})"
             )
+
+    @property
+    def steps(self) -> int:
+        return round(self.horizon / self.dt)
+
+    @property
+    def burn_steps(self) -> int:
+        return round(self.burn_in / self.dt)
 
 
 class CovarianceAccumulator:
@@ -106,10 +127,14 @@ class CovarianceAccumulator:
         self.m2 = np.zeros((dim, dim))
 
     def add(self, x: np.ndarray) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += np.outer(delta, x - self.mean)
+        """Add one sample or a batch of samples, one per row."""
+        X = np.atleast_2d(x)
+        batch = CovarianceAccumulator(X.shape[1])
+        batch.count = len(X)
+        batch.mean = X.mean(axis=0)
+        C = X - batch.mean
+        batch.m2 = C.T @ C
+        self.merge(batch)
 
     def merge(self, other: "CovarianceAccumulator") -> None:
         if other.count == 0:
@@ -142,16 +167,21 @@ class TrajectoryStats:
     mean_h1_sq: np.ndarray               # E ||f(t)||_H1^2
     residual_series: np.ndarray          # energy balance over (t_0, t_i)
     accumulator: CovarianceAccumulator
+    member_l2_sq: np.ndarray = field(repr=False)          # (M, steps+1)
+    member_residuals: np.ndarray = field(repr=False)      # balance over (burn_in, horizon)
+    member_h1_means: np.ndarray = field(repr=False)       # post-burn-in time averages
+    member_accumulators: list = field(repr=False)
+    tracked_samples: dict | None = field(default=None, repr=False)  # coeff -> samples
     rng_algorithm: str = RNG_ALGORITHM
-    member_residuals: np.ndarray = field(default=None, repr=False)
-    member_h1_means: np.ndarray = field(default=None, repr=False)
-    member_covariances: list = field(default=None, repr=False)
-    member_l2_sq: np.ndarray = field(default=None, repr=False)      # (M, steps+1)
-    tracked_samples: dict = field(default=None, repr=False)         # coeff -> samples
 
     @property
     def sample_count(self) -> int:
         return self.accumulator.count
+
+    @property
+    def member_covariances(self) -> list:
+        """Unbiased post-burn-in covariance of each member, in member order."""
+        return [acc.covariance() for acc in self.member_accumulators]
 
     def write_csv(self, path_or_file) -> None:
         with _open_text(path_or_file, "w") as fh:
@@ -161,34 +191,22 @@ class TrajectoryStats:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def gaussian_increment_covariance(
-    A: np.ndarray, noise: NoiseSpec, dt: float, tol: float = 1e-10
-) -> np.ndarray:
-    """Sigma_dt = nu_hidden-free integral int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds.
+def gaussian_increment_covariance(A: np.ndarray, noise: NoiseSpec, dt: float) -> np.ndarray:
+    """Sigma_dt = int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds, without the nu factor.
 
-    Gauss-Legendre quadrature, doubling the node count until the Frobenius
-    change drops below ``tol`` (relative to the current iterate).  The nu
-    factor is applied by the caller.
+    Van Loan's block exponential (Van Loan 1978, *Computing integrals
+    involving the matrix exponential*): expm of [[-A, Psi Psi^T], [0, A^T]] dt
+    is [[X11, X12], [0, X22]] with Sigma_dt = X22^T X12.  The nu factor is
+    applied by the caller.
     """
     n = A.shape[0]
-    support = noise.support
-    P = np.zeros((n, max(len(support), 1)))
-    P[support, np.arange(len(support))] = noise.amps[support]
-    prev = None
-    for q in (8, 16, 32, 64, 128):
-        nodes, weights = np.polynomial.legendre.leggauss(q)
-        s_nodes = 0.5 * dt * (nodes + 1.0)
-        w = 0.5 * dt * weights
-        sigma = np.zeros((n, n))
-        for sq, wq in zip(s_nodes, w):
-            F = sla.expm(sq * A) @ P
-            sigma += wq * (F @ F.T)
-        if prev is not None:
-            err = np.linalg.norm(sigma - prev, "fro")
-            if err <= tol * max(1.0, np.linalg.norm(sigma, "fro")):
-                return 0.5 * (sigma + sigma.T)
-        prev = sigma
-    raise RuntimeError("Gaussian increment quadrature did not converge")
+    C = np.zeros((2 * n, 2 * n))
+    C[:n, :n] = -A
+    C[:n, n:] = np.diag(noise.amps**2)
+    C[n:, n:] = A.T
+    X = sla.expm(dt * C)
+    sigma = X[n:, n:].T @ X[:n, n:]
+    return 0.5 * (sigma + sigma.T)
 
 
 def _factor_psd(sigma: np.ndarray) -> np.ndarray:
@@ -208,133 +226,96 @@ def _member_rng(seed: int, member: int) -> np.random.Generator:
 def simulate(
     config: SimConfig,
     f0: FourierField,
-    workers: int = 1,
-    keep_member_covariances: bool = False,
-    keep_member_norms: bool = False,
     track_coefficients: tuple = (),
 ) -> TrajectoryStats:
     """Integrate the ensemble and gather stationary statistics.
 
-    Covariance samples are drawn at every step after ``burn_in``.  A
-    trajectory aborts with :class:`SimulationUnstable` if its L2 norm
-    exceeds 1e6 times max(||f0||, stationary scale sqrt(||Psi||^2 / 2)).
+    Covariance samples are drawn at every step after ``burn_in``.  The run
+    aborts with :class:`SimulationUnstable` at the first step where a
+    member's L2 norm exceeds 1e6 times max(||f0||, stationary scale
+    sqrt(||Psi||^2 / 2)), naming the lowest such member.
     ``track_coefficients`` takes (mode, parity) pairs whose post-burn-in
-    sample paths are returned in ``tracked_samples`` (member order).
+    sample paths are returned in ``tracked_samples`` (member-major order).
     """
     noise = config.noise
     if noise.N != f0.N:
         raise ValueError("noise truncation does not match initial datum")
     N = f0.N
     n = f0.coeffs.shape[0]
-    lam = mode_table(N).lam.astype(float)
-    steps = int(round(config.horizon / config.dt))
-    if abs(steps * config.dt - config.horizon) > 1e-9 * max(1.0, config.horizon):
-        raise ValueError("horizon must be an integer multiple of dt")
+    M = config.ensemble
+    steps, burn_steps = config.steps, config.burn_steps
     times = config.dt * np.arange(steps + 1)
-    burn_steps = int(round(config.burn_in / config.dt))
-    if abs(burn_steps * config.dt - config.burn_in) > 1e-9 * max(1.0, config.horizon):
-        raise ValueError("burn_in must be an integer multiple of dt")
-
-    A_op = generator(config.flow, config.nu, N, s=config.s)
+    table = mode_table(N)
+    lam = table.lam.astype(float)[:, None]
     support = noise.support
-    amp_support = noise.amps[support]
     guard = 1e6 * max(float(np.linalg.norm(f0.coeffs)),
                       math.sqrt(0.5 * noise.total_intensity), 1e-12)
 
     if config.scheme == "ExactGaussian":
         if n > DENSE_CAP:
             raise ValueError("ExactGaussian requires a dense propagator (dimension cap)")
-        A = A_op.dense()
+        A = generator(config.flow, config.nu, N, s=config.s).dense()
         E = sla.expm(config.dt * A)
-        sigma = config.nu * gaussian_increment_covariance(A, noise, config.dt)
-        L = _factor_psd(sigma)
-        r = L.shape[1]
+        L = _factor_psd(config.nu * gaussian_increment_covariance(A, noise, config.dt))
+        draws = L.shape[1]
     else:
         Bmat = advection_matrix(config.flow, N).matrix
         dd = dissipation_matrix(N, config.s).matrix.diagonal()
-        implicit_div = 1.0 / (1.0 - config.dt * config.nu * dd)  # dd <= -1
-        noise_scale = math.sqrt(config.nu * config.dt)
+        implicit_div = (1.0 / (1.0 - config.dt * config.nu * dd))[:, None]  # dd <= -1
+        kick = (math.sqrt(config.nu * config.dt) * noise.amps[support])[:, None]
+        draws = support.size
 
-    table = mode_table(N)
     tracked_idx = [table.coefficient_index(m, p) for m, p in track_coefficients]
-
-    def run_member(member: int):
-        rng = _member_rng(config.seed, member)
-        f = f0.coeffs.copy()
-        l2 = np.empty(steps + 1)
-        h1 = np.empty(steps + 1)
-        acc = CovarianceAccumulator(n)
-        tracked = [[] for _ in tracked_idx]
-        l2[0] = f @ f
-        h1[0] = np.sum(lam * f * f)
-        if burn_steps == 0:
-            acc.add(f)
-            for slot, i in zip(tracked, tracked_idx):
-                slot.append(f[i])
-        for j in range(1, steps + 1):
+    rngs = [_member_rng(config.seed, m) for m in range(M)]
+    F = np.repeat(f0.coeffs[:, None], M, axis=1)
+    l2 = np.empty((M, steps + 1))
+    h1 = np.empty((M, steps + 1))
+    accs = [CovarianceAccumulator(n) for _ in range(M)]
+    tracked = np.empty((len(tracked_idx), M, steps + 1 - burn_steps))
+    window = np.empty((M, _WINDOW, n))
+    filled = 0
+    for j in range(steps + 1):
+        if j:
+            w = (j - 1) % _WINDOW
+            if w == 0:
+                k = min(_WINDOW, steps + 1 - j)
+                xi = np.stack([rng.standard_normal((k, draws)) for rng in rngs], axis=-1)
             if config.scheme == "ExactGaussian":
-                f = E @ f
-                if r:
-                    f = f + L @ rng.standard_normal(r)
+                F = E @ F + L @ xi[w]
             else:
-                rhs = f - config.dt * (Bmat @ f)
-                if support.size:
-                    rhs[support] += noise_scale * amp_support * rng.standard_normal(support.size)
-                f = implicit_div * rhs
-            l2[j] = f @ f
-            if l2[j] > guard * guard:
-                raise SimulationUnstable(
-                    f"member {member} blew up at t={times[j]:g}: "
-                    f"||f|| = {math.sqrt(l2[j]):.3e} (guard {guard:.3e})"
-                )
-            h1[j] = np.sum(lam * f * f)
-            if j >= burn_steps:
-                acc.add(f)
-                for slot, i in zip(tracked, tracked_idx):
-                    slot.append(f[i])
-        return l2, h1, acc, tracked
+                rhs = F - config.dt * (Bmat @ F)
+                rhs[support] += kick * xi[w]
+                F = implicit_div * rhs
+        sq = F * F
+        l2[:, j] = sq.sum(axis=0)
+        h1[:, j] = (lam * sq).sum(axis=0)
+        over = l2[:, j] > guard * guard
+        if over.any():
+            m = int(np.argmax(over))
+            raise SimulationUnstable(
+                f"member {m} blew up at t={times[j]:g}: "
+                f"||f|| = {math.sqrt(l2[m, j]):.3e} (guard {guard:.3e})"
+            )
+        if j >= burn_steps:
+            tracked[:, :, j - burn_steps] = F[tracked_idx]
+            window[:, filled] = F.T
+            filled += 1
+            if filled == _WINDOW or j == steps:
+                # one centred GEMM per member and window: a stacked GEMM
+                # would hold another M n^2 floats next to the accumulators
+                for acc, X in zip(accs, window[:, :filled]):
+                    acc.add(X)
+                filled = 0
 
-    members = range(config.ensemble)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_member, members))
-    else:
-        results = [run_member(m) for m in members]
-
-    sum_l2 = np.zeros(steps + 1)
-    sum_h1 = np.zeros(steps + 1)
     total = CovarianceAccumulator(n)
-    member_res = np.empty(config.ensemble)
-    member_h1m = np.empty(config.ensemble)
-    member_covs = [] if keep_member_covariances else None
-    member_norms = np.empty((config.ensemble, steps + 1)) if keep_member_norms else None
-    tracked_all = [[] for _ in tracked_idx]
-    intensity = noise.total_intensity
-    for m, (l2, h1, acc, tracked) in enumerate(results):
-        sum_l2 += l2
-        sum_h1 += h1
-        member_res[m] = _balance_residual(times, l2, h1, config.nu, intensity,
-                                          burn_steps, steps)
-        post = h1[burn_steps:]
-        member_h1m[m] = float(np.trapezoid(post, dx=config.dt) /
-                              (config.dt * (len(post) - 1))) if len(post) > 1 else post[0]
-        if member_covs is not None:
-            member_covs.append(acc.covariance() if acc.count >= 2 else None)
-        if member_norms is not None:
-            member_norms[m] = l2
-        for slot, vals in zip(tracked_all, tracked):
-            slot.extend(vals)
+    for acc in accs:
         total.merge(acc)
-    tracked_samples = {
-        key: np.asarray(vals)
-        for key, vals in zip(track_coefficients, tracked_all)
-    } or None
-    mean_l2 = sum_l2 / config.ensemble
-    mean_h1 = sum_h1 / config.ensemble
-    residual_series = np.zeros(steps + 1)
-    for j in range(1, steps + 1):
-        residual_series[j] = _balance_residual(times, mean_l2, mean_h1, config.nu,
-                                               intensity, 0, j)
+    intensity = noise.total_intensity
+    mean_l2 = l2.mean(axis=0)
+    mean_h1 = h1.mean(axis=0)
+    dissipated = 2.0 * config.nu * np.concatenate(
+        ([0.0], np.cumsum(0.5 * config.dt * (mean_h1[1:] + mean_h1[:-1]))))
+    residual_series = mean_l2 + dissipated - mean_l2[0] - config.nu * intensity * times
     return TrajectoryStats(
         config=config,
         times=times,
@@ -342,19 +323,24 @@ def simulate(
         mean_h1_sq=mean_h1,
         residual_series=residual_series,
         accumulator=total,
-        member_residuals=member_res,
-        member_h1_means=member_h1m,
-        member_covariances=member_covs,
-        member_l2_sq=member_norms,
-        tracked_samples=tracked_samples,
+        member_l2_sq=l2,
+        member_residuals=_balance_residual(times, l2, h1, config.nu, intensity,
+                                           burn_steps, steps),
+        member_h1_means=(np.trapezoid(h1[:, burn_steps:], dx=config.dt, axis=1)
+                         / (config.dt * (steps - burn_steps))),
+        member_accumulators=accs,
+        tracked_samples={key: tracked[i].ravel()
+                         for i, key in enumerate(track_coefficients)} or None,
     )
 
 
-def _balance_residual(times, l2, h1, nu, intensity, i0, i1) -> float:
-    """Left minus right of the energy balance over (times[i0], times[i1])."""
-    dissipated = 2.0 * nu * np.trapezoid(h1[i0 : i1 + 1], x=times[i0 : i1 + 1])
+def _balance_residual(times, l2, h1, nu, intensity, i0, i1):
+    """Left minus right of the energy balance over (times[i0], times[i1]),
+    along the last axis of ``l2`` and ``h1``."""
+    dissipated = 2.0 * nu * np.trapezoid(h1[..., i0 : i1 + 1], x=times[i0 : i1 + 1],
+                                         axis=-1)
     injected = nu * intensity * (times[i1] - times[i0])
-    return float(l2[i1] + dissipated - l2[i0] - injected)
+    return l2[..., i1] + dissipated - l2[..., i0] - injected
 
 
 def empirical_covariance(stats: TrajectoryStats) -> CovarianceOperator:
@@ -390,6 +376,6 @@ def energy_balance_residual(stats: TrajectoryStats, interval: tuple) -> float:
             abs(i1 * dt - t) > 1e-9 * max(1.0, t) or
             not (0 <= i0 < i1 <= len(stats.times) - 1)):
         raise ValueError("interval endpoints must lie on the sample grid")
-    return _balance_residual(stats.times, stats.mean_l2_sq, stats.mean_h1_sq,
-                             stats.config.nu, stats.config.noise.total_intensity,
-                             i0, i1)
+    return float(_balance_residual(stats.times, stats.mean_l2_sq, stats.mean_h1_sq,
+                                   stats.config.nu, stats.config.noise.total_intensity,
+                                   i0, i1))

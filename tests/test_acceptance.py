@@ -153,7 +153,7 @@ def test_criterion_5_monte_carlo_consistency():
     )
     with criterion(5, "ExactGaussian ensemble: forced-mode variance = 0.5 "
                       "within 5%; energy balance within 5 standard errors"):
-        stats = simulate(config, make_field(N, []), keep_member_covariances=True)
+        stats = simulate(config, make_field(N, []))
         assert stats.sample_count >= 10_000
         Q = empirical_covariance(stats)
         i = mode_table(N).index[(0, 1, "cos")]

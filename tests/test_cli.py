@@ -380,6 +380,24 @@ def test_manifest_records_flow_and_noise(tmp_path):
     assert "rng_algorithm" in manifest
 
 
+def _simulate_config(body):
+    return f"""
+[experiment]
+type = simulate
+N = 4
+{SHEAR_FLOW}
+[noise]
+modes =
+    0 1 cos 1.0
+
+[simulate]
+nu = 0.1
+seed = 1
+burn_in = 0.0
+{body}
+"""
+
+
 BAD_SCALARS = {
     "growth.h": f"""
 [experiment]
@@ -401,6 +419,10 @@ N = 8
 tau = abc
 nu = 0.5
 """,
+    # SimConfig's own checks, reported by validate as well as run
+    "simulate: dt": _simulate_config("dt = -0.1\nhorizon = 1.0\nensemble = 2"),
+    "simulate: ensemble": _simulate_config("dt = 0.1\nhorizon = 1.0\nensemble = 0"),
+    "simulate: horizon": _simulate_config("dt = 0.3\nhorizon = 1.0\nensemble = 2"),
     "experiment.threads": f"""
 [experiment]
 type = spectrum

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from torusmix import (
     NoiseSpec,
@@ -12,7 +13,9 @@ from torusmix import (
     mode_table,
     simulate,
 )
-from torusmix.simulate import CovarianceAccumulator
+from torusmix.flows import make_cellular, sin_shear
+from torusmix.operators import generator
+from torusmix.simulate import CovarianceAccumulator, gaussian_increment_covariance
 
 
 def single_mode_noise(N, amp=1.0):
@@ -65,16 +68,26 @@ def test_seed_reproducibility(shear):
     assert not np.array_equal(a.mean_l2_sq, c.mean_l2_sq)
 
 
-def test_worker_count_does_not_change_results(shear):
+@pytest.mark.parametrize("scheme", ["SemiImplicitEM", "ExactGaussian"])
+def test_members_do_not_depend_on_ensemble_size(shear, scheme):
+    # each member steps on its own (seed, member) stream, so the first three
+    # members of an ensemble of six repeat an ensemble of three
     N = 4
-    cfg = SimConfig(flow=shear, nu=0.1, noise=single_mode_noise(N),
-                    scheme="ExactGaussian", dt=0.25, horizon=10.0, burn_in=2.0,
-                    ensemble=6, seed=5)
-    f0 = make_field(N, [])
-    serial = simulate(cfg, f0, workers=1)
-    threaded = simulate(cfg, f0, workers=3)
-    assert np.array_equal(serial.accumulator.m2, threaded.accumulator.m2)
-    assert np.array_equal(serial.mean_h1_sq, threaded.mean_h1_sq)
+    noise = NoiseSpec.from_modes(N, [((0, 1), "cos", 1.0), ((1, 1), "sin", 0.5)])
+    runs = [
+        simulate(SimConfig(flow=shear, nu=0.1, noise=noise, scheme=scheme, dt=0.25,
+                           horizon=40.0, burn_in=2.0, ensemble=M, seed=5),
+                 make_field(N, [((1, 0), "cos", 0.3)]))
+        for M in (3, 6)
+    ]
+    small, large = runs
+    pairs = [(small.member_l2_sq, large.member_l2_sq[:3])]
+    pairs += zip(small.member_covariances, large.member_covariances[:3])
+    for a, b in pairs:
+        if scheme == "SemiImplicitEM":
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 def test_exact_gaussian_ou_variance():
@@ -84,7 +97,7 @@ def test_exact_gaussian_ou_variance():
     cfg = SimConfig(flow=None, nu=0.1, noise=single_mode_noise(N),
                     scheme="ExactGaussian", dt=0.5, horizon=300.0, burn_in=25.0,
                     ensemble=32, seed=42)
-    stats = simulate(cfg, make_field(N, []), keep_member_covariances=True)
+    stats = simulate(cfg, make_field(N, []))
     assert stats.sample_count >= 10_000
     Q = empirical_covariance(stats)
     i = mode_table(N).index[(0, 1, "cos")]
@@ -185,7 +198,7 @@ def test_exponential_moment_tail(shear):
     noise = single_mode_noise(N)
     cfg = SimConfig(flow=shear, nu=nu, noise=noise, scheme="ExactGaussian",
                     dt=0.5, horizon=150.0, burn_in=25.0, ensemble=24, seed=3)
-    stats = simulate(cfg, make_field(N, []), keep_member_norms=True)
+    stats = simulate(cfg, make_field(N, []))
     burn = int(round(cfg.burn_in / cfg.dt))
     samples = stats.member_l2_sq[:, burn:].ravel()
     threshold = 5.0 * noise.total_intensity / nu
@@ -202,7 +215,7 @@ def test_scheme_agreement_as_dt_shrinks(shear):
 
     eg = SimConfig(flow=shear, nu=nu, noise=noise, scheme="ExactGaussian",
                    dt=0.5, horizon=550.0, burn_in=50.0, ensemble=32, seed=17)
-    stats_eg = simulate(eg, make_field(N, []), keep_member_covariances=True)
+    stats_eg = simulate(eg, make_field(N, []))
     v_eg = empirical_covariance(stats_eg).matrix[i, i]
     ent = np.array([c[i, i] for c in stats_eg.member_covariances])
     se_eg = ent.std(ddof=1) / math.sqrt(len(ent))
@@ -210,7 +223,7 @@ def test_scheme_agreement_as_dt_shrinks(shear):
     for dt in (0.1, 0.05, 0.025):
         em = SimConfig(flow=shear, nu=nu, noise=noise, scheme="SemiImplicitEM",
                        dt=dt, horizon=550.0, burn_in=50.0, ensemble=32, seed=18)
-        stats_em = simulate(em, make_field(N, []), keep_member_covariances=True)
+        stats_em = simulate(em, make_field(N, []))
         v_em = empirical_covariance(stats_em).matrix[i, i]
         ent_em = np.array([c[i, i] for c in stats_em.member_covariances])
         se_em = ent_em.std(ddof=1) / math.sqrt(len(ent_em))
@@ -245,9 +258,11 @@ def test_accumulator_merge_matches_batch(rng):
     for x in xs[13:]:
         right.add(x)
     left.merge(right)
-    assert np.allclose(left.covariance(), np.cov(xs.T, ddof=1), atol=1e-12)
-    assert np.allclose(left.covariance(), one.covariance(), atol=1e-12)
-    assert left.count == 40
+    batch = CovarianceAccumulator(dim)
+    batch.add(xs)
+    for acc in (left, one, batch):
+        assert np.allclose(acc.covariance(), np.cov(xs.T, ddof=1), atol=1e-12)
+        assert acc.count == 40
 
 
 def test_accumulator_insufficient_samples():
@@ -255,3 +270,33 @@ def test_accumulator_insufficient_samples():
     acc.add(np.zeros(3))
     with pytest.raises(ValueError, match="at least 2"):
         acc.covariance()
+
+
+@pytest.mark.parametrize("flow, N", [
+    (sin_shear(), 6),
+    (make_cellular(make_field(2, [((1, 1), "sin", 0.5), ((1, -1), "cos", 0.3)])), 8),
+])
+def test_gaussian_increment_covariance_matches_quadrature(flow, N):
+    # fixed 64-node Gauss-Legendre rule on int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds
+    dt = 0.5
+    A = generator(flow, 0.1, N).dense()
+    noise = NoiseSpec.from_modes(
+        N, [((0, 1), "cos", 1.0), ((1, 0), "sin", 0.7), ((1, -1), "cos", 1.2)])
+    PPt = np.diag(noise.amps**2)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    reference = np.zeros_like(A)
+    for s, w in zip(0.5 * dt * (nodes + 1.0), 0.5 * dt * weights):
+        E = sla.expm(s * A)
+        reference += w * (E @ PPt @ E.T)
+    sigma = gaussian_increment_covariance(A, noise, dt)
+    assert np.linalg.norm(sigma - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+def test_residual_series_matches_energy_balance(shear):
+    N = 4
+    cfg = SimConfig(flow=shear, nu=0.1, noise=single_mode_noise(N), scheme="SemiImplicitEM",
+                    dt=0.1, horizon=50.0, burn_in=1.0, ensemble=3, seed=2)
+    stats = simulate(cfg, make_field(N, []))
+    for j in (1, 7, 250, 500):
+        expected = energy_balance_residual(stats, (0.0, stats.times[j]))
+        assert stats.residual_series[j] == pytest.approx(expected, rel=0, abs=1e-12)
