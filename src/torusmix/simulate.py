@@ -54,7 +54,8 @@ __all__ = [
 
 RNG_ALGORITHM = "philox4x64 (numpy Philox, key = (seed, member))"
 
-# steps per noise draw and per covariance reduction; results do not depend on it
+# steps per noise draw and per covariance reduction; the noise does not depend
+# on it, the covariance only through the round-off of the merge order
 _WINDOW = 64
 
 

@@ -36,6 +36,10 @@ def test_config_validation():
         SimConfig(flow=None, nu=0.1, noise=noise, scheme="Euler")
     with pytest.raises(ValueError):
         SimConfig(flow=None, nu=0.1, noise=noise, ensemble=0)
+    with pytest.raises(ValueError, match="horizon must be an integer multiple"):
+        SimConfig(flow=None, nu=0.1, noise=noise, dt=0.3, horizon=1.0, burn_in=0.0)
+    with pytest.raises(ValueError, match="burn_in must be an integer multiple"):
+        SimConfig(flow=None, nu=0.1, noise=noise, dt=0.1, horizon=1.0, burn_in=0.25)
 
 
 def test_noiseless_em_contracts(shear):
