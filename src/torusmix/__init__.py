@@ -45,7 +45,6 @@ from .flows import (
     cellular_streamfunction,
     default_cellular_flow,
     make_cellular,
-    make_custom,
     make_shear,
     sin_shear,
     velocity_coefficients,

@@ -43,7 +43,7 @@ from .covariance import (
     write_covariance,
 )
 from .fields import FourierField, format_record, make_field, mode_table, parse_record
-from .flows import Flow, ShearProfile, make_cellular, make_custom, make_shear
+from .flows import Flow, ShearProfile, make_cellular, make_shear
 from .operators import DENSE_CAP, advection_matrix, generator, semigroup_norm
 from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
 from .spectral import h1_growth_average, spectrum, streamline_projection
@@ -138,11 +138,10 @@ def _build_flow(cfg: configparser.ConfigParser, N: int, problems: list) -> Flow 
                 sin_amps=tuple(sin_amps.get(j, 0.0) for j in range(1, jmax + 1)),
             )
             return make_shear(profile)
-        if kind in ("cellular", "custom"):
+        if kind in ("cellular", "custom"):   # 'custom' is the older name
             psi_N = _get_scalar(cfg, "flow", "streamfunction_N", int, problems, N)
             entries = _parse_records(cfg.get("flow", "streamfunction", fallback=""))
-            psi = make_field(psi_N, entries)
-            return make_cellular(psi) if kind == "cellular" else make_custom(psi)
+            return make_cellular(make_field(psi_N, entries))
     except (ValueError, KeyError) as exc:
         problems.append(f"flow: {exc}")
         return None
@@ -287,7 +286,7 @@ def parse_spec(path) -> ExperimentSpec:
         if params["grid"] < 4 * N:
             problems.append(f"{section}.grid: need grid >= 4 N = {4 * N}")
         if flow is not None and flow.streamfunction is None:
-            problems.append("flow: cellular-support requires a cellular/custom flow")
+            problems.append("flow: cellular-support requires a cellular flow")
 
     if flow is not None and flow.max_wavenumber > 2 * N:
         problems.append(
@@ -295,12 +294,13 @@ def parse_spec(path) -> ExperimentSpec:
         )
 
     dim = (2 * N + 1) ** 2 - 1
-    needs_dense = experiment in ("covariance-ladder", "cellular-support", "simulate",
-                                 "spectrum")
+    # the experiments whose result is a dense n x n covariance
+    needs_dense = experiment in ("covariance-ladder", "cellular-support") or (
+        experiment == "simulate" and params.get("scheme") == "ExactGaussian")
     if needs_dense and dim > DENSE_CAP:
         warnings.append(
             f"dimension {dim} exceeds the dense solver cap {DENSE_CAP}; "
-            "dense Lyapunov/eigen solves will be refused"
+            "the dense covariance solves will be refused"
         )
 
     # accepted for older configs; the ensemble runs as one batched loop

@@ -9,10 +9,13 @@ is the unique solution of the Lyapunov equation
 
     A Q + Q A^T + nu Psi Psi^T = 0,
 
-equivalent to the time integral  nu * int_0^inf exp(tA) Psi Psi^T exp(tA)^T dt,
-which :func:`covariance_by_quadrature` evaluates directly as an independent
-oracle.  The x-averaged (k1 = 0) block of the shear dynamics is exactly a
-bank of scalar OU processes, giving the closed-form diagonal limit
+equivalent to the time integral  nu * int_0^inf exp(tA) Psi Psi^T exp(tA)^T dt.
+Its finite-time part has one routine, :func:`gaussian_increment_covariance`
+(Van Loan's block exponential plus doubling, per invariant block): the exact
+Gaussian sampler takes its increment from it, and
+:func:`covariance_by_quadrature` is an oracle independent of Bartels-Stewart.
+The x-averaged (k1 = 0) block of the shear dynamics is exactly a bank of
+scalar OU processes, giving the closed-form diagonal limit
 :func:`shear_limit_covariance` with entries psi^2 / (2 j^2) on the (0, j)
 coefficients.
 
@@ -42,6 +45,7 @@ __all__ = [
     "LyapunovError",
     "lyapunov_covariance",
     "covariance_by_quadrature",
+    "gaussian_increment_covariance",
     "shear_limit_covariance",
     "h1_trace",
     "block_operator_norm",
@@ -179,41 +183,67 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
     )
 
 
+def _doublings(t: float, h: float | None) -> int:
+    """Smallest k >= 0 with t / 2^k <= h; 0 without h."""
+    return 0 if h is None else max(0, math.ceil(math.log2(t / h)))
+
+
+def gaussian_increment_covariance(
+    A: OperatorMatrix, noise: NoiseSpec, t: float, h: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """E = exp(tA) and S(t) = int_0^t exp(sA) Psi Psi^T exp(sA)^T ds (no nu factor).
+
+    Per invariant block a of A, one Van Loan exponential (Van Loan 1978,
+    *Computing integrals involving the matrix exponential*) at the step
+    tau = t / 2^k, k the smallest with tau <= h (k = 0 without h):
+    expm of [[-a, diag(psi^2)], [0, a^T]] tau is [[X11, X12], [0, X22]],
+    with exp(tau a) = X22^T and S(tau) = X22^T X12.  Then k doublings
+    S(2 tau) = S(tau) + E S(tau) E^T, E <- E^2 (Smith 1968).  Both results
+    are returned as block-diagonal dense n x n arrays.
+    """
+    _check_generator(A, noise)
+    n = A.shape[0]
+    if n > DENSE_CAP:
+        raise ValueError(f"dense covariance: n = {n} exceeds the dimension cap {DENSE_CAP}")
+    k = _doublings(t, h)
+    psi2 = noise.amps**2
+    E = np.zeros((n, n))
+    S = np.zeros((n, n))
+    for idx in invariant_blocks(A):
+        b = len(idx)
+        a = A.matrix[np.ix_(idx, idx)].toarray()
+        C = np.block([[-a, np.diag(psi2[idx])], [np.zeros((b, b)), a.T]])
+        X = sla.expm((t / 2**k) * C)
+        Eb = X[b:, b:].T
+        Sb = Eb @ X[:b, b:]
+        for _ in range(k):
+            Sb += Eb @ Sb @ Eb.T
+            Eb = Eb @ Eb
+        E[np.ix_(idx, idx)] = Eb
+        S[np.ix_(idx, idx)] = 0.5 * (Sb + Sb.T)
+    return E, S
+
+
 def covariance_by_quadrature(
     A: OperatorMatrix, noise: NoiseSpec, T: float, h: float
 ) -> CovarianceOperator:
-    """Trapezoidal evaluation of nu * int_0^T exp(tA) Psi Psi^T exp(tA)^T dt.
+    """nu * int_0^T exp(tA) Psi Psi^T exp(tA)^T dt, the oracle for the Lyapunov solve.
 
-    Independent oracle for :func:`lyapunov_covariance`.  The integrand factor
-    exp(t_j A) Psi is advanced recursively by the fixed-step propagator
-    exp(h A), so the cost is one dense expm plus one matrix-vector block
-    product per step.  The neglected tail is bounded by
-    exp(-2 nu lambda_1 T) * nu ||Psi||^2 / (2 nu lambda_1), reported in
-    ``meta['tail_bound']``.
+    Evaluated by :func:`gaussian_increment_covariance` in closed form up to
+    round-off: ``h`` bounds the step T / 2^k of its Van Loan exponential,
+    not a quadrature error.  The only approximation is the neglected tail,
+    bounded by exp(-2 nu lambda_1 T) * nu ||Psi||^2 / (2 nu lambda_1) and
+    reported in ``meta['tail_bound']``.  No Bartels-Stewart solve is
+    involved, so the oracle stays independent of :func:`lyapunov_covariance`.
     """
-    _check_generator(A, noise)
     nu = A.nu or 0.0
     if nu <= 0.0:
         raise ValueError("covariance quadrature requires nu > 0")
-    n = A.shape[0]
-    if n > DENSE_CAP:
-        raise ValueError(f"quadrature oracle limited to dimension {DENSE_CAP}")
-    steps = int(math.ceil(T / h))
-    h_eff = T / steps
-    Eh = sla.expm(h_eff * A.dense())
-    support = noise.support
-    F = np.zeros((n, max(len(support), 1)))
-    F[support, np.arange(len(support))] = noise.amps[support]
-    Q = 0.5 * h_eff * (F @ F.T)
-    for j in range(1, steps + 1):
-        F = Eh @ F
-        w = 0.5 * h_eff if j == steps else h_eff
-        Q += w * (F @ F.T)
-    Q *= nu
-    lam1 = 1.0
-    tail = math.exp(-2.0 * nu * lam1 * T) * nu * noise.total_intensity / (2.0 * nu * lam1)
+    _, S = gaussian_increment_covariance(A, noise, T, h)
+    h_eff = T / 2 ** _doublings(T, h)
+    tail = math.exp(-2.0 * nu * T) * noise.total_intensity / 2.0    # lambda_1 = 1
     return CovarianceOperator(
-        A.N, 0.5 * (Q + Q.T), provenance=f"quadrature(nu={nu:g},T={T:g},h={h_eff:g})",
+        A.N, nu * S, provenance=f"quadrature(nu={nu:g},T={T:g},h={h_eff:g})",
         meta={"nu": nu, "T": T, "h": h_eff, "tail_bound": tail},
     )
 

@@ -1,14 +1,12 @@
 """Divergence-free Lipschitz velocity fields on T².
 
-Three families are supported:
+Two families are supported:
 
 * shear flows  u(x, y) = (u(y), 0)  with u a trigonometric polynomial,
-* cellular flows  u = grad^perp(psi) = (-d_y psi, d_x psi)  for a
+* cellular flows  u = grad^perp(psi) = (-d_y psi, d_x psi)  for any
   trigonometric-polynomial streamfunction psi (the workhorse instance is
-  psi = sin(x) sin(y)),
-* custom flows, same construction as cellular but with no structural
-  guarantees beyond incompressibility; the caller asserts any hypotheses
-  the diagnostics downstream may rely on.
+  psi = sin(x) sin(y)); beyond incompressibility the caller asserts any
+  hypotheses the diagnostics downstream may rely on.
 
 Velocity components are stored as finite complex Fourier expansions in the
 plain convention  u_j(x) = sum_m uhat_j[m] exp(i m.x),  which is what the
@@ -29,7 +27,6 @@ __all__ = [
     "Flow",
     "make_shear",
     "make_cellular",
-    "make_custom",
     "velocity_coefficients",
     "sin_shear",
     "default_cellular_flow",
@@ -127,12 +124,12 @@ class Flow:
     bound sum_m |m| |uhat_m| >= ||u||_Lip.
     """
 
-    kind: str                                # 'shear' | 'cellular' | 'custom'
+    kind: str                                # 'shear' | 'cellular'
     velocity: dict = field(repr=False)
     max_wavenumber: int = 0
     lipschitz_bound: float = 0.0
     profile: ShearProfile | None = None      # shear only
-    streamfunction: FourierField | None = None   # cellular/custom only
+    streamfunction: FourierField | None = None   # cellular only
     nondegenerate: bool = True
     profile_critical_points: int = 0         # zeros of u' found by sampling
 
@@ -195,14 +192,6 @@ def make_cellular(psi: FourierField) -> Flow:
         raise ValueError("zero streamfunction rejected")
     velocity = _perp_gradient_velocity(psi)
     return _finalize("cellular", velocity, streamfunction=psi)
-
-
-def make_custom(psi: FourierField) -> Flow:
-    """Custom trig-polynomial flow u = grad^perp(psi); caller asserts structure."""
-    if not np.any(psi.coeffs):
-        raise ValueError("zero streamfunction rejected")
-    velocity = _perp_gradient_velocity(psi)
-    return _finalize("custom", velocity, streamfunction=psi)
 
 
 def velocity_coefficients(flow: Flow) -> list:

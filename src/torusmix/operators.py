@@ -32,10 +32,10 @@ N = 8; 1054/1056 -> 511 to 544 at N = 32), x -> pi - x every cos(x)cos(y)
 block, and y -> pi - y the 17-row blocks of the sin(y) shear at N = 8
 (9 + 8).  Per sector, the norm is the square root of the top eigenvalue of
 E^T E with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
-iteration above.  Semigroup actions use ``expm_multiply``.  The solvers
-whose result is a dense n x n matrix (Lyapunov, the quadrature oracle, the
-exact Gaussian sampler) refuse n > ``DENSE_CAP``; they work on coordinate
-blocks, not sectors.
+iteration above.  Semigroup actions use ``expm_multiply``.  The two
+routines whose result is a dense n x n matrix, the Lyapunov solve and the
+finite-time covariance shared by the quadrature oracle and the exact
+Gaussian sampler, refuse n > ``DENSE_CAP``; they work per coordinate block.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ schemes are provided:
     (I - dt nu D) f^{n+1} = f^n - dt B f^n + sqrt(nu dt) Psi xi_n.
 
 ``ExactGaussian``
-    Exact in law: f^{n+1} = exp(dt A) f^n + eta_n with eta_n drawn from the
-    Gaussian increment N(0, Sigma_dt), Sigma_dt = nu int_0^dt exp(sA)
-    Psi Psi^T exp(sA)^T ds, computed once by Van Loan's block exponential
-    and factorized.
+    Exact in law: f^{n+1} = E f^n + L xi_n with E = exp(dt A), L L^T =
+    Sigma_dt = nu int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds and n normals xi_n
+    per step.  E and Sigma_dt come from one ``gaussian_increment_covariance``
+    call; L is the PSD square root of Sigma_dt, per invariant block.
 
 The ensemble is one n x M state, column m holding member m, so a step is
 one sparse product ``B @ F`` (SemiImplicitEM) or one dense ``E @ F`` plus
@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .covariance import CovarianceOperator, NoiseSpec
+from .covariance import CovarianceOperator, NoiseSpec, gaussian_increment_covariance
 from .fields import FourierField, _open_text, mode_table
 from .flows import Flow
-from .operators import DENSE_CAP, advection_matrix, dissipation_matrix, generator
+from .operators import advection_matrix, dissipation_matrix, generator, invariant_blocks
 
 __all__ = [
     "SimConfig",
@@ -49,7 +49,6 @@ __all__ = [
     "simulate",
     "empirical_covariance",
     "energy_balance_residual",
-    "gaussian_increment_covariance",
 ]
 
 RNG_ALGORITHM = "philox4x64 (numpy Philox, key = (seed, member))"
@@ -192,30 +191,15 @@ class TrajectoryStats:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def gaussian_increment_covariance(A: np.ndarray, noise: NoiseSpec, dt: float) -> np.ndarray:
-    """Sigma_dt = int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds, without the nu factor.
-
-    Van Loan's block exponential (Van Loan 1978, *Computing integrals
-    involving the matrix exponential*): expm of [[-A, Psi Psi^T], [0, A^T]] dt
-    is [[X11, X12], [0, X22]] with Sigma_dt = X22^T X12.  The nu factor is
-    applied by the caller.
-    """
-    n = A.shape[0]
-    C = np.zeros((2 * n, 2 * n))
-    C[:n, :n] = -A
-    C[:n, n:] = np.diag(noise.amps**2)
-    C[n:, n:] = A.T
-    X = sla.expm(dt * C)
-    sigma = X[n:, n:].T @ X[:n, n:]
-    return 0.5 * (sigma + sigma.T)
-
-
 def _factor_psd(sigma: np.ndarray) -> np.ndarray:
-    """L with L L^T = sigma (eigenfactorization, tiny negatives clipped)."""
+    """The PSD square root L = L^T with L L^T = sigma (tiny negatives clipped).
+
+    Unlike a factor made of eigenvector columns, it is a continuous function
+    of sigma: the signs and the basis LAPACK picks for the eigenvectors, in
+    degenerate eigenspaces too, cancel in V sqrt(lambda) V^T.
+    """
     vals, vecs = sla.eigh(sigma)
-    cutoff = max(vals[-1], 0.0) * 1e-14
-    keep = vals > cutoff
-    return vecs[:, keep] * np.sqrt(vals[keep])
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def _member_rng(seed: int, member: int) -> np.random.Generator:
@@ -253,12 +237,12 @@ def simulate(
                       math.sqrt(0.5 * noise.total_intensity), 1e-12)
 
     if config.scheme == "ExactGaussian":
-        if n > DENSE_CAP:
-            raise ValueError("ExactGaussian requires a dense propagator (dimension cap)")
-        A = generator(config.flow, config.nu, N, s=config.s).dense()
-        E = sla.expm(config.dt * A)
-        L = _factor_psd(config.nu * gaussian_increment_covariance(A, noise, config.dt))
-        draws = L.shape[1]
+        A = generator(config.flow, config.nu, N, s=config.s)
+        E, sigma = gaussian_increment_covariance(A, noise, config.dt)
+        L = np.zeros((n, n))
+        for idx in invariant_blocks(A):    # Sigma_dt is block-diagonal
+            L[np.ix_(idx, idx)] = _factor_psd(config.nu * sigma[np.ix_(idx, idx)])
+        draws = n
     else:
         Bmat = advection_matrix(config.flow, N).matrix
         dd = dissipation_matrix(N, config.s).matrix.diagonal()

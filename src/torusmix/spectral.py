@@ -126,7 +126,7 @@ def streamline_projection(
     need the deviation apply it twice and compare.
     """
     if flow.streamfunction is None:
-        raise ValueError("streamline projection requires a cellular/custom flow")
+        raise ValueError("streamline projection requires a cellular flow")
     if bins < 2:
         raise ValueError("need at least 2 bins")
     if grid < 4 * f.N:
@@ -165,12 +165,10 @@ def _slice_profiles(f: FourierField, ygrid: int) -> np.ndarray:
     """
     N = f.N
     Z = complex_lattice(f)  # [k1+N, k2+N], orthonormal-basis coefficients
-    rows = np.zeros((2 * N + 1, ygrid), dtype=complex)
     ks = np.arange(-N, N + 1)
     spec = np.zeros((2 * N + 1, ygrid), dtype=complex)
     spec[:, ks % ygrid] = Z / (2.0 * math.pi)
-    rows = np.fft.ifft(spec, axis=1) * ygrid
-    return rows
+    return np.fft.ifft(spec, axis=1) * ygrid
 
 
 def shear_exact_evolution(
@@ -220,7 +218,6 @@ def _shear_h1sq_polynomials(profile, f0: FourierField, ygrid: int) -> tuple:
     w = 2.0 * math.pi / ygrid * (2.0 * math.pi)  # dy weight and x-integral factor
     du = profile.derivative(y)
     rows = _slice_profiles(f0, ygrid)
-    k2s = np.arange(-N, N + 1)
     spec = np.fft.fft(rows, axis=1)
     spec *= 1j * np.where(
         np.arange(ygrid) <= ygrid // 2, np.arange(ygrid), np.arange(ygrid) - ygrid

@@ -1,0 +1,62 @@
+"""Hypothesis strategies for flows, shared by the test modules."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from torusmix import FourierField, make_cellular, make_shear, mode_table
+from torusmix.fields import field_from_grid, sample_grid
+from torusmix.flows import ShearProfile
+
+
+# f -> f(Mx + tau) for the lattice reflections M and tau in {0, pi}^2 (in
+# units of pi) whose affine map is an involution
+_INVOLUTIONS = [
+    (M, tau)
+    for M in (((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)))
+    for tau in ((0, 0), (0, 1), (1, 0), (1, 1))
+    if all((M[r][0] * tau[0] + M[r][1] * tau[1] + tau[r]) % 2 == 0 for r in (0, 1))
+]
+
+
+def _reflect(psi, M, tau, G=8):
+    """psi(Mx + tau), through point values on a G x G grid (G even)."""
+    values = sample_grid(psi, G)
+    i, j = np.meshgrid(np.arange(G), np.arange(G), indexing="ij")
+    gi = (M[0][0] * i + M[0][1] * j + tau[0] * G // 2) % G
+    gj = (M[1][0] * i + M[1][1] * j + tau[1] * G // 2) % G
+    return field_from_grid(values[gi, gj], psi.N)
+
+
+@st.composite
+def symmetric_flows(draw):
+    """A flow that commutes with one lattice reflection f -> f(Mx + tau).
+
+    Amplitudes come from a drawn seed, so they are generic: the reflection
+    then maps each invariant block onto itself and splits it.
+    Streamfunctions are made odd under the map (u = grad^perp psi then
+    satisfies u(Mx + tau) = M u(x)).  Shear profiles keep the harmonics of
+    one of the three symmetry classes a shear flow can have: odd j
+    (x -> -x, y -> y + pi), cosines (y -> -y), or cos of even j and sin of
+    odd j (y -> pi - y).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        psi = FourierField(2, rng.uniform(-1.0, 1.0, mode_table(2).size))
+        M, tau = draw(st.sampled_from(_INVOLUTIONS))
+        return make_cellular((psi - _reflect(psi, M, tau)) * 0.5)
+    keep = draw(st.sampled_from([
+        lambda j, cos: j % 2 == 1, lambda j, cos: cos, lambda j, cos: (j % 2 == 0) == cos]))
+    a, b = rng.uniform(-1.0, 1.0, (2, 3))
+    return make_shear(ShearProfile(
+        [x if keep(j, True) else 0.0 for j, x in enumerate(a, start=1)],
+        [x if keep(j, False) else 0.0 for j, x in enumerate(b, start=1)]))
+
+
+@st.composite
+def random_flows(draw):
+    """A random |k|_inf <= 2 streamfunction or a random three-harmonic shear."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return make_cellular(FourierField(2, rng.uniform(-1.0, 1.0, mode_table(2).size)))
+    a, b = rng.uniform(-1.0, 1.0, (2, 3))
+    return make_shear(ShearProfile(list(a), list(b)))

@@ -89,11 +89,49 @@ def test_validate_rejects_inviscid_ladder(tmp_path):
         parse_spec(cfg)
 
 
+def simulate_config(tmp_path, scheme):
+    return write_config(
+        tmp_path,
+        f"""
+[experiment]
+type = simulate
+N = 40
+{SHEAR_FLOW}
+[noise]
+modes =
+    0 1 cos 1.0
+
+[simulate]
+nu = 0.1
+scheme = {scheme}
+dt = 0.5
+horizon = 1.0
+burn_in = 0.0
+ensemble = 1
+seed = 0
+f0 =
+""",
+        name="simulate.ini",
+    )
+
+
 def test_validate_warns_above_dense_cap(tmp_path, capsys):
-    cfg = ladder_config(tmp_path, N=40)
-    assert main(["validate", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "warning" in out and "6560" in out and "4000" in out
+    # the experiments whose result is a dense n x n covariance
+    for cfg in (ladder_config(tmp_path, N=40), simulate_config(tmp_path, "ExactGaussian")):
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "warning" in out and "6560" in out and "4000" in out
+
+
+def test_validate_no_dense_warning_for_sparse_experiments(tmp_path, capsys):
+    # neither refuses n above the cap: SemiImplicitEM steps with the sparse
+    # B, and the spectrum has no dense-covariance solve
+    spectrum = write_config(tmp_path, f"[experiment]\ntype = spectrum\nN = 40\n{CELL_FLOW}",
+                            name="spectrum.ini")
+    for cfg in (simulate_config(tmp_path, "SemiImplicitEM"), spectrum):
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("ok") and "warning" not in out
 
 
 def test_covariance_ladder_outputs(tmp_path, capsys):
@@ -340,28 +378,7 @@ N = 4
 
 def test_error_record_written_for_numerical_failure(tmp_path, capsys):
     # ExactGaussian above the dense cap must fail with a machine-readable record
-    cfg = write_config(
-        tmp_path,
-        f"""
-[experiment]
-type = simulate
-N = 40
-{SHEAR_FLOW}
-[noise]
-modes =
-    0 1 cos 1.0
-
-[simulate]
-nu = 0.1
-scheme = ExactGaussian
-dt = 0.5
-horizon = 1.0
-burn_in = 0.0
-ensemble = 1
-seed = 0
-f0 =
-""",
-    )
+    cfg = simulate_config(tmp_path, "ExactGaussian")
     out = tmp_path / "fail"
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 3

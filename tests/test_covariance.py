@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torusmix import (
     NoiseSpec,
@@ -19,6 +21,8 @@ from torusmix import (
     write_covariance,
 )
 from torusmix.fields import random_field
+
+from strategies import random_flows, symmetric_flows
 
 
 def unit_noise(N, entries):
@@ -142,8 +146,8 @@ def test_quadrature_zero_noise(shear):
 
 
 def test_quadrature_agrees_with_lyapunov_mixed_forcing(shear):
-    # mixed forcing: step chosen so the composite-trapezoid error
-    # ~ (2 nu |k|^2 h)^2 / 12 stays below the 1e-6 target
+    # mixed forcing, on an x-averaged and an x-dependent mode: the oracle is
+    # exact up to round-off and a tail below exp(-80)
     N = 6
     nu = 0.5
     noise = unit_noise(N, [((0, 1), "cos", 1.0), ((1, 1), "cos", 1.0)])
@@ -153,6 +157,25 @@ def test_quadrature_agrees_with_lyapunov_mixed_forcing(shear):
     dist = np.linalg.norm(Ql.matrix - Qq.matrix, "fro")
     assert dist <= 1e-6 * np.linalg.norm(Ql.matrix, "fro")
     assert Qq.meta["tail_bound"] < 1e-30
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=st.one_of(random_flows(), symmetric_flows()), N=st.integers(2, 6),
+       nu=st.floats(0.05, 1.0), forcing_seed=st.integers(0, 2**32 - 1))
+def test_quadrature_matches_lyapunov_on_random_flows(flow, N, nu, forcing_seed):
+    # sparse forcing, at least one coefficient; the tail beyond T = 20/nu is
+    # below exp(-40), so both routes must agree to round-off
+    rng = np.random.default_rng(forcing_seed)
+    n = mode_table(N).size
+    amps = np.where(rng.random(n) < 0.2, rng.uniform(0.1, 2.0, n), 0.0)
+    amps[rng.integers(n)] = 1.0
+    noise = NoiseSpec(N, amps)
+    A = generator(flow, nu, N)
+    Ql = lyapunov_covariance(A, noise)
+    Qq = covariance_by_quadrature(A, noise, T=20 / nu, h=0.01 / nu)
+    assert np.linalg.norm(Ql.matrix - Qq.matrix) <= 1e-10 * np.linalg.norm(Ql.matrix)
+    for Q in (Ql, Qq):
+        assert h1_trace(Q) == pytest.approx(noise.total_intensity / 2, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from torusmix import (
     ShearProfile,
     cellular_streamfunction,
     make_cellular,
-    make_custom,
     make_shear,
     velocity_coefficients,
 )
@@ -59,7 +58,7 @@ def test_cellular_velocity_matches_analytic():
 def test_cellular_velocity_coefficients_by_fft(rng):
     # independent oracle: FFT the sampled velocity and compare coefficients
     psi = random_field(3, rng)
-    flow = make_custom(psi)
+    flow = make_cellular(psi)
     M = 32
     u1, u2 = flow.velocity_on_grid(M)
     f1 = np.fft.fft2(u1) / M**2
@@ -72,7 +71,7 @@ def test_cellular_velocity_coefficients_by_fft(rng):
 def test_divergence_free_in_coefficients(rng):
     for _ in range(5):
         psi = random_field(4, rng)
-        flow = make_custom(psi)
+        flow = make_cellular(psi)
         for (m1, m2), (a1, a2) in flow.velocity.items():
             assert abs(m1 * a1 + m2 * a2) < 1e-14
 
@@ -81,7 +80,7 @@ def test_velocity_has_no_mean_mode(rng):
     flows = [
         make_shear(ShearProfile(cos_amps=(0.3,), sin_amps=(1.0, 0.2))),
         make_cellular(cellular_streamfunction()),
-        make_custom(random_field(3, rng)),
+        make_cellular(random_field(3, rng)),
     ]
     for flow in flows:
         assert (0, 0) not in flow.velocity
@@ -115,7 +114,7 @@ def test_cellular_rejects_zero_streamfunction():
 def test_lipschitz_bound_dominates_gradient(rng):
     # || grad u ||_inf on a fine grid never exceeds the reported triangle bound
     psi = random_field(3, rng)
-    flow = make_custom(psi)
+    flow = make_cellular(psi)
     M = 64
     x = 2 * math.pi * np.arange(M) / M
     X, Y = np.meshgrid(x, x, indexing="ij")

@@ -15,7 +15,8 @@ from torusmix import (
 )
 from torusmix.flows import make_cellular, sin_shear
 from torusmix.operators import generator
-from torusmix.simulate import CovarianceAccumulator, gaussian_increment_covariance
+from torusmix.covariance import gaussian_increment_covariance
+from torusmix.simulate import CovarianceAccumulator, _factor_psd
 
 
 def single_mode_noise(N, amp=1.0):
@@ -276,24 +277,49 @@ def test_accumulator_insufficient_samples():
         acc.covariance()
 
 
-@pytest.mark.parametrize("flow, N", [
+def _increment_noise(N):
+    return NoiseSpec.from_modes(
+        N, [((0, 1), "cos", 1.0), ((1, 0), "sin", 0.7), ((1, -1), "cos", 1.2)])
+
+
+INCREMENT_FLOWS = [
     (sin_shear(), 6),
     (make_cellular(make_field(2, [((1, 1), "sin", 0.5), ((1, -1), "cos", 0.3)])), 8),
-])
+]
+
+
+@pytest.mark.parametrize("flow, N", INCREMENT_FLOWS)
 def test_gaussian_increment_covariance_matches_quadrature(flow, N):
     # fixed 64-node Gauss-Legendre rule on int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds
     dt = 0.5
-    A = generator(flow, 0.1, N).dense()
-    noise = NoiseSpec.from_modes(
-        N, [((0, 1), "cos", 1.0), ((1, 0), "sin", 0.7), ((1, -1), "cos", 1.2)])
+    op = generator(flow, 0.1, N)
+    A = op.dense()
+    noise = _increment_noise(N)
     PPt = np.diag(noise.amps**2)
     nodes, weights = np.polynomial.legendre.leggauss(64)
     reference = np.zeros_like(A)
     for s, w in zip(0.5 * dt * (nodes + 1.0), 0.5 * dt * weights):
         E = sla.expm(s * A)
         reference += w * (E @ PPt @ E.T)
-    sigma = gaussian_increment_covariance(A, noise, dt)
+    E, sigma = gaussian_increment_covariance(op, noise, dt)
     assert np.linalg.norm(sigma - reference) <= 1e-13 * np.linalg.norm(reference)
+    E_ref = sla.expm(dt * A)
+    assert np.linalg.norm(E - E_ref) <= 1e-13 * np.linalg.norm(E_ref)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.5])
+@pytest.mark.parametrize("flow, N", INCREMENT_FLOWS)
+def test_increment_factor_is_continuous_in_sigma(flow, N, dt):
+    # the factor must not depend on the eigenvector signs and bases LAPACK
+    # picks: a 1e-16 relative perturbation of Sigma may move the square root
+    # by about sqrt(1e-16) where Sigma has round-off eigenvalues, not by O(1)
+    _, sigma = gaussian_increment_covariance(generator(flow, 0.1, N), _increment_noise(N), dt)
+    sigma *= 0.1
+    G = np.random.default_rng(7).standard_normal(sigma.shape)
+    bumped = sigma + 1e-16 * np.linalg.norm(sigma) * (G + G.T) / np.linalg.norm(G + G.T)
+    L, L_bumped = _factor_psd(sigma), _factor_psd(bumped)
+    assert np.allclose(L @ L.T, sigma, rtol=0, atol=1e-12 * np.linalg.norm(sigma))
+    assert np.linalg.norm(L_bumped - L) <= 1e-6 * np.linalg.norm(L)
 
 
 def test_residual_series_matches_energy_balance(shear):
