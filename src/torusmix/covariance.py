@@ -19,6 +19,12 @@ scalar OU processes, giving the closed-form diagonal limit
 :func:`shear_limit_covariance` with entries psi^2 / (2 j^2) on the (0, j)
 coefficients.
 
+Psi Psi^T is diagonal, so Q vanishes off the forced invariant blocks of A.
+A :class:`CovarianceOperator` keeps Q per block (``operators.BlockDiagonal``)
+and every diagnostic here works block by block: the H1 trace, the selector
+and distance norms, the eigenvalue summary.  The v1 text export is still the
+dense n x n matrix, written from the blocks.
+
 Two structural identities hold exactly at the Galerkin level for every flow
 and every nu > 0, and the test suite enforces them:
 
@@ -31,13 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 import scipy.linalg as sla
 
 from .fields import _open_text, mode_table
-from .operators import DENSE_CAP, OperatorMatrix, invariant_blocks
+from .operators import DENSE_CAP, BlockDiagonal, OperatorMatrix, invariant_blocks
 
 __all__ = [
     "NoiseSpec",
@@ -107,27 +114,42 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class CovarianceOperator:
-    """Symmetric PSD covariance matrix on the canonical ordering."""
+    """Symmetric PSD covariance on the canonical ordering, stored per block.
+
+    ``blocks`` is a :class:`BlockDiagonal`; a dense n x n array passed in
+    becomes one block over all indices.  ``matrix`` is the dense array,
+    built on first use.
+    """
 
     N: int
-    matrix: np.ndarray = field(repr=False)
+    blocks: BlockDiagonal = field(repr=False)
     provenance: str = "unknown"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
         n = mode_table(self.N).size
-        if m.shape != (n, n):
+        blocks = self.blocks
+        if not isinstance(blocks, BlockDiagonal):
+            m = np.array(blocks, dtype=float)
+            if m.shape != (n, n):
+                raise ValueError(f"covariance must be {n} x {n} for N={self.N}")
+            blocks = BlockDiagonal(n, [(np.arange(n), m)])
+        elif blocks.n != n:
             raise ValueError(f"covariance must be {n} x {n} for N={self.N}")
+        object.__setattr__(self, "blocks", blocks)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = self.blocks.toarray()
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
 
     @property
     def operator_norm(self) -> float:
-        return float(np.max(np.abs(sla.eigvalsh(self.matrix))))
+        return float(np.max(np.abs(self.blocks.eigvalsh())))
 
     def min_eigenvalue(self) -> float:
-        return float(sla.eigvalsh(self.matrix)[0])
+        return float(self.blocks.eigvalsh()[0])
 
 
 def _check_generator(A: OperatorMatrix, noise: NoiseSpec) -> None:
@@ -142,11 +164,13 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
 
     Solved blockwise on the invariant subspaces of A (the forcing matrix is
     diagonal, so cross-block covariance vanishes identically) with the dense
-    Bartels-Stewart solver; each solve carries a residual certificate
+    Bartels-Stewart solver, and only the forced blocks are stored.  The
+    solve carries the residual certificate
 
         ||A Q + Q A^T + nu Psi Psi^T||_F <= 1e-10 (||A||_F ||Q||_F + nu ||Psi||^2)
 
-    and failure raises :class:`LyapunovError`.
+    with both Frobenius norms of Q and of the residual summed over the
+    blocks, and failure raises :class:`LyapunovError`.
     """
     _check_generator(A, noise)
     nu = A.nu or 0.0
@@ -157,28 +181,33 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
         raise ValueError(f"dense Lyapunov solver limited to dimension {DENSE_CAP}")
     Asp = A.matrix
     psi2 = nu * noise.amps**2
-    Q = np.zeros((n, n))
+    blocks = []
+    res_sq = q_sq = 0.0
     for idx in invariant_blocks(A):
         if not np.any(psi2[idx]):
             continue  # unforced invariant block: Q restricted there is zero
+        a = Asp[np.ix_(idx, idx)]
         if len(idx) == 1:
-            a = float(Asp[idx[0], idx[0]])
-            Q[idx[0], idx[0]] = -psi2[idx[0]] / (2.0 * a)
-            continue
-        Asub = Asp[np.ix_(idx, idx)].toarray()
-        Csub = np.diag(psi2[idx])
-        Qsub = sla.solve_continuous_lyapunov(Asub, -Csub)
-        Q[np.ix_(idx, idx)] = 0.5 * (Qsub + Qsub.T)
-    residual = Asp @ Q + Q @ Asp.T + np.diag(psi2)
-    res_norm = float(np.linalg.norm(residual, "fro"))
+            Qb = -psi2[idx][:, None] / (2.0 * a.toarray())
+        else:
+            Qsub = sla.solve_continuous_lyapunov(a.toarray(), -np.diag(psi2[idx]))
+            Qb = 0.5 * (Qsub + Qsub.T)
+        residual = a @ Qb + Qb @ a.T
+        residual[np.diag_indices(len(idx))] += psi2[idx]
+        res_sq += float(np.sum(residual**2))
+        q_sq += float(np.sum(Qb**2))
+        blocks.append((idx, Qb))
+    # Q and the residual vanish off the forced blocks, so their Frobenius
+    # norms are the root sums of squares over the blocks
+    res_norm = math.sqrt(res_sq)
     a_norm = float(np.sqrt((Asp.multiply(Asp)).sum()))
-    bound = 1e-10 * (a_norm * np.linalg.norm(Q, "fro") + nu * noise.total_intensity)
+    bound = 1e-10 * (a_norm * math.sqrt(q_sq) + nu * noise.total_intensity)
     if res_norm > max(bound, 1e-300):
         raise LyapunovError(
             f"Lyapunov residual {res_norm:.3e} exceeds certificate {bound:.3e}"
         )
     return CovarianceOperator(
-        A.N, Q, provenance=f"lyapunov(nu={nu:g})",
+        A.N, BlockDiagonal(n, blocks), provenance=f"lyapunov(nu={nu:g})",
         meta={"nu": nu, "residual_fro": res_norm, "s": A.s},
     )
 
@@ -190,7 +219,7 @@ def _doublings(t: float, h: float | None) -> int:
 
 def gaussian_increment_covariance(
     A: OperatorMatrix, noise: NoiseSpec, t: float, h: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[BlockDiagonal, BlockDiagonal]:
     """E = exp(tA) and S(t) = int_0^t exp(sA) Psi Psi^T exp(sA)^T ds (no nu factor).
 
     Per invariant block a of A, one Van Loan exponential (Van Loan 1978,
@@ -199,7 +228,7 @@ def gaussian_increment_covariance(
     expm of [[-a, diag(psi^2)], [0, a^T]] tau is [[X11, X12], [0, X22]],
     with exp(tau a) = X22^T and S(tau) = X22^T X12.  Then k doublings
     S(2 tau) = S(tau) + E S(tau) E^T, E <- E^2 (Smith 1968).  Both results
-    are returned as block-diagonal dense n x n arrays.
+    are :class:`BlockDiagonal` with one block per invariant block of A.
     """
     _check_generator(A, noise)
     n = A.shape[0]
@@ -207,8 +236,7 @@ def gaussian_increment_covariance(
         raise ValueError(f"dense covariance: n = {n} exceeds the dimension cap {DENSE_CAP}")
     k = _doublings(t, h)
     psi2 = noise.amps**2
-    E = np.zeros((n, n))
-    S = np.zeros((n, n))
+    E, S = [], []
     for idx in invariant_blocks(A):
         b = len(idx)
         a = A.matrix[np.ix_(idx, idx)].toarray()
@@ -219,9 +247,9 @@ def gaussian_increment_covariance(
         for _ in range(k):
             Sb += Eb @ Sb @ Eb.T
             Eb = Eb @ Eb
-        E[np.ix_(idx, idx)] = Eb
-        S[np.ix_(idx, idx)] = 0.5 * (Sb + Sb.T)
-    return E, S
+        E.append((idx, Eb))
+        S.append((idx, 0.5 * (Sb + Sb.T)))
+    return BlockDiagonal(n, E), BlockDiagonal(n, S)
 
 
 def covariance_by_quadrature(
@@ -243,7 +271,8 @@ def covariance_by_quadrature(
     h_eff = T / 2 ** _doublings(T, h)
     tail = math.exp(-2.0 * nu * T) * noise.total_intensity / 2.0    # lambda_1 = 1
     return CovarianceOperator(
-        A.N, nu * S, provenance=f"quadrature(nu={nu:g},T={T:g},h={h_eff:g})",
+        A.N, BlockDiagonal(S.n, [(idx, nu * Sb) for idx, Sb in S.blocks]),
+        provenance=f"quadrature(nu={nu:g},T={T:g},h={h_eff:g})",
         meta={"nu": nu, "T": T, "h": h_eff, "tail_bound": tail},
     )
 
@@ -260,7 +289,7 @@ def shear_limit_covariance(noise: NoiseSpec) -> CovarianceOperator:
     diag = np.zeros(table.size)
     onaxis = table.k1 == 0
     diag[onaxis] = noise.amps[onaxis] ** 2 / (2.0 * table.k2[onaxis].astype(float) ** 2)
-    return CovarianceOperator(noise.N, np.diag(diag), provenance="shear-limit")
+    return CovarianceOperator(noise.N, BlockDiagonal.diag(diag), provenance="shear-limit")
 
 
 def h1_trace(Q: CovarianceOperator) -> float:
@@ -270,7 +299,7 @@ def h1_trace(Q: CovarianceOperator) -> float:
     ||Psi||^2 / 2 exactly: the trace kills the skew advection part.
     """
     lam = mode_table(Q.N).lam.astype(float)
-    return float(np.sum(lam * np.diag(Q.matrix)))
+    return float(np.sum(lam * Q.blocks.diagonal()))
 
 
 def _selector_mask(N: int, selector) -> np.ndarray:
@@ -297,22 +326,24 @@ def block_operator_norm(Q: CovarianceOperator, selector="all") -> float:
     """Spectral norm of the principal submatrix picked by a mode predicate.
 
     ``selector`` is 'all', 'k1-nonzero', 'k1-zero', or a callable
-    (k1, k2, parity) -> bool.
+    (k1, k2, parity) -> bool.  The submatrix is block-diagonal too: its
+    blocks are the stored blocks of Q restricted to the selected modes.
     """
     mask = _selector_mask(Q.N, selector)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return 0.0
-    sub = Q.matrix[np.ix_(idx, idx)]
-    return float(np.max(np.abs(sla.eigvalsh(sub))))
+    norm = 0.0
+    for idx, block in Q.blocks.blocks:
+        keep = mask[idx]
+        if keep.any():
+            sub = block[np.ix_(keep, keep)]
+            norm = max(norm, float(np.max(np.abs(sla.eigvalsh(sub)))))
+    return norm
 
 
 def covariance_distance(Q1: CovarianceOperator, Q2: CovarianceOperator) -> float:
-    """Operator (spectral) norm of Q1 - Q2."""
+    """Operator (spectral) norm of Q1 - Q2, per block of the joined partitions."""
     if Q1.N != Q2.N:
         raise ValueError("covariance truncations do not match")
-    diff = Q1.matrix - Q2.matrix
-    return float(np.max(np.abs(sla.eigvalsh(diff))))
+    return float(np.max(np.abs((Q1.blocks - Q2.blocks).eigvalsh())))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +354,30 @@ _COV_HEADER = "# torusmix covariance v1"
 
 
 def write_covariance(Q: CovarianceOperator, path_or_file) -> None:
-    """Dense text export: header (N, provenance) then row-major decimals."""
+    """Dense text export: header (N, provenance) then row-major decimals.
+
+    Written from the blocks: only stored entries are formatted, and every
+    row no block covers is one shared line of zeros.
+    """
+    n = Q.blocks.n
+    zero_line = " ".join(["0"] * n) + "\n"
+    rows = {}                       # row -> (its block's columns, its block row)
+    for idx, block in Q.blocks.blocks:
+        cols = idx.tolist()
+        rows.update(zip(cols, ((cols, values) for values in block)))
     with _open_text(path_or_file, "w") as fh:
         fh.write(_COV_HEADER + "\n")
         fh.write(f"N {Q.N}\n")
         fh.write(f"provenance {Q.provenance}\n")
-        for row in Q.matrix:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        for i in range(n):
+            if i not in rows:
+                fh.write(zero_line)
+                continue
+            cols, values = rows[i]
+            line = ["0"] * n
+            for j, v in zip(cols, values.tolist()):
+                line[j] = f"{v:.17g}"
+            fh.write(" ".join(line) + "\n")
 
 
 def read_covariance(path_or_file) -> CovarianceOperator:
@@ -350,4 +398,4 @@ def read_covariance(path_or_file) -> CovarianceOperator:
 
 def eigenvalue_summary(Q: CovarianceOperator) -> np.ndarray:
     """Eigenvalues of Q, descending (for the CSV summary export)."""
-    return sla.eigvalsh(Q.matrix)[::-1]
+    return Q.blocks.eigvalsh()[::-1]

@@ -32,10 +32,15 @@ N = 8; 1054/1056 -> 511 to 544 at N = 32), x -> pi - x every cos(x)cos(y)
 block, and y -> pi - y the 17-row blocks of the sin(y) shear at N = 8
 (9 + 8).  Per sector, the norm is the square root of the top eigenvalue of
 E^T E with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
-iteration above.  Semigroup actions use ``expm_multiply``.  The two
-routines whose result is a dense n x n matrix, the Lyapunov solve and the
-finite-time covariance shared by the quadrature oracle and the exact
-Gaussian sampler, refuse n > ``DENSE_CAP``; they work per coordinate block.
+iteration above.  Semigroup actions use ``expm_multiply``.
+
+Results that are dense inside each invariant block are stored per block, as
+a :class:`BlockDiagonal` of (index array, dense block) pairs that is zero
+off its blocks: the Lyapunov covariance (forced blocks only), the pair
+(E, S) of the finite-time covariance shared by the quadrature oracle and the
+exact Gaussian sampler, and the eigenvectors of ``spectral.spectrum``.  The
+two covariance routines still refuse n > ``DENSE_CAP``, the total dimension
+and not the block size.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .flows import Flow
 
 __all__ = [
     "OperatorMatrix",
+    "BlockDiagonal",
     "DENSE_CAP",
     "advection_matrix",
     "dissipation_matrix",
@@ -66,8 +72,8 @@ __all__ = [
 ]
 
 # Largest dense matrix function: per symmetry sector in semigroup_norm (dense
-# below, Lanczos above), and for the whole space in the solvers whose result
-# is a dense n x n matrix, which refuse larger n.
+# below, Lanczos above), and for the whole space in the two covariance
+# solvers, which refuse larger n although they work per invariant block.
 DENSE_CAP = 4000
 
 
@@ -208,6 +214,77 @@ def invariant_blocks(op: OperatorMatrix) -> list[np.ndarray]:
     blocks = [np.flatnonzero(labels == c) for c in range(ncomp)]
     blocks.sort(key=lambda b: (len(b), int(b[0])))
     return blocks
+
+
+class BlockDiagonal:
+    """n x n matrix held as dense diagonal blocks on disjoint index sets.
+
+    ``blocks`` holds (index array, dense block) pairs: block b sits at the
+    rows and columns ``idx_b``, and every row and column that no index array
+    covers is zero.  Blocks are stored read-only, in the order given.
+    """
+
+    def __init__(self, n: int, blocks=()):
+        self.n = int(n)
+        stored = []
+        for idx, block in blocks:
+            idx, block = np.asarray(idx).view(), np.asarray(block).view()
+            if block.shape != (idx.size, idx.size):
+                raise ValueError(f"block of shape {block.shape} on {idx.size} indices")
+            idx.setflags(write=False)
+            block.setflags(write=False)
+            stored.append((idx, block))
+        self.blocks = tuple(stored)
+
+    @classmethod
+    def diag(cls, d: np.ndarray) -> "BlockDiagonal":
+        """Diagonal matrix: one singleton block per nonzero entry of ``d``."""
+        return cls(len(d), [(np.array([i]), np.array([[d[i]]])) for i in np.flatnonzero(d)])
+
+    def toarray(self) -> np.ndarray:
+        dtype = np.result_type(float, *{b.dtype for _, b in self.blocks})
+        out = np.zeros((self.n, self.n), dtype=dtype)
+        for idx, block in self.blocks:
+            out[np.ix_(idx, idx)] = block
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        out = np.zeros(self.n)
+        for idx, block in self.blocks:
+            out[idx] = np.diagonal(block)
+        return out
+
+    def __sub__(self, other: "BlockDiagonal") -> "BlockDiagonal":
+        """Difference on the join of both partitions: unions of overlapping blocks."""
+        pairs = [(idx[0], i) for idx, _ in self.blocks + other.blocks for i in idx]
+        rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+        graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
+        _, labels = connected_components(graph, directed=False)
+        joined = {}
+        for sign, operand in ((1.0, self), (-1.0, other)):
+            for idx, block in operand.blocks:
+                label = labels[idx[0]]
+                if label not in joined:
+                    part = np.flatnonzero(labels == label)
+                    joined[label] = (part, np.zeros((part.size, part.size)))
+                part, D = joined[label]
+                pos = np.searchsorted(part, idx)
+                D[np.ix_(pos, pos)] += sign * block
+        return BlockDiagonal(self.n, sorted(joined.values(), key=lambda pair: pair[0][0]))
+
+    def eigvalsh(self) -> np.ndarray:
+        """All n eigenvalues, ascending: those of each block plus a zero per uncovered index."""
+        vals = [sla.eigvalsh(block) for _, block in self.blocks]
+        covered = sum(len(idx) for idx, _ in self.blocks)
+        return np.sort(np.concatenate(vals + [np.zeros(self.n - covered)]))
+
+    def eigh(self) -> list:
+        """(idx, eigenvalues ascending, eigenvectors) of each block, in block order.
+
+        numpy's ``eigh`` (LAPACK syevd): on a single block over all indices
+        it returns the eigenvectors a dense ``np.linalg.eigh`` would.
+        """
+        return [(idx, *np.linalg.eigh(block)) for idx, block in self.blocks]
 
 
 def _check_semigroup_time(op: OperatorMatrix, t: float) -> None:

@@ -39,7 +39,7 @@ import scipy.linalg as sla
 from .covariance import CovarianceOperator, NoiseSpec, gaussian_increment_covariance
 from .fields import FourierField, _open_text, mode_table
 from .flows import Flow
-from .operators import advection_matrix, dissipation_matrix, generator, invariant_blocks
+from .operators import BlockDiagonal, advection_matrix, dissipation_matrix, generator
 
 __all__ = [
     "SimConfig",
@@ -239,9 +239,9 @@ def simulate(
     if config.scheme == "ExactGaussian":
         A = generator(config.flow, config.nu, N, s=config.s)
         E, sigma = gaussian_increment_covariance(A, noise, config.dt)
-        L = np.zeros((n, n))
-        for idx in invariant_blocks(A):    # Sigma_dt is block-diagonal
-            L[np.ix_(idx, idx)] = _factor_psd(config.nu * sigma[np.ix_(idx, idx)])
+        L = BlockDiagonal(n, [(idx, _factor_psd(config.nu * Sb))
+                              for idx, Sb in sigma.blocks]).toarray()
+        E = E.toarray()
         draws = n
     else:
         Bmat = advection_matrix(config.flow, N).matrix

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .fields import (
     sample_grid,
 )
 from .flows import Flow
-from .operators import OperatorMatrix, advection_matrix
+from .operators import BlockDiagonal, OperatorMatrix, advection_matrix, invariant_blocks
 
 __all__ = [
     "SpectrumReport",
@@ -55,12 +56,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenstructure of a truncated advection matrix."""
+    """Eigenstructure of a truncated advection matrix.
+
+    ``eigenvectors`` keeps the eigenvectors per invariant block, and
+    ``order[k]`` is the column of its dense form that belongs to
+    ``frequencies[k]``.  ``vectors``, built on first use, is that dense form
+    with its columns in the order of ``frequencies``.
+    """
 
     N: int
-    frequencies: np.ndarray = field(repr=False)   # real lambda, ascending
-    vectors: np.ndarray = field(repr=False)       # complex orthonormal columns
+    frequencies: np.ndarray = field(repr=False)     # real lambda, ascending
+    eigenvectors: BlockDiagonal = field(repr=False)  # complex, per invariant block
+    order: np.ndarray = field(repr=False)           # column of each frequency
     kernel_dim: int = 0
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Complex orthonormal columns, one per entry of ``frequencies``."""
+        return self.eigenvectors.toarray()[:, self.order]
 
     def to_csv(self, path_or_file) -> None:
         with _open_text(path_or_file, "w") as fh:
@@ -93,14 +106,24 @@ def spectrum(B: OperatorMatrix) -> SpectrumReport:
 
     Returns the real eigenfrequencies of the self-adjoint i B (ascending)
     with orthonormal complex eigenvectors, and the dimension of the kernel.
+    One Hermitian ``eigh`` per invariant block of B; the per-block
+    frequencies are merged by a stable sort.
     """
     if B.kind != "advection":
         raise ValueError("spectrum expects an advection matrix")
-    H = 1j * B.dense().astype(complex)
-    freqs, vecs = sla.eigh(H)
+    n = B.shape[0]
+    freqs = np.empty(n)
+    blocks = []
+    for idx in invariant_blocks(B):
+        H = 1j * B.matrix[np.ix_(idx, idx)].toarray().astype(complex)
+        freqs[idx], vecs = sla.eigh(H)
+        blocks.append((idx, vecs))
+    order = np.argsort(freqs, kind="stable")
+    freqs = freqs[order]
     scale = max(1.0, float(np.max(np.abs(freqs))) if freqs.size else 1.0)
     kernel_dim = int(np.count_nonzero(np.abs(freqs) <= 1e-10 * scale))
-    return SpectrumReport(N=B.N, frequencies=freqs, vectors=vecs, kernel_dim=kernel_dim)
+    return SpectrumReport(N=B.N, frequencies=freqs, eigenvectors=BlockDiagonal(n, blocks),
+                          order=order, kernel_dim=kernel_dim)
 
 
 def shear_E_projection(f: FourierField) -> FourierField:

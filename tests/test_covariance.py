@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torusmix import (
+    CovarianceOperator,
     NoiseSpec,
+    advection_matrix,
     block_operator_norm,
     covariance_by_quadrature,
     covariance_distance,
@@ -18,9 +21,12 @@ from torusmix import (
     mode_table,
     read_covariance,
     shear_limit_covariance,
+    spectrum,
     write_covariance,
 )
+from torusmix.covariance import gaussian_increment_covariance
 from torusmix.fields import random_field
+from torusmix.operators import BlockDiagonal
 
 from strategies import random_flows, symmetric_flows
 
@@ -277,6 +283,57 @@ def test_covariance_distance_basics(shear):
         covariance_distance(Q, other)
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=st.one_of(random_flows(), symmetric_flows()), N=st.integers(2, 5),
+       nu=st.floats(0.05, 1.0), forcing_seed=st.integers(0, 2**32 - 1))
+def test_per_block_results_match_dense_computation(flow, N, nu, forcing_seed):
+    # every result kept per invariant block against one computation on the
+    # whole dense matrix, to 1e-12 of the result's scale
+    rng = np.random.default_rng(forcing_seed)
+    n = mode_table(N).size
+    amps = np.where(rng.random(n) < 0.2, rng.uniform(0.1, 2.0, n), 0.0)
+    amps[rng.integers(n)] = 1.0
+    noise = NoiseSpec(N, amps)
+    op = generator(flow, nu, N)
+    A, C = op.dense(), np.diag(noise.amps**2)
+
+    def close(got, want):
+        scale = max(np.max(np.abs(want)), 1e-300)
+        return np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * scale
+
+    Q = lyapunov_covariance(op, noise)
+    Qd = sla.solve_continuous_lyapunov(A, -nu * C)
+    assert close(Q.matrix, 0.5 * (Qd + Qd.T))
+    # S(t) = X - E X E^T with A X + X A^T + Psi Psi^T = 0
+    E, S = gaussian_increment_covariance(op, noise, 1.0, h=0.05)
+    Ed = sla.expm(A)
+    assert close(E.toarray(), Ed)
+    assert close(S.toarray(), Qd / nu - Ed @ (Qd / nu) @ Ed.T)
+
+    eigs = sla.eigvalsh(Q.matrix)
+    assert close(eigenvalue_summary(Q), eigs[::-1])
+    tops = [(vals[-1], idx, vecs[:, -1]) for idx, vals, vecs in Q.blocks.eigh()]
+    top, idx, vec = max(tops, key=lambda t: t[0])
+    assert close(top, eigs[-1])
+    v = np.zeros(n)
+    v[idx] = vec
+    assert close(Q.matrix @ v, top * v)
+    table = mode_table(N)
+    for selector, mask in (("all", np.ones(n, bool)), ("k1-nonzero", table.k1 != 0),
+                           ("k1-zero", table.k1 == 0)):
+        sub = Q.matrix[np.ix_(mask, mask)]
+        want = np.max(np.abs(sla.eigvalsh(sub))) if mask.any() else 0.0
+        assert abs(block_operator_norm(Q, selector) - want) <= 1e-12 * Q.operator_norm
+    Q0 = shear_limit_covariance(noise)
+    want = np.max(np.abs(sla.eigvalsh(Q.matrix - Q0.matrix)))
+    assert close(covariance_distance(Q, Q0), want)
+
+    B = advection_matrix(flow, N)
+    rep = spectrum(B)
+    assert close(rep.frequencies, sla.eigvalsh(1j * B.dense()))
+    assert close(1j * B.dense() @ rep.vectors, rep.vectors * rep.frequencies)
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -295,6 +352,29 @@ def test_covariance_export_round_trip(shear, tmp_path):
         assert R.N == Q.N
         assert np.array_equal(R.matrix, Q.matrix)
         assert R.provenance == Q.provenance
+
+
+def test_covariance_export_from_blocks_is_byte_identical():
+    # a -0.0 inside a block, a singleton block, uncovered rows of zeros
+    N, n = 2, mode_table(2).size
+    blocks = BlockDiagonal(n, [
+        (np.array([0, 5, 9]), np.array([[2.0, -0.0, 0.1], [-0.0, 1.5, 1 / 3], [0.1, 1 / 3, 0.7]])),
+        (np.array([3]), np.array([[0.25]])),
+        (np.array([20, 7]), np.array([[3.0, 1e-300], [1e-300, 2.0]])),
+    ])
+    texts = []
+    for Q in (CovarianceOperator(N, blocks, provenance="p"),
+              CovarianceOperator(N, blocks.toarray(), provenance="p")):
+        buf = io.StringIO()
+        write_covariance(Q, buf)
+        texts.append(buf.getvalue())
+    assert len(Q.blocks.blocks) == 1 and texts[0] == texts[1]
+    rows = texts[0].splitlines()[3:]
+    assert rows[0].split()[0] == "2" and rows[0].split()[5] == "-0"
+    assert rows[1] == " ".join(["0"] * n)
+    R = read_covariance(io.StringIO(texts[0]))
+    assert np.array_equal(R.matrix, Q.matrix)
+    assert np.array_equal(np.signbit(R.matrix), np.signbit(Q.matrix))
 
 
 def test_covariance_import_rejects_bad_tag(shear):

@@ -23,7 +23,7 @@ from torusmix import (
     write_operator_triplets,
 )
 from torusmix.fields import random_field
-from torusmix.operators import _krylov_norm, _symmetry_sectors
+from torusmix.operators import BlockDiagonal, _krylov_norm, _symmetry_sectors
 
 from strategies import symmetric_flows
 
@@ -241,6 +241,29 @@ def test_invariant_blocks_partition(shear):
         label[idx] = b
     i, j = np.nonzero(M)
     assert np.all(label[i] == label[j])
+
+
+def test_block_diagonal_matches_dense(rng):
+    n = 7
+    sym = lambda b: (lambda G: G + G.T)(rng.standard_normal((b, b)))
+    P = BlockDiagonal(n, [(np.array([0, 4]), sym(2)), (np.array([2]), sym(1))])
+    R = BlockDiagonal(n, [(np.array([4, 5]), sym(2)), (np.array([6]), sym(1))])
+    for M in (P, R):
+        D = M.toarray()
+        assert np.array_equal(M.diagonal(), np.diag(D))
+        assert np.allclose(M.eigvalsh(), sla.eigvalsh(D), rtol=0, atol=1e-14)
+        for idx, vals, vecs in M.eigh():
+            v = np.zeros(n)
+            v[idx] = vecs[:, -1]
+            assert np.allclose(D @ v, vals[-1] * v, rtol=0, atol=1e-14)
+    # {0, 4} and {4, 5} overlap, so the difference lives on {0, 4, 5}
+    diff = P - R
+    assert [idx.tolist() for idx, _ in diff.blocks] == [[0, 4, 5], [2], [6]]
+    assert np.array_equal(diff.toarray(), P.toarray() - R.toarray())
+    D = np.diag([0.0, 3.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+    assert np.array_equal(BlockDiagonal.diag(np.diag(D)).toarray(), D)
+    with pytest.raises(ValueError, match="block of shape"):
+        BlockDiagonal(n, [(np.array([0, 1]), np.eye(3))])
 
 
 def _sector_splits(op):

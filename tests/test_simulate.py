@@ -301,7 +301,7 @@ def test_gaussian_increment_covariance_matches_quadrature(flow, N):
     for s, w in zip(0.5 * dt * (nodes + 1.0), 0.5 * dt * weights):
         E = sla.expm(s * A)
         reference += w * (E @ PPt @ E.T)
-    E, sigma = gaussian_increment_covariance(op, noise, dt)
+    E, sigma = (M.toarray() for M in gaussian_increment_covariance(op, noise, dt))
     assert np.linalg.norm(sigma - reference) <= 1e-13 * np.linalg.norm(reference)
     E_ref = sla.expm(dt * A)
     assert np.linalg.norm(E - E_ref) <= 1e-13 * np.linalg.norm(E_ref)
@@ -314,7 +314,7 @@ def test_increment_factor_is_continuous_in_sigma(flow, N, dt):
     # picks: a 1e-16 relative perturbation of Sigma may move the square root
     # by about sqrt(1e-16) where Sigma has round-off eigenvalues, not by O(1)
     _, sigma = gaussian_increment_covariance(generator(flow, 0.1, N), _increment_noise(N), dt)
-    sigma *= 0.1
+    sigma = 0.1 * sigma.toarray()
     G = np.random.default_rng(7).standard_normal(sigma.shape)
     bumped = sigma + 1e-16 * np.linalg.norm(sigma) * (G + G.T) / np.linalg.norm(G + G.T)
     L, L_bumped = _factor_psd(sigma), _factor_psd(bumped)
