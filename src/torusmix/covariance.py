@@ -10,6 +10,9 @@ is the unique solution of the Lyapunov equation
     A Q + Q A^T + nu Psi Psi^T = 0,
 
 equivalent to the time integral  nu * int_0^inf exp(tA) Psi Psi^T exp(tA)^T dt.
+:func:`lyapunov_covariance` solves it by Bartels-Stewart per forced
+invariant block, on the real Schur forms of the block's symmetry sectors,
+with a recursive blocked (level-3) solve of the triangular equation.
 Its finite-time part has one routine, :func:`gaussian_increment_covariance`
 (Van Loan's block exponential plus doubling, per invariant block): the exact
 Gaussian sampler takes its increment from it, and
@@ -42,9 +45,12 @@ from typing import Iterable
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.linalg.lapack import dtrsyl
 
 from .fields import _open_text, mode_table
-from .operators import DENSE_CAP, BlockDiagonal, OperatorMatrix, invariant_blocks
+from .operators import (DENSE_CAP, BlockDiagonal, OperatorMatrix, _symmetry_sectors,
+                        invariant_blocks)
 
 __all__ = [
     "NoiseSpec",
@@ -159,13 +165,115 @@ def _check_generator(A: OperatorMatrix, noise: NoiseSpec) -> None:
         raise ValueError("noise truncation does not match operator truncation")
 
 
+# Largest diagonal block handed to LAPACK's dtrsyl (level-2) by the recursive
+# triangular solvers; larger ones are split and updated with GEMM.
+_LEAF = 64
+
+
+def _split(T: np.ndarray) -> int:
+    """Cut near the middle of quasi-triangular T that keeps 2 x 2 bumps whole."""
+    h = len(T) // 2
+    return h + 1 if T[h, h - 1] != 0.0 else h
+
+
+def _leaf_solve(Ta: np.ndarray, Tb: np.ndarray, X: np.ndarray) -> None:
+    # info = 1 (nearly common eigenvalues, solved perturbed) is left to the
+    # residual certificate of the caller
+    x, scale, _ = dtrsyl(Ta, Tb, X, tranb="T")
+    X[...] = x if scale == 1.0 else x / scale
+
+
+def _triangular_sylvester(Ta: np.ndarray, Tb: np.ndarray, X: np.ndarray) -> None:
+    """Overwrite X (holding G) with the solution of Ta X + X Tb^T = G.
+
+    Ta and Tb are upper quasi-triangular.  Recursive blocked (Jonsson &
+    Kagstrom, ACM TOMS 2002): halve the longer side of X, solve the bottom
+    rows (or right columns) first, update the rest with one GEMM, and call
+    dtrsyl once both sides fit in ``_LEAF``.
+    """
+    m, k = X.shape
+    if max(m, k) <= _LEAF:
+        _leaf_solve(Ta, Tb, X)
+    elif m >= k:
+        h = _split(Ta)
+        _triangular_sylvester(Ta[h:, h:], Tb, X[h:])
+        X[:h] -= Ta[:h, h:] @ X[h:]
+        _triangular_sylvester(Ta[:h, :h], Tb, X[:h])
+    else:
+        h = _split(Tb)
+        _triangular_sylvester(Ta, Tb[h:, h:], X[:, h:])
+        X[:, :h] -= X[:, h:] @ Tb[:h, h:].T
+        _triangular_sylvester(Ta, Tb[:h, :h], X[:, :h])
+
+
+def _triangular_lyapunov(T: np.ndarray, Y: np.ndarray) -> None:
+    """Overwrite symmetric Y (holding F) with the solution of T Y + Y T^T = F.
+
+    T is upper quasi-triangular.  With T = [[T11, T12], [0, T22]]: solve
+    Y22, then the Sylvester equation T11 Y12 + Y12 T22^T = F12 - T12 Y22,
+    then Y11 from F11 - T12 Y12^T - Y12 T12^T; Y21 = Y12^T is copied, never
+    solved.  Blocks of at most ``_LEAF`` rows go to dtrsyl.
+    """
+    b = len(T)
+    if b <= _LEAF:
+        _leaf_solve(T, T, Y)
+        return
+    h = _split(T)
+    T12, Y12 = T[:h, h:], Y[:h, h:]
+    _triangular_lyapunov(T[h:, h:], Y[h:, h:])
+    Y12 -= T12 @ Y[h:, h:]
+    _triangular_sylvester(T[:h, :h], T[h:, h:], Y12)
+    M = T12 @ Y12.T
+    Y[:h, :h] -= M
+    Y[:h, :h] -= M.T
+    del M
+    _triangular_lyapunov(T[:h, :h], Y[:h, :h])
+    Y[h:, :h] = Y12.T
+
+
+def _block_lyapunov(a: sp.spmatrix, sectors: Iterable, psi2: np.ndarray) -> np.ndarray:
+    """Q of a Q + Q a^T + diag(psi2) = 0 on one invariant block (Bartels-Stewart).
+
+    The real Schur form of a is the direct sum of those of its symmetry
+    sectors: T = diag(T_1, ...), W = [V_1 U_1, ...] with V_s^T a V_s =
+    U_s T_s U_s^T.  With Y = W^T Q W the equation is the triangular
+    T Y + Y T^T = -W^T diag(psi2) W; the forcing couples the sectors, and
+    their cross terms are the off-diagonal Sylvester solves of
+    :func:`_triangular_lyapunov`.
+    """
+    b = a.shape[0]
+    a = a.toarray()
+    T = np.zeros((b, b))
+    W = np.empty((b, b))
+    o = 0
+    for V in sectors:
+        e = o + V.shape[1]
+        sub = (V.T @ (V.T @ a).T).T          # V^T a V, as two sparse-dense products
+        T[o:e, o:e], U = sla.schur(sub, output="real", overwrite_a=True)
+        W[:, o:e] = V @ U
+        o = e
+    del a
+    forced = np.flatnonzero(psi2)
+    Y = (W[forced].T * -psi2[forced]) @ W[forced]
+    _triangular_lyapunov(T, Y)
+    del T
+    Y = W @ Y
+    Q = Y @ W.T
+    del W, Y
+    Q += Q.T
+    Q *= 0.5
+    return Q
+
+
 def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperator:
     """Stationary covariance from the Lyapunov equation A Q + Q A^T = -nu Psi Psi^T.
 
     Solved blockwise on the invariant subspaces of A (the forcing matrix is
-    diagonal, so cross-block covariance vanishes identically) with the dense
-    Bartels-Stewart solver, and only the forced blocks are stored.  The
-    solve carries the residual certificate
+    diagonal, so cross-block covariance vanishes identically), and only the
+    forced blocks are stored.  Each block is a Bartels-Stewart solve on the
+    real Schur forms of its symmetry sectors (``operators._symmetry_sectors``)
+    with a recursive blocked triangular solve.  The solve carries the
+    residual certificate
 
         ||A Q + Q A^T + nu Psi Psi^T||_F <= 1e-10 (||A||_F ||Q||_F + nu ||Psi||^2)
 
@@ -183,15 +291,14 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
     psi2 = nu * noise.amps**2
     blocks = []
     res_sq = q_sq = 0.0
-    for idx in invariant_blocks(A):
+    for idx, sectors in _symmetry_sectors(A):
         if not np.any(psi2[idx]):
             continue  # unforced invariant block: Q restricted there is zero
         a = Asp[np.ix_(idx, idx)]
         if len(idx) == 1:
             Qb = -psi2[idx][:, None] / (2.0 * a.toarray())
         else:
-            Qsub = sla.solve_continuous_lyapunov(a.toarray(), -np.diag(psi2[idx]))
-            Qb = 0.5 * (Qsub + Qsub.T)
+            Qb = _block_lyapunov(a, sectors, psi2[idx])
         residual = a @ Qb + Qb @ a.T
         residual[np.diag_indices(len(idx))] += psi2[idx]
         res_sq += float(np.sum(residual**2))
@@ -214,7 +321,7 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
 
 def _doublings(t: float, h: float | None) -> int:
     """Smallest k >= 0 with t / 2^k <= h; 0 without h."""
-    return 0 if h is None else max(0, math.ceil(math.log2(t / h)))
+    return 0 if h is None or t <= h else math.ceil(math.log2(t / h))
 
 
 def gaussian_increment_covariance(
@@ -224,22 +331,26 @@ def gaussian_increment_covariance(
 
     Per invariant block a of A, one Van Loan exponential (Van Loan 1978,
     *Computing integrals involving the matrix exponential*) at the step
-    tau = t / 2^k, k the smallest with tau <= h (k = 0 without h):
-    expm of [[-a, diag(psi^2)], [0, a^T]] tau is [[X11, X12], [0, X22]],
-    with exp(tau a) = X22^T and S(tau) = X22^T X12.  Then k doublings
-    S(2 tau) = S(tau) + E S(tau) E^T, E <- E^2 (Smith 1968).  Both results
-    are :class:`BlockDiagonal` with one block per invariant block of A.
+    tau = t / 2^k: expm of [[-a, diag(psi^2)], [0, a^T]] tau is
+    [[X11, X12], [0, X22]], with exp(tau a) = X22^T and S(tau) = X22^T X12.
+    X11 = exp(-tau a) grows like exp(tau nu max|k|^2), and S(tau) would be
+    lost to cancellation, so k is the smallest with tau nu max|k|^2 <= 1
+    (the dissipation on the diagonal of a) and tau <= h; ``h`` can only
+    tighten the step.  Then k doublings S(2 tau) = S(tau) + E S(tau) E^T,
+    E <- E^2 (Smith 1968).  Both results are :class:`BlockDiagonal` with
+    one block per invariant block of A.
     """
     _check_generator(A, noise)
     n = A.shape[0]
     if n > DENSE_CAP:
         raise ValueError(f"dense covariance: n = {n} exceeds the dimension cap {DENSE_CAP}")
-    k = _doublings(t, h)
     psi2 = noise.amps**2
     E, S = [], []
     for idx in invariant_blocks(A):
         b = len(idx)
         a = A.matrix[np.ix_(idx, idx)].toarray()
+        rate = float(np.max(-np.diag(a), initial=0.0))
+        k = max(_doublings(t, h), _doublings(t * rate, 1.0))
         C = np.block([[-a, np.diag(psi2[idx])], [np.zeros((b, b)), a.T]])
         X = sla.expm((t / 2**k) * C)
         Eb = X[b:, b:].T
@@ -258,7 +369,8 @@ def covariance_by_quadrature(
     """nu * int_0^T exp(tA) Psi Psi^T exp(tA)^T dt, the oracle for the Lyapunov solve.
 
     Evaluated by :func:`gaussian_increment_covariance` in closed form up to
-    round-off: ``h`` bounds the step T / 2^k of its Van Loan exponential,
+    round-off: ``h`` bounds the step T / 2^k of its Van Loan exponential
+    (``meta['h']``; a block with strong dissipation takes a shorter one),
     not a quadrature error.  The only approximation is the neglected tail,
     bounded by exp(-2 nu lambda_1 T) * nu ||Psi||^2 / (2 nu lambda_1) and
     reported in ``meta['tail_bound']``.  No Bartels-Stewart solve is

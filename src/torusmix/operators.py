@@ -20,19 +20,22 @@ family into four blocks, plus the four corner modes (+-N, +-N), which
 decouple (blocks of 70, 70, 72, 72 and 4 singletons at N = 8; 270, 270, 272,
 272 and 4 at N = 16).
 
-``semigroup_norm`` splits each block further into symmetry sectors.  The
-maps f(x) -> f(Mx + tau), with M a reflection of the square lattice (x, y,
-diagonal, antidiagonal) and tau in {0, pi}^2, are signed permutations of the
-basis.  One that commutes with A, maps a block onto itself and is an
-involution there splits the block into its +1 and -1 eigenspaces, spanned
-by coordinates and by pairs (e_i +- e_j) / sqrt 2 (Fassler & Stiefel,
-*Group Theoretical Methods and Their Applications*).  x -> -x halves every
+``semigroup_norm`` and the Lyapunov solve of ``covariance`` split each block
+further into symmetry sectors (``_symmetry_sectors``: one detection per
+operator, sectors grouped by block and built only for the blocks a caller
+uses).  The maps f(x) -> f(Mx + tau), with M a reflection of the square
+lattice (x, y, diagonal, antidiagonal) and tau in {0, pi}^2, are signed
+permutations of the basis.  One that commutes with A, maps a block onto
+itself and is an involution there splits the block into its +1 and -1
+eigenspaces, spanned by coordinates and by pairs (e_i +- e_j) / sqrt 2
+(Fassler & Stiefel, *Group Theoretical Methods and Their Applications*).  x -> -x halves every
 sin(x)sin(y) block (70 -> 31 + 39 and 35 + 35, 72 -> 32 + 40 and 36 + 36 at
 N = 8; 1054/1056 -> 511 to 544 at N = 32), x -> pi - x every cos(x)cos(y)
 block, and y -> pi - y the 17-row blocks of the sin(y) shear at N = 8
 (9 + 8).  Per sector, the norm is the square root of the top eigenvalue of
 E^T E with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
-iteration above.  Semigroup actions use ``expm_multiply``.
+iteration above; the real Schur form of a block is the direct sum of the
+Schur forms of its sectors.  Semigroup actions use ``expm_multiply``.
 
 Results that are dense inside each invariant block are stored per block, as
 a :class:`BlockDiagonal` of (index array, dense block) pairs that is zero
@@ -338,47 +341,84 @@ def _lattice_maps(N: int) -> tuple:
     return tuple(maps)
 
 
-def _symmetry_sectors(op: OperatorMatrix) -> list[sp.csc_matrix]:
-    """Orthonormal bases V (n x b) of subspaces that reduce ``op`` (internal).
+def _sector_bases(idx: np.ndarray, involution):
+    """Yield the sector bases of one block (internal).
 
-    Each invariant block is split by the first lattice map (p, s) of
-    ``_lattice_maps`` that commutes with A to 1e-14 of max|A|, maps the block
-    onto itself, is an involution there (p(p(i)) = i, s_i s_p(i) = 1) and
-    is neither +I nor -I there.  Its +1 and -1 eigenspaces are spanned by
-    the fixed coordinates e_i and by the pairs (e_i +- s_i e_p(i)) / sqrt 2;
-    a block with no such map is one sector.  V^T A V' = 0 across sectors.
+    ``involution`` is the lattice map (p, s) that splits the block, or None.
+    Yields the sparse V (b x b_sector) of its +1, then of its -1 eigenspace:
+    one column e_i per fixed position of that sign, one (e_i +- s_i e_j) / sqrt 2
+    per pair of positions i < j; without a map, V = I.
     """
-    A = op.matrix
+    if involution is None:
+        there, si = np.arange(len(idx)), np.ones(len(idx))
+    else:
+        p, s = involution
+        there, si = np.searchsorted(idx, p[idx]), s[idx]
+    here = np.arange(len(there))
+    pair = here < there
+    r = 1.0 / math.sqrt(2.0)
+    for sign in (1.0, -1.0):
+        single = here[(there == here) & (si == sign)]
+        k, m = len(single), np.count_nonzero(pair)
+        if k + m == 0:
+            continue
+        # CSC by hand: one entry per single column, two per pair column
+        rows = np.concatenate([single, np.stack([here[pair], there[pair]], 1).ravel()])
+        vals = np.concatenate([np.ones(k),
+                               np.stack([np.full(m, r), sign * si[pair] * r], 1).ravel()])
+        ptr = np.concatenate([np.arange(k + 1), k + 2 * np.arange(1, m + 1)])
+        yield sp.csc_matrix((vals, rows, ptr), shape=(len(there), k + m))
+
+
+def _symmetry_sectors(op: OperatorMatrix) -> list:
+    """Invariant blocks of ``op`` with the symmetry sectors of each (internal).
+
+    One (idx, sectors) per invariant block, in ``invariant_blocks`` order.
+    ``sectors`` is an iterator over sparse V (len(idx) x b), built as it is
+    consumed, so a caller that skips a block pays nothing for it: the
+    columns of V are an orthonormal basis of a subspace of the block's
+    coordinates that reduces ``op``, its rows indexing positions in ``idx``.
+    Each block is split by the first lattice map (p, s) of ``_lattice_maps``
+    that commutes with A to 1e-14 of max|A|, maps the block onto itself, is
+    an involution there (s_i s_p(i) = 1; p itself always is) and is neither
+    +I nor -I there.  Its +1 and -1 eigenspaces are spanned by the fixed
+    coordinates e_i and by the pairs (e_i +- s_i e_p(i)) / sqrt 2; a block
+    with no such map is one sector, V = I.  V^T a V' = 0 across the sectors
+    of a block a.
+    """
+    A = op.matrix.tocoo()
     n = A.shape[0]
     tol = 1e-14 * np.abs(A.data).max(initial=0.0)
-    commuting = []
-    for p, s in _lattice_maps(op.N):
-        T = sp.csr_matrix((s, (p, np.arange(n))), shape=(n, n))
-        if np.abs((T @ A - A @ T).data).max(initial=0.0) <= tol:
-            commuting.append((p, s))
-    sectors = []
-    r = 1.0 / math.sqrt(2.0)
-    for idx in invariant_blocks(op):
-        for p, s in commuting:
-            q, si = p[idx], s[idx]
-            if (np.array_equal(np.sort(q), idx) and np.array_equal(p[q], idx)
-                    and np.all(si * s[q] == 1.0) and not np.all((q == idx) & (si == si[0]))):
-                break
-        else:
-            q, si = idx, np.ones(len(idx))      # no map splits the block
-        pair = idx < q
-        for sign in (1.0, -1.0):
-            single = idx[(q == idx) & (si == sign)]
-            b = len(single) + np.count_nonzero(pair)
-            if b == 0:
-                continue
-            cols = np.arange(b)
-            rows = np.concatenate([single, idx[pair], q[pair]])
-            vals = np.concatenate([np.ones(len(single)), np.full(b - len(single), r),
-                                   sign * si[pair] * r])
-            col = np.concatenate([cols, cols[len(single):]])
-            sectors.append(sp.csc_matrix((vals, (rows, col)), shape=(n, b)))
-    return sectors
+    keys = A.row.astype(np.int64) * n + A.col
+    order = np.argsort(keys)
+    keys, data = keys[order], A.data[order]
+    blocks = invariant_blocks(op)
+    label = np.empty(n, dtype=int)
+    for b, idx in enumerate(blocks):
+        label[idx] = b
+    first = np.array([idx[0] for idx in blocks])[label]     # per index, its block's lead
+    chosen = np.full(len(blocks), -1)
+    maps = _lattice_maps(op.N)
+    reflection = None
+    for m, (p, s) in enumerate(maps):
+        broken = (label[p] != label) | (s * s[p] != 1.0)
+        moving = (p != np.arange(n)) | (s != s[first])
+        splits = ((np.bincount(label, broken, len(blocks)) == 0)
+                  & (np.bincount(label, moving, len(blocks)) > 0) & (chosen < 0))
+        if not splits.any():
+            continue            # the map would split no block still unsplit
+        # T e_i = s_i e_p(i) commutes with A iff A[p(i), p(j)] = s_i s_j A[i, j]
+        # at every nonzero (i, j) of A; the four translations of a reflection
+        # share p, so A[p(i), p(j)] is looked up once per reflection
+        if p is not reflection:
+            reflection = p
+            image = p[A.row].astype(np.int64) * n + p[A.col]
+            at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+            mapped = np.where(keys[at] == image, data[at], 0.0)
+        if np.abs(mapped - s[A.row] * s[A.col] * A.data).max(initial=0.0) <= tol:
+            chosen[splits] = m
+    return [(idx, _sector_bases(idx, maps[m] if m >= 0 else None))
+            for idx, m in zip(blocks, chosen)]
 
 
 def _dense_norm(A: np.ndarray, t: float) -> float:
@@ -417,17 +457,18 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
         raise ValueError("semigroup norm defined for t >= 0")
     if t == 0.0:
         return 1.0
-    A = op.matrix
     best = 0.0
-    for V in _symmetry_sectors(op):
-        sub = (V.T @ A @ V).tocsr()
-        b = sub.shape[0]
-        if b == 1:
-            best = max(best, math.exp(t * sub[0, 0]))
-        elif b <= DENSE_CAP:
-            best = max(best, _dense_norm(sub.toarray(), t))
-        else:
-            best = max(best, _krylov_norm(sub, t))
+    for idx, sectors in _symmetry_sectors(op):
+        a = op.matrix[np.ix_(idx, idx)]
+        for V in sectors:
+            sub = (V.T @ a @ V).tocsr()
+            b = sub.shape[0]
+            if b == 1:
+                best = max(best, math.exp(t * sub[0, 0]))
+            elif b <= DENSE_CAP:
+                best = max(best, _dense_norm(sub.toarray(), t))
+            else:
+                best = max(best, _krylov_norm(sub, t))
     return best
 
 

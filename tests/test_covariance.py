@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import HealthCheck, given, settings
+from scipy.linalg.lapack import dtrsyl
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from torusmix import (
@@ -14,6 +15,7 @@ from torusmix import (
     block_operator_norm,
     covariance_by_quadrature,
     covariance_distance,
+    default_cellular_flow,
     eigenvalue_summary,
     generator,
     h1_trace,
@@ -24,9 +26,10 @@ from torusmix import (
     spectrum,
     write_covariance,
 )
-from torusmix.covariance import gaussian_increment_covariance
+from torusmix.covariance import (_LEAF, _split, _triangular_lyapunov, _triangular_sylvester,
+                                 gaussian_increment_covariance)
 from torusmix.fields import random_field
-from torusmix.operators import BlockDiagonal
+from torusmix.operators import BlockDiagonal, _symmetry_sectors
 
 from strategies import random_flows, symmetric_flows
 
@@ -121,6 +124,96 @@ def test_psd_and_norm_bound(shear, cellular, rng):
         Q = lyapunov_covariance(generator(flow, nu, 6), noise)
         assert Q.min_eigenvalue() >= -1e-10 * Q.operator_norm
         assert Q.operator_norm <= noise.total_intensity / 2.0 + 1e-9
+
+
+def _quasi_triangular(rng, b):
+    """Stable upper quasi-triangular T with 2 x 2 bumps, one across the cut b/2."""
+    T = np.triu(rng.standard_normal((b, b)), 1) / math.sqrt(b)
+    T[np.diag_indices(b)] = -rng.uniform(0.5, 2.0, b)
+    starts = [] if b < 2 else [b // 2 - 1]
+    for i in range(2, b - 1, 9):
+        if all(abs(i - j) >= 2 for j in starts):
+            starts.append(i)
+    for i in starts:        # eigenvalues d +- i sqrt(c1 c2), in LAPACK's standard form
+        T[i, i] = T[i + 1, i + 1] = -rng.uniform(0.5, 2.0)
+        T[i, i + 1], T[i + 1, i] = rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)
+    return T
+
+
+def _dtrsyl(Ta, Tb, G):
+    x, scale, info = dtrsyl(Ta, Tb, G, tranb="T")
+    assert info == 0
+    return x / scale
+
+
+@pytest.mark.parametrize("b", [1, 63, 64, 65, 129, 300])
+def test_triangular_lyapunov_matches_dtrsyl(b):
+    rng = np.random.default_rng(b)
+    T = _quasi_triangular(rng, b)
+    if b > _LEAF:
+        assert _split(T) == b // 2 + 1     # the cut moves off the bump
+    G = rng.standard_normal((b, b))
+    F = G + G.T
+    Y = F.copy()
+    _triangular_lyapunov(T, Y)
+    want = _dtrsyl(T, T, F)
+    assert np.max(np.abs(Y - want)) <= 1e-13 * np.max(np.abs(want))
+    residual = np.linalg.norm(T @ Y + Y @ T.T - F)
+    assert residual <= 1e-14 * (2 * np.linalg.norm(T) * np.linalg.norm(Y) + np.linalg.norm(F))
+
+
+@pytest.mark.parametrize("m,k", [(150, 70), (40, 200), (65, 129)])
+def test_triangular_sylvester_matches_dtrsyl(m, k):
+    rng = np.random.default_rng(m * k)
+    Ta, Tb = _quasi_triangular(rng, m), _quasi_triangular(rng, k)
+    G = rng.standard_normal((m, k))
+    X = G.copy()
+    _triangular_sylvester(Ta, Tb, X)
+    want = _dtrsyl(Ta, Tb, G)
+    assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
+    residual = np.linalg.norm(Ta @ X + X @ Tb.T - G)
+    scale = (np.linalg.norm(Ta) + np.linalg.norm(Tb)) * np.linalg.norm(X) + np.linalg.norm(G)
+    assert residual <= 1e-14 * scale
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(symmetric_flows().map(lambda flow: (flow, True)),
+                      random_flows().map(lambda flow: (flow, False))),
+       N=st.integers(6, 8), nu=st.floats(0.05, 1.0), forcing_seed=st.integers(0, 2**32 - 1))
+@example(case=(default_cellular_flow(), True), N=8, nu=0.1, forcing_seed=0)
+def test_lyapunov_above_leaf_size_matches_dense_solve(case, N, nu, forcing_seed):
+    # blocks of up to 288 rows, so the triangular solve recurses past _LEAF
+    # rows, and symmetric flows split their blocks into sectors
+    flow, symmetric = case
+    rng = np.random.default_rng(forcing_seed)
+    n = mode_table(N).size
+    amps = np.where(rng.random(n) < 0.2, rng.uniform(0.1, 2.0, n), 0.0)
+    amps[rng.integers(n)] = 1.0
+    noise = NoiseSpec(N, amps)
+    op = generator(flow, nu, N)
+    if symmetric:
+        assert any(len(list(sectors)) > 1 for _, sectors in _symmetry_sectors(op))
+    Q = lyapunov_covariance(op, noise)
+    Qd = sla.solve_continuous_lyapunov(op.dense(), -nu * np.diag(noise.amps**2))
+    want = 0.5 * (Qd + Qd.T)
+    assert np.max(np.abs(Q.matrix - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_increment_covariance_without_step_bound(shear):
+    # strong dissipation over a long step: S(t) = X - E X E^T with
+    # A X + X A^T + Psi Psi^T = 0, where one Van Loan exponential over all
+    # of t loses S(t) to cancellation (relative error ~1e20 at t = 5)
+    N, nu = 5, 0.9
+    noise = unit_noise(N, [((0, 1), "cos", 1.0), ((1, 1), "cos", 1.0)])
+    op = generator(shear, nu, N)
+    A = op.dense()
+    X = sla.solve_continuous_lyapunov(A, -np.diag(noise.amps**2))
+    for t in (1.0, 5.0):
+        E, S = gaussian_increment_covariance(op, noise, t)
+        Ed = sla.expm(t * A)
+        want = X - Ed @ X @ Ed.T
+        assert np.max(np.abs(S.toarray() - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(E.toarray() - Ed)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,9 @@ def test_krylov_norm_matches_dense(cellular):
     dense = sla.svdvals(sla.expm(t * sub.toarray()))[0]
     assert _krylov_norm(sub, t) == pytest.approx(dense, rel=1e-6)
     # and on a symmetry sector, the matrix semigroup_norm hands to Lanczos
-    V = max(_symmetry_sectors(A), key=lambda V: V.shape[1])
-    sub = (V.T @ A.matrix @ V).tocsr()
+    idx, V = max(((idx, V) for idx, sectors in _symmetry_sectors(A) for V in sectors),
+                 key=lambda pair: pair[1].shape[1])
+    sub = (V.T @ A.matrix[np.ix_(idx, idx)] @ V).tocsr()
     assert V.shape[1] < len(big)
     dense = sla.svdvals(sla.expm(t * sub.toarray()))[0]
     assert _krylov_norm(sub, t) == pytest.approx(dense, rel=1e-6)
@@ -270,24 +271,21 @@ def _sector_splits(op):
     """Check the sectors of ``op``; return (block size, sector sizes) per block."""
     A = op.matrix
     n = A.shape[0]
-    blocks = invariant_blocks(op)
-    sectors = _symmetry_sectors(op)
-    assert sum(V.shape[1] for V in sectors) == n
-    W = sp.hstack(sectors).toarray()
+    split = [(idx, list(sectors)) for idx, sectors in _symmetry_sectors(op)]
+    assert [idx.tolist() for idx, _ in split] == [idx.tolist() for idx in invariant_blocks(op)]
+    # the sectors, lifted to the whole space, are orthonormal and reduce A
+    lifted = [sp.csc_matrix((V.data, idx[V.indices], V.indptr), shape=(n, V.shape[1]))
+              for idx, sectors in split for V in sectors]
+    assert sum(V.shape[1] for V in lifted) == n
+    W = sp.hstack(lifted).toarray()
     assert np.allclose(W.T @ W, np.eye(n), rtol=0, atol=1e-15)
-    left = [V.T @ A for V in sectors]
+    left = [V.T @ A for V in lifted]
     for i, Vi_A in enumerate(left):
-        for j, Vj in enumerate(sectors):
+        for j, Vj in enumerate(lifted):
             if i != j:
                 assert np.all((Vi_A @ Vj).data == 0.0)
-    label = np.empty(n, dtype=int)
-    for b, idx in enumerate(blocks):
-        label[idx] = b
-    sizes = [[] for _ in blocks]
-    for V in sectors:
-        (b,) = np.unique(label[V.tocoo().row])  # each sector lies in one block
-        sizes[b].append(V.shape[1])
-    return sorted((len(idx), tuple(sorted(s))) for idx, s in zip(blocks, sizes))
+    return sorted((len(idx), tuple(sorted(V.shape[1] for V in sectors)))
+                  for idx, sectors in split)
 
 
 def test_symmetry_sectors_cellular(cellular):
@@ -319,7 +317,7 @@ def test_symmetry_sectors_random_flow_unsplit(rng):
 def test_semigroup_norm_matches_block_svd_on_symmetric_flows(flow, N, nu, t):
     op = generator(flow, nu, N)
     blocks = invariant_blocks(op)
-    assert len(_symmetry_sectors(op)) > len(blocks)
+    assert any(len(list(sectors)) > 1 for _, sectors in _symmetry_sectors(op))
     A = op.dense()
     reference = max(sla.svdvals(sla.expm(t * A[np.ix_(idx, idx)]))[0] for idx in blocks)
     assert semigroup_norm(op, t) == pytest.approx(reference, rel=1e-12)
