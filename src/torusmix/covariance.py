@@ -236,9 +236,11 @@ def _block_lyapunov(a: sp.spmatrix, sectors: Iterable, psi2: np.ndarray) -> np.n
 
     The real Schur form of a is the direct sum of those of its symmetry
     sectors: T = diag(T_1, ...), W = [V_1 U_1, ...] with V_s^T a V_s =
-    U_s T_s U_s^T.  With Y = W^T Q W the equation is the triangular
-    T Y + Y T^T = -W^T diag(psi2) W; the forcing couples the sectors, and
-    their cross terms are the off-diagonal Sylvester solves of
+    U_s T_s U_s^T.  A twin basis G_s of sector s has G_s^T a G_s =
+    V_s^T a V_s, so it reuses (T_s, U_s): its columns of W are G_s U_s.
+    With Y = W^T Q W the equation is the triangular T Y + Y T^T =
+    -W^T diag(psi2) W; the forcing couples the sectors and their twins,
+    and their cross terms are the off-diagonal Sylvester solves of
     :func:`_triangular_lyapunov`.
     """
     b = a.shape[0]
@@ -246,12 +248,14 @@ def _block_lyapunov(a: sp.spmatrix, sectors: Iterable, psi2: np.ndarray) -> np.n
     T = np.zeros((b, b))
     W = np.empty((b, b))
     o = 0
-    for V in sectors:
-        e = o + V.shape[1]
+    for V, twins in sectors:
         sub = (V.T @ (V.T @ a).T).T          # V^T a V, as two sparse-dense products
-        T[o:e, o:e], U = sla.schur(sub, output="real", overwrite_a=True)
-        W[:, o:e] = V @ U
-        o = e
+        Ts, U = sla.schur(sub, output="real", overwrite_a=True)
+        for basis in (V, *twins):           # a twin basis gives the same matrix
+            e = o + V.shape[1]
+            T[o:e, o:e] = Ts
+            W[:, o:e] = basis @ U
+            o = e
     del a
     forced = np.flatnonzero(psi2)
     Y = (W[forced].T * -psi2[forced]) @ W[forced]
@@ -271,8 +275,9 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
     Solved blockwise on the invariant subspaces of A (the forcing matrix is
     diagonal, so cross-block covariance vanishes identically), and only the
     forced blocks are stored.  Each block is a Bartels-Stewart solve on the
-    real Schur forms of its symmetry sectors (``operators._symmetry_sectors``)
-    with a recursive blocked triangular solve.  The solve carries the
+    real Schur forms of its symmetry sectors (``operators._symmetry_sectors``;
+    one Schur form per distinct sector, shared by its twins) with a
+    recursive blocked triangular solve.  The solve carries the
     residual certificate
 
         ||A Q + Q A^T + nu Psi Psi^T||_F <= 1e-10 (||A||_F ||Q||_F + nu ||Psi||^2)

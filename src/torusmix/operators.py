@@ -20,22 +20,39 @@ family into four blocks, plus the four corner modes (+-N, +-N), which
 decouple (blocks of 70, 70, 72, 72 and 4 singletons at N = 8; 270, 270, 272,
 272 and 4 at N = 16).
 
-``semigroup_norm`` and the Lyapunov solve of ``covariance`` split each block
-further into symmetry sectors (``_symmetry_sectors``: one detection per
+``semigroup_norm`` and the Lyapunov solve of ``covariance`` reduce each
+block further by its symmetries (``_symmetry_sectors``: one detection per
 operator, sectors grouped by block and built only for the blocks a caller
 uses).  The maps f(x) -> f(Mx + tau), with M a reflection of the square
 lattice (x, y, diagonal, antidiagonal) and tau in {0, pi}^2, are signed
-permutations of the basis.  One that commutes with A, maps a block onto
-itself and is an involution there splits the block into its +1 and -1
-eigenspaces, spanned by coordinates and by pairs (e_i +- e_j) / sqrt 2
-(Fassler & Stiefel, *Group Theoretical Methods and Their Applications*).  x -> -x halves every
-sin(x)sin(y) block (70 -> 31 + 39 and 35 + 35, 72 -> 32 + 40 and 36 + 36 at
-N = 8; 1054/1056 -> 511 to 544 at N = 32), x -> pi - x every cos(x)cos(y)
-block, and y -> pi - y the 17-row blocks of the sin(y) shear at N = 8
-(9 + 8).  Per sector, the norm is the square root of the top eigenvalue of
-E^T E with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
-iteration above; the real Schur form of a block is the direct sum of the
-Schur forms of its sectors.  Semigroup actions use ``expm_multiply``.
+permutations of the basis, and a block is reduced by every one that maps
+it onto itself and commutes with A there (Fassler & Stiefel, *Group
+Theoretical Methods and Their Applications*):
+
+* commuting involutions split it into their joint eigenspaces (sectors),
+  spanned by coordinates and by orbit vectors such as (e_i +- e_j) / sqrt 2;
+* a map g that anti-commutes with one of them carries a sector V onto
+  another, whose matrix in the basis g V is exactly that of V (g^T A g =
+  A): a twin, whose matrix exponential and Schur form are not computed
+  again;
+* a map that squares to -I on the sectors is a complex structure, not a
+  split, and is not used.
+
+For sin(x)sin(y), x -> -x halves every block and x <-> y composed with a
+half-period translation acts on the halves: at N = 8 the 70-row blocks
+become 15 + 16 + 19 + 20 and a twin pair 35 + 35, the 72-row blocks a twin
+pair 36 + 36 and 32 + 40, where that map is a complex structure
+(1054 -> 255 + 256 + 271 + 272 and 527 + 527, 1056 -> 528 + 528 and
+512 + 544 at N = 32, so the sum of the cubes of the distinct sectors is
+0.563 of its value under x -> -x alone).  cos(x)cos(y) splits alike under
+reflections through pi, and x -> -x, y -> y + pi splits the 17-row blocks
+of the sin(y) shear at N = 8 (9 + 8).  Per distinct sector, the norm is
+the square root of the top eigenvalue of E^T E (Lanczos to machine
+precision) with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
+iteration on the action of exp(tA) above; the real Schur form
+of a block is the direct sum of the Schur forms of its sectors, a twin
+repeating the Schur form of its sector.  Semigroup actions use
+``expm_multiply``.
 
 Results that are dense inside each invariant block are stored per block, as
 a :class:`BlockDiagonal` of (index array, dense block) pairs that is zero
@@ -48,6 +65,7 @@ and not the block size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -341,50 +359,114 @@ def _lattice_maps(N: int) -> tuple:
     return tuple(maps)
 
 
-def _sector_bases(idx: np.ndarray, involution):
-    """Yield the sector bases of one block (internal).
+def _compose(g, h):
+    """The signed permutation g h (internal): e_i -> s_h[i] s_g[p_h[i]] e_{p_g[p_h[i]]}."""
+    return g[0][h[0]], h[1] * g[1][h[0]]
 
-    ``involution`` is the lattice map (p, s) that splits the block, or None.
-    Yields the sparse V (b x b_sector) of its +1, then of its -1 eigenspace:
-    one column e_i per fixed position of that sign, one (e_i +- s_i e_j) / sqrt 2
-    per pair of positions i < j; without a map, V = I.
+
+def _sign_of(d: np.ndarray):
+    """+1 or -1 if the sign vector ``d`` is constant, else None (internal)."""
+    return 1.0 if np.all(d == 1.0) else -1.0 if np.all(d == -1.0) else None
+
+
+def _relation(g, h):
+    """eps with g h = eps h g, +1 or -1, or None if there is none (internal)."""
+    gh, hg = _compose(g, h), _compose(h, g)
+    return _sign_of(gh[1] * hg[1]) if np.array_equal(gh[0], hg[0]) else None
+
+
+def _sector_bases(idx: np.ndarray, maps: list):
+    """Yield (V, twins) per distinct symmetry sector of one block (internal).
+
+    ``maps`` are the lattice maps (p, s) that map the block onto itself and
+    commute with A there, as signed permutations g of its positions (p is
+    an involution, so g^2 is diagonal).  Those that square to +I, commute
+    with the ones taken before and are not +-1 times an element of the
+    group H these generate are taken: each splits every sector of the
+    previous ones in two.  A character chi of H (a sign per generator, +1
+    first) has the sector of the v with h v = chi(h) v, spanned by the
+    nonzero sum_h chi(h) h e_i over the orbits {h e_i} of H, each entry
+    +-1/sqrt(orbit size); its columns go by orbit size, then by first
+    position.  With one generator these are the fixed e_i of sign chi and
+    the pairs (e_i + chi s_i e_p(i)) / sqrt 2.
+
+    Every other map g has g h = eps_h h g for each generator h, or else
+    is not used.  It carries the chi sector onto the chi eps sector, and as
+    g^T a g = a, the basis g V gives that sector exactly the matrix V^T a V
+    of the basis V of the chi sector: the two are twins.  Each class of
+    twins is yielded once, as V and the twin bases (g V, ...).  A map that
+    commutes with H (eps = +1) but squares to -I is a complex structure on
+    each sector, and is not used.
     """
-    if involution is None:
-        there, si = np.arange(len(idx)), np.ones(len(idx))
-    else:
-        p, s = involution
-        there, si = np.searchsorted(idx, p[idx]), s[idx]
-    here = np.arange(len(there))
-    pair = here < there
-    r = 1.0 / math.sqrt(2.0)
-    for sign in (1.0, -1.0):
-        single = here[(there == here) & (si == sign)]
-        k, m = len(single), np.count_nonzero(pair)
-        if k + m == 0:
+    b = len(idx)
+    # on one row every map is +-1: nothing to split or pair
+    local = [(np.searchsorted(idx, p[idx]), s[idx]) for p, s in maps] if b > 1 else []
+    gens, group = [], [(np.arange(b), np.ones(b))]
+    for g in local:
+        if (_sign_of(_compose(g, g)[1]) == 1.0
+                and all(_relation(g, h) == 1.0 for h in gens)
+                and not any(np.array_equal(g[0], e[0]) and _sign_of(g[1] * e[1])
+                            for e in group)):
+            gens.append(g)
+            group += [_compose(g, e) for e in group]    # element j holds gens[t] iff bit t of j
+    # the sign patterns eps of the maps, each with a map that has it
+    shifts = {(1.0,) * len(gens): group[0]}
+    for g in local:
+        eps = tuple(_relation(g, h) for h in gens)
+        if None not in eps:
+            for e, G in list(shifts.items()):
+                shifts.setdefault(tuple(np.multiply(e, eps)), _compose(g, G))
+    first = np.min([e[0] for e in group], axis=0)
+    reps = np.flatnonzero(first == np.arange(b))        # one position per orbit
+    # the images h e_i of each orbit's first position, keyed (orbit, position)
+    key, where = np.unique(np.arange(len(reps)) * b + np.stack([e[0][reps] for e in group]),
+                           return_inverse=True)
+    col, row = np.divmod(key, b)
+    signs = np.stack([e[1][reps] for e in group])
+    bits = (np.arange(len(group))[:, None] >> np.arange(len(gens))) & 1
+    done = set()
+    for chi in itertools.product((1.0, -1.0), repeat=len(gens)):
+        if chi in done:
             continue
-        # CSC by hand: one entry per single column, two per pair column
-        rows = np.concatenate([single, np.stack([here[pair], there[pair]], 1).ravel()])
-        vals = np.concatenate([np.ones(k),
-                               np.stack([np.full(m, r), sign * si[pair] * r], 1).ravel()])
-        ptr = np.concatenate([np.arange(k + 1), k + 2 * np.arange(1, m + 1)])
-        yield sp.csc_matrix((vals, rows, ptr), shape=(len(there), k + m))
+        done.update(tuple(np.multiply(chi, e)) for e in shifts)
+        weight = np.prod(np.where(bits == 1, chi, 1.0), axis=1)       # chi(h)
+        value = np.bincount(where.ravel(), (signs * weight[:, None]).ravel(), len(key))
+        nonzero = value != 0.0
+        size = np.bincount(col[nonzero], minlength=len(reps))
+        order = np.lexsort((reps, size))
+        order = order[size[order] > 0]
+        if order.size == 0:
+            continue
+        rank = np.empty(len(reps), dtype=int)
+        rank[order] = np.arange(order.size)
+        entries = np.flatnonzero(nonzero)
+        entries = entries[np.argsort(rank[col[entries]], kind="stable")]
+        indptr = np.concatenate([[0], np.cumsum(size[order])])
+        data = np.sign(value[entries]) / np.sqrt(size[col[entries]])
+        V = sp.csc_matrix((data, row[entries], indptr), shape=(b, order.size))
+        twins = []
+        for p, s in list(shifts.values())[1:]:      # g V: row i of V moves to p(i), times s_i
+            twin = sp.csc_matrix((s[V.indices] * V.data, p[V.indices], V.indptr), shape=V.shape)
+            twin.sort_indices()
+            twins.append(twin)
+        yield V, tuple(twins)
 
 
 def _symmetry_sectors(op: OperatorMatrix) -> list:
     """Invariant blocks of ``op`` with the symmetry sectors of each (internal).
 
     One (idx, sectors) per invariant block, in ``invariant_blocks`` order.
-    ``sectors`` is an iterator over sparse V (len(idx) x b), built as it is
-    consumed, so a caller that skips a block pays nothing for it: the
-    columns of V are an orthonormal basis of a subspace of the block's
-    coordinates that reduces ``op``, its rows indexing positions in ``idx``.
-    Each block is split by the first lattice map (p, s) of ``_lattice_maps``
-    that commutes with A to 1e-14 of max|A|, maps the block onto itself, is
-    an involution there (s_i s_p(i) = 1; p itself always is) and is neither
-    +I nor -I there.  Its +1 and -1 eigenspaces are spanned by the fixed
-    coordinates e_i and by the pairs (e_i +- s_i e_p(i)) / sqrt 2; a block
-    with no such map is one sector, V = I.  V^T a V' = 0 across the sectors
-    of a block a.
+    ``sectors`` is an iterator over (V, twins), built as it is consumed, so
+    a caller that skips a block pays nothing for it: the columns of the
+    sparse V (len(idx) x b) are an orthonormal basis of a subspace of the
+    block's coordinates that reduces ``op``, its rows indexing positions in
+    ``idx``, and ``twins`` holds the bases (len(idx) x b) of the sectors in
+    which the block matrix a has exactly the matrix V^T a V.  The sectors
+    and their twins together span the block, and V^T a V' = 0 across any
+    two of them.  The block is reduced by every lattice map (p, s) of
+    ``_lattice_maps`` that maps it onto itself and commutes with A on it
+    to 1e-14 of max|A| (see ``_sector_bases``); a block with no such map is
+    one sector, V = I, without twins.
     """
     A = op.matrix.tocoo()
     n = A.shape[0]
@@ -396,36 +478,40 @@ def _symmetry_sectors(op: OperatorMatrix) -> list:
     label = np.empty(n, dtype=int)
     for b, idx in enumerate(blocks):
         label[idx] = b
-    first = np.array([idx[0] for idx in blocks])[label]     # per index, its block's lead
-    chosen = np.full(len(blocks), -1)
+    row_label = label[A.row]
     maps = _lattice_maps(op.N)
+    usable = np.zeros((len(maps), len(blocks)), dtype=bool)
     reflection = None
     for m, (p, s) in enumerate(maps):
-        broken = (label[p] != label) | (s * s[p] != 1.0)
-        moving = (p != np.arange(n)) | (s != s[first])
-        splits = ((np.bincount(label, broken, len(blocks)) == 0)
-                  & (np.bincount(label, moving, len(blocks)) > 0) & (chosen < 0))
-        if not splits.any():
-            continue            # the map would split no block still unsplit
-        # T e_i = s_i e_p(i) commutes with A iff A[p(i), p(j)] = s_i s_j A[i, j]
-        # at every nonzero (i, j) of A; the four translations of a reflection
-        # share p, so A[p(i), p(j)] is looked up once per reflection
+        # T e_i = s_i e_p(i) commutes with A on a block it maps onto itself
+        # iff A[p(i), p(j)] = s_i s_j A[i, j] at every nonzero (i, j) of the
+        # block; the four translations of a reflection share p, so the
+        # blocks p maps onto themselves and A[p(i), p(j)] are found once
+        # per reflection
         if p is not reflection:
             reflection = p
-            image = p[A.row].astype(np.int64) * n + p[A.col]
-            at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-            mapped = np.where(keys[at] == image, data[at], 0.0)
-        if np.abs(mapped - s[A.row] * s[A.col] * A.data).max(initial=0.0) <= tol:
-            chosen[splits] = m
-    return [(idx, _sector_bases(idx, maps[m] if m >= 0 else None))
-            for idx, m in zip(blocks, chosen)]
+            onto = np.bincount(label, label[p] != label, len(blocks)) == 0
+            if onto.any():
+                image = p[A.row].astype(np.int64) * n + p[A.col]
+                at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+                mapped = np.where(keys[at] == image, data[at], 0.0)
+        if onto.any():
+            broken = np.abs(mapped - s[A.row] * s[A.col] * A.data) > tol
+            usable[m] = onto & (np.bincount(row_label, broken, len(blocks)) == 0)
+    return [(idx, _sector_bases(idx, list(itertools.compress(maps, used))))
+            for idx, used in zip(blocks, usable.T.tolist())]
 
 
 def _dense_norm(A: np.ndarray, t: float) -> float:
-    """Largest singular value of exp(tA): top eigenvalue of E^T E."""
+    """Largest singular value of exp(tA): top eigenvalue of E^T E.
+
+    The eigenvalue comes from Lanczos (ARPACK) on the dense E^T E, run to
+    machine precision (tol = 0) from a fixed start, so reruns agree bit for
+    bit; unlike a dense ``eigh`` it never tridiagonalises E^T E.
+    """
     E = sla.expm(t * A)
-    b = E.shape[0]
-    lam = sla.eigh(E.T @ E, eigvals_only=True, subset_by_index=[b - 1, b - 1])
+    start = np.random.default_rng(0).standard_normal(E.shape[0])
+    lam = eigsh(E.T @ E, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
     return float(math.sqrt(max(lam[0], 0.0)))
 
 
@@ -448,10 +534,11 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     """Operator norm ||exp(t A)||_{L2 -> L2} at relative accuracy ~1e-8.
 
     Splits A into symmetry sectors first (``_symmetry_sectors``: invariant
-    blocks, halved by a lattice reflection that commutes with A where there
-    is one).  Each sector matrix V^T A V uses a dense exp and the top
-    eigenvalue of E^T E when it fits under DENSE_CAP, and a Lanczos
-    iteration on exp(tA) exp(tA)^T otherwise.
+    blocks, reduced by the lattice reflections that commute with A).  Each
+    distinct sector matrix V^T A V uses a dense exp and the top eigenvalue
+    of E^T E when it fits under DENSE_CAP, and a Lanczos iteration on
+    exp(tA) exp(tA)^T otherwise; a twin sector has the same matrix, so the
+    same norm, and is skipped.
     """
     if t < 0:
         raise ValueError("semigroup norm defined for t >= 0")
@@ -460,7 +547,7 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     best = 0.0
     for idx, sectors in _symmetry_sectors(op):
         a = op.matrix[np.ix_(idx, idx)]
-        for V in sectors:
+        for V, _ in sectors:        # a twin has the same matrix, so the same norm
             sub = (V.T @ a @ V).tocsr()
             b = sub.shape[0]
             if b == 1:

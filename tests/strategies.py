@@ -1,6 +1,7 @@
 """Hypothesis strategies for flows, shared by the test modules."""
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from torusmix import FourierField, make_cellular, make_shear, mode_table
@@ -9,11 +10,14 @@ from torusmix.flows import ShearProfile
 
 
 # f -> f(Mx + tau) for the lattice reflections M and tau in {0, pi}^2 (in
-# units of pi) whose affine map is an involution
-_INVOLUTIONS = [
+# units of pi), and those whose affine map is an involution
+_REFLECTIONS = [
     (M, tau)
     for M in (((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)))
     for tau in ((0, 0), (0, 1), (1, 0), (1, 1))
+]
+_INVOLUTIONS = [
+    (M, tau) for M, tau in _REFLECTIONS
     if all((M[r][0] * tau[0] + M[r][1] * tau[1] + tau[r]) % 2 == 0 for r in (0, 1))
 ]
 
@@ -50,6 +54,43 @@ def symmetric_flows(draw):
     return make_shear(ShearProfile(
         [x if keep(j, True) else 0.0 for j, x in enumerate(a, start=1)],
         [x if keep(j, False) else 0.0 for j, x in enumerate(b, start=1)]))
+
+
+def _compose(g, h):
+    """The affine map g(h(x)) of two maps (M, tau), tau in units of pi mod 2."""
+    (M, t), (K, u) = g, h
+    MK = tuple(tuple(sum(M[r][q] * K[q][c] for q in (0, 1)) for c in (0, 1)) for r in (0, 1))
+    return MK, tuple((sum(M[r][q] * u[q] for q in (0, 1)) + t[r]) % 2 for r in (0, 1))
+
+
+@st.composite
+def dihedral_flows(draw):
+    """A cellular flow that commutes with two lattice reflections f -> f(Mx + tau).
+
+    A random |k|_inf <= 2 streamfunction is averaged over the group the two
+    maps generate, each element g weighted by det M_g, so psi(g x) =
+    det(M_g) psi(x) and every g commutes with the generator.  Two distinct
+    reflections generate rotations and half-period translations too: blocks
+    split a second time, twin sectors appear, and some maps square to -I on
+    a block.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = mode_table(2)
+    low = draw(st.sampled_from([1, 2]))     # |k|_inf <= 1, as sin x sin y, splits more
+    psi = FourierField(2, rng.uniform(-1.0, 1.0, table.size)
+                       * ((np.abs(table.k1) <= low) & (np.abs(table.k2) <= low)))
+    group = {(((1, 0), (0, 1)), (0, 0))}
+    gens = [draw(st.sampled_from(_REFLECTIONS)) for _ in range(2)]
+    while True:
+        grown = group | {_compose(g, h) for g in gens for h in group}
+        if grown == group:
+            break
+        group = grown
+    det = lambda M: M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    total = sum((_reflect(psi, M, tau) * float(det(M)) for M, tau in sorted(group)),
+                FourierField(2, np.zeros(table.size)))
+    assume(np.abs(total.coeffs).max() > 1e-8)    # the average can vanish
+    return make_cellular(total * (1.0 / len(group)))
 
 
 @st.composite

@@ -1,8 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from torusmix.cli import ConfigError, main, parse_spec
+from torusmix import (CovarianceOperator, FourierField, default_cellular_flow, mode_table,
+                      streamline_projection)
+from torusmix.cli import (ConfigError, _streamline_deviations, _top_eigenspace, main,
+                          parse_spec)
 
 SHEAR_FLOW = """
 [flow]
@@ -341,6 +346,39 @@ grid = 128
     for row in rows[1:]:
         vals = list(map(float, row.split(",")))
         assert vals[1] > 0 and 0 <= vals[2] <= 2.0
+
+
+def test_cellular_support_deviations_are_basis_free():
+    # an exactly degenerate top eigenspace: a rotated basis, or Q with the
+    # pair split by round-off either way, leaves both columns unchanged
+    N, bins, grid = 6, 32, 64
+    flow = default_cellular_flow()
+    n = mode_table(N).size
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    c, s = math.cos(0.7), math.sin(0.7)
+    R = U.copy()
+    R[:, -2:] = U[:, -2:] @ np.array([[c, -s], [s, c]])
+    basis = [FourierField(N, U[:, j]) for j in (-2, -1)]
+    want = _streamline_deviations(flow, basis, bins, grid)
+    rotated = [FourierField(N, R[:, j]) for j in (-2, -1)]
+    assert _streamline_deviations(flow, rotated, bins, grid) == pytest.approx(want, rel=1e-12)
+    lam = np.linspace(0.1, 0.5, n)
+    for V, split in ((U, 1e-14), (R, -1e-14), (R, 0.0)):
+        lam[-2:] = 1.0, 1.0 + split
+        top, cluster = _top_eigenspace(CovarianceOperator(N, (V * lam) @ V.T))
+        assert len(cluster) == 2 and top == pytest.approx(1.0, rel=1e-13)
+        got = _streamline_deviations(flow, cluster, bins, grid)
+        assert got == pytest.approx(want, rel=1e-12)
+    # a simple top eigenvalue: the deviations of its unit eigenvector
+    lam[-2:] = 0.9, 1.0
+    top, cluster = _top_eigenspace(CovarianceOperator(N, (U * lam) @ U.T))
+    assert len(cluster) == 1
+    v = FourierField(N, U[:, -1])
+    pv = streamline_projection(flow, v, bins=bins, grid=grid)
+    ppv = streamline_projection(flow, pv, bins=bins, grid=grid)
+    one = ((v - pv).norm(0) / v.norm(0), (pv - ppv).norm(0) / pv.norm(0))
+    assert _streamline_deviations(flow, cluster, bins, grid) == pytest.approx(one, rel=1e-12)
 
 
 def test_cellular_support_rejects_shear(tmp_path):

@@ -31,7 +31,7 @@ from torusmix.covariance import (_LEAF, _split, _triangular_lyapunov, _triangula
 from torusmix.fields import random_field
 from torusmix.operators import BlockDiagonal, _symmetry_sectors
 
-from strategies import random_flows, symmetric_flows
+from strategies import dihedral_flows, random_flows, symmetric_flows
 
 
 def unit_noise(N, entries):
@@ -176,14 +176,17 @@ def test_triangular_sylvester_matches_dtrsyl(m, k):
     assert residual <= 1e-14 * scale
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.one_of(symmetric_flows().map(lambda flow: (flow, True)),
+                      dihedral_flows().map(lambda flow: (flow, True)),
                       random_flows().map(lambda flow: (flow, False))),
        N=st.integers(6, 8), nu=st.floats(0.05, 1.0), forcing_seed=st.integers(0, 2**32 - 1))
 @example(case=(default_cellular_flow(), True), N=8, nu=0.1, forcing_seed=0)
 def test_lyapunov_above_leaf_size_matches_dense_solve(case, N, nu, forcing_seed):
     # blocks of up to 288 rows, so the triangular solve recurses past _LEAF
-    # rows, and symmetric flows split their blocks into sectors
+    # rows, and symmetric flows split their blocks into sectors; dihedral
+    # ones such as sin x sin y (the example) split some sectors again and
+    # have twin sectors, whose Schur form is reused
     flow, symmetric = case
     rng = np.random.default_rng(forcing_seed)
     n = mode_table(N).size
@@ -192,7 +195,8 @@ def test_lyapunov_above_leaf_size_matches_dense_solve(case, N, nu, forcing_seed)
     noise = NoiseSpec(N, amps)
     op = generator(flow, nu, N)
     if symmetric:
-        assert any(len(list(sectors)) > 1 for _, sectors in _symmetry_sectors(op))
+        assert any(sum(1 + len(twins) for _, twins in sectors) > 1
+                   for _, sectors in _symmetry_sectors(op))
     Q = lyapunov_covariance(op, noise)
     Qd = sla.solve_continuous_lyapunov(op.dense(), -nu * np.diag(noise.amps**2))
     want = 0.5 * (Qd + Qd.T)

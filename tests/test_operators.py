@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from torusmix import (
     DENSE_CAP,
     advection_matrix,
+    default_cellular_flow,
     dissipation_matrix,
     generator,
     invariant_blocks,
@@ -25,7 +26,7 @@ from torusmix import (
 from torusmix.fields import random_field
 from torusmix.operators import BlockDiagonal, _krylov_norm, _symmetry_sectors
 
-from strategies import symmetric_flows
+from strategies import dihedral_flows, symmetric_flows
 
 
 def test_advection_hand_convolution_sin_shear(shear):
@@ -207,7 +208,7 @@ def test_krylov_norm_matches_dense(cellular):
     dense = sla.svdvals(sla.expm(t * sub.toarray()))[0]
     assert _krylov_norm(sub, t) == pytest.approx(dense, rel=1e-6)
     # and on a symmetry sector, the matrix semigroup_norm hands to Lanczos
-    idx, V = max(((idx, V) for idx, sectors in _symmetry_sectors(A) for V in sectors),
+    idx, V = max(((idx, V) for idx, sectors in _symmetry_sectors(A) for V, _ in sectors),
                  key=lambda pair: pair[1].shape[1])
     sub = (V.T @ A.matrix[np.ix_(idx, idx)] @ V).tocsr()
     assert V.shape[1] < len(big)
@@ -268,14 +269,26 @@ def test_block_diagonal_matches_dense(rng):
 
 
 def _sector_splits(op):
-    """Check the sectors of ``op``; return (block size, sector sizes) per block."""
+    """Check the sectors of ``op``; return (block size, sector sizes) per block.
+
+    The sizes of a block are one tuple per distinct sector: its own size and
+    those of its twins.
+    """
     A = op.matrix
     n = A.shape[0]
+    tol = 1e-14 * np.abs(A.data).max()
     split = [(idx, list(sectors)) for idx, sectors in _symmetry_sectors(op)]
     assert [idx.tolist() for idx, _ in split] == [idx.tolist() for idx in invariant_blocks(op)]
-    # the sectors, lifted to the whole space, are orthonormal and reduce A
+    # a twin basis gives its sector the matrix of the sector it twins
+    for idx, sectors in split:
+        a = A[np.ix_(idx, idx)]
+        for V, twins in sectors:
+            sub = (V.T @ a @ V).toarray()
+            for G in twins:
+                assert np.max(np.abs((G.T @ a @ G).toarray() - sub), initial=0.0) <= tol
+    # the sectors and twins, lifted to the whole space, are orthonormal and reduce A
     lifted = [sp.csc_matrix((V.data, idx[V.indices], V.indptr), shape=(n, V.shape[1]))
-              for idx, sectors in split for V in sectors]
+              for idx, sectors in split for V0, twins in sectors for V in (V0, *twins)]
     assert sum(V.shape[1] for V in lifted) == n
     W = sp.hstack(lifted).toarray()
     assert np.allclose(W.T @ W, np.eye(n), rtol=0, atol=1e-15)
@@ -284,17 +297,23 @@ def _sector_splits(op):
         for j, Vj in enumerate(lifted):
             if i != j:
                 assert np.all((Vi_A @ Vj).data == 0.0)
-    return sorted((len(idx), tuple(sorted(V.shape[1] for V in sectors)))
+    return sorted((len(idx), tuple(sorted((V.shape[1],) + tuple(G.shape[1] for G in twins)
+                                          for V, twins in sectors)))
                   for idx, sectors in split)
 
 
 def test_symmetry_sectors_cellular(cellular):
     # x -> -x commutes with the sin x sin y generator and halves each block;
     # cos x cos y is sin x sin y translated by (pi/2, pi/2), so it splits
-    # alike, but only under reflections through pi such as x -> pi - x
+    # alike, but only under reflections through pi such as x -> pi - x.
+    # x <-> y composed with a half-period translation commutes too: it
+    # splits each half of one 70-row block again, maps one half of the
+    # other 70-row block and of one 72-row block onto the other half (a twin
+    # sector, same matrix), and squares to -I on the halves of the last block
     cos_cos = make_cellular(make_field(2, [((1, -1), "cos", 1.0), ((1, 1), "cos", 1.0)]))
-    expected = [(1, (1,))] * 4 + [
-        (70, (31, 39)), (70, (35, 35)), (72, (32, 40)), (72, (36, 36))]
+    expected = [(1, ((1,),))] * 4 + [
+        (70, ((15,), (16,), (19,), (20,))), (70, ((35, 35),)),
+        (72, ((32,), (40,))), (72, ((36, 36),))]
     for flow in (cellular, cos_cos):
         assert _sector_splits(generator(flow, 0.05, 8)) == expected
 
@@ -302,23 +321,36 @@ def test_symmetry_sectors_cellular(cellular):
 def test_symmetry_sectors_shear(shear):
     # y -> pi - y commutes with sin y d/dx: each x-wavenumber block splits
     splits = _sector_splits(generator(shear, 0.05, 8))
-    assert splits == [(1, (1,))] * 16 + [(17, (8, 9))] * 16
+    assert splits == [(1, ((1,),))] * 16 + [(17, ((8,), (9,)))] * 16
 
 
 def test_symmetry_sectors_random_flow_unsplit(rng):
     op = generator(make_cellular(random_field(3, rng)), 0.05, 8)
     splits = _sector_splits(op)
-    assert all(sizes == (size,) for size, sizes in splits)
+    assert all(sizes == ((size,),) for size, sizes in splits)
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(flow=symmetric_flows(), N=st.integers(2, 6),
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=st.one_of(symmetric_flows(), dihedral_flows()), N=st.integers(2, 6),
        nu=st.floats(0.01, 1.0), t=st.floats(0.1, 10.0))
+@example(flow=default_cellular_flow(), N=8, nu=0.1, t=3.0)
 def test_semigroup_norm_matches_block_svd_on_symmetric_flows(flow, N, nu, t):
+    # dihedral flows such as sin x sin y (the example) have second splits,
+    # twin sectors and maps that square to -I; a twin basis must reproduce
+    # the matrix of its sector
     op = generator(flow, nu, N)
     blocks = invariant_blocks(op)
-    assert any(len(list(sectors)) > 1 for _, sectors in _symmetry_sectors(op))
     A = op.dense()
+    tol = 1e-14 * np.abs(A).max()
+    split = False
+    for idx, sectors in _symmetry_sectors(op):
+        a = A[np.ix_(idx, idx)]
+        for V, twins in sectors:
+            split = split or V.shape[1] < len(idx)
+            sub = V.T @ a @ V
+            for G in twins:
+                assert np.max(np.abs(G.T @ a @ G - sub)) <= tol
+    assert split
     reference = max(sla.svdvals(sla.expm(t * A[np.ix_(idx, idx)]))[0] for idx in blocks)
     assert semigroup_norm(op, t) == pytest.approx(reference, rel=1e-12)
 
