@@ -44,7 +44,7 @@ from .covariance import (
 )
 from .fields import FourierField, format_record, make_field, mode_table, parse_record
 from .flows import Flow, ShearProfile, make_cellular, make_shear
-from .operators import DENSE_CAP, advection_matrix, generator, semigroup_norm
+from .operators import DENSE_CAP, advection_matrix, generator, invariant_blocks, semigroup_norm
 from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
 from .spectral import h1_growth_average, spectrum, streamline_projection
 
@@ -293,16 +293,6 @@ def parse_spec(path) -> ExperimentSpec:
             f"flow: velocity support {flow.max_wavenumber} exceeds 2 N = {2 * N}"
         )
 
-    dim = (2 * N + 1) ** 2 - 1
-    # the experiments that run a covariance solver, capped at n = DENSE_CAP
-    needs_dense = experiment in ("covariance-ladder", "cellular-support") or (
-        experiment == "simulate" and params.get("scheme") == "ExactGaussian")
-    if needs_dense and dim > DENSE_CAP:
-        warnings.append(
-            f"dimension {dim} exceeds the dense solver cap {DENSE_CAP}; "
-            "the dense covariance solves will be refused"
-        )
-
     # accepted for older configs; the ensemble runs as one batched loop
     _get_scalar(cfg, "experiment", "threads", int, problems)
     if problems:
@@ -539,16 +529,43 @@ def run(spec: ExperimentSpec, seed_override=None) -> None:
     )
 
 
+def _dense_block_sizes(spec: ExperimentSpec) -> list:
+    """Rows of each dense block a run of ``spec`` builds, from the sparsity of B.
+
+    The Lyapunov experiments solve the forced invariant blocks, ``spectrum``
+    takes every invariant block, and ExactGaussian steps with the whole
+    space; the other experiments build no dense block.  No solve is run.
+    """
+    if spec.experiment == "simulate" and spec.params["scheme"] == "ExactGaussian":
+        return [spec.dimension]
+    if spec.experiment not in ("covariance-ladder", "cellular-support", "spectrum"):
+        return []
+    used = np.ones(spec.dimension) if spec.experiment == "spectrum" else spec.noise.amps
+    return [len(idx) for idx in invariant_blocks(advection_matrix(spec.flow, spec.N))
+            if used[idx].any()]
+
+
 def validate_report(spec: ExperimentSpec) -> str:
+    """What ``validate`` prints for a valid ``spec``.
+
+    n, the largest dense block, the memory of the dense blocks (the sum of
+    b^2 doubles) and a runtime class from the sum of b^3; a warning if the
+    largest block passes ``DENSE_CAP``, then the warnings of ``spec``.
+    """
+    sizes = _dense_block_sizes(spec)
+    largest, cubes = max(sizes, default=0), sum(b**3 for b in sizes)
     lines = [
         "ok",
         f"experiment = {spec.experiment}",
         f"dimension = {spec.dimension}",
-        f"memory_estimate_mb = {spec.dimension**2 * 8 / 1e6:.1f}",
-        f"runtime_class = {'seconds' if spec.dimension <= 700 else 'minutes' if spec.dimension <= DENSE_CAP else 'tens-of-minutes'}",
+        f"largest_block = {largest}",
+        f"memory_estimate_mb = {sum(b * b for b in sizes) * 8 / 1e6:.1f}",
+        f"runtime_class = {'seconds' if cubes <= 1e9 else 'minutes' if cubes <= 1e11 else 'tens-of-minutes'}",
     ]
-    for w in spec.warnings:
-        lines.append(f"warning: {w}")
+    if largest > DENSE_CAP:
+        lines.append(f"warning: a dense block of {largest} rows exceeds the dimension cap "
+                     f"{DENSE_CAP}; the run will be refused")
+    lines += [f"warning: {w}" for w in spec.warnings]
     return "\n".join(lines)
 
 

@@ -25,8 +25,9 @@ coefficients.
 Psi Psi^T is diagonal, so Q vanishes off the forced invariant blocks of A.
 A :class:`CovarianceOperator` keeps Q per block (``operators.BlockDiagonal``)
 and every diagnostic here works block by block: the H1 trace, the selector
-and distance norms, the eigenvalue summary.  The v1 text export is still the
-dense n x n matrix, written from the blocks.
+and distance norms, the eigenvalue summary.  The text export, covariance v2,
+writes the stored blocks and nothing else; :func:`read_covariance` also
+reads the dense v1 text of earlier versions.
 
 Two structural identities hold exactly at the Galerkin level for every flow
 and every nu > 0, and the test suite enforces them:
@@ -48,9 +49,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrsyl
 
-from .fields import _open_text, mode_table
-from .operators import (DENSE_CAP, BlockDiagonal, OperatorMatrix, _symmetry_sectors,
-                        invariant_blocks)
+from .fields import PARITIES, _open_text, mode_table
+from .operators import BlockDiagonal, OperatorMatrix, _dense, _symmetry_sectors, invariant_blocks
 
 __all__ = [
     "NoiseSpec",
@@ -124,7 +124,7 @@ class CovarianceOperator:
 
     ``blocks`` is a :class:`BlockDiagonal`; a dense n x n array passed in
     becomes one block over all indices.  ``matrix`` is the dense array,
-    built on first use.
+    built on first use (up to ``operators.DENSE_CAP`` rows).
     """
 
     N: int
@@ -146,7 +146,7 @@ class CovarianceOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        m = self.blocks.toarray()
+        m = _dense(self.blocks)
         m.setflags(write=False)
         return m
 
@@ -244,7 +244,7 @@ def _block_lyapunov(a: sp.spmatrix, sectors: Iterable, psi2: np.ndarray) -> np.n
     :func:`_triangular_lyapunov`.
     """
     b = a.shape[0]
-    a = a.toarray()
+    a = _dense(a)
     T = np.zeros((b, b))
     W = np.empty((b, b))
     o = 0
@@ -274,10 +274,12 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
 
     Solved blockwise on the invariant subspaces of A (the forcing matrix is
     diagonal, so cross-block covariance vanishes identically), and only the
-    forced blocks are stored.  Each block is a Bartels-Stewart solve on the
-    real Schur forms of its symmetry sectors (``operators._symmetry_sectors``;
-    one Schur form per distinct sector, shared by its twins) with a
-    recursive blocked triangular solve.  The solve carries the
+    forced blocks are stored.  Each forced block, a singleton too, is a
+    Bartels-Stewart solve on the real Schur forms of its symmetry sectors
+    (``operators._symmetry_sectors``; one Schur form per distinct sector,
+    shared by its twins) with a recursive blocked triangular solve.  The
+    cap ``operators.DENSE_CAP`` applies to each forced block, not to n.
+    The solve carries the
     residual certificate
 
         ||A Q + Q A^T + nu Psi Psi^T||_F <= 1e-10 (||A||_F ||Q||_F + nu ||Psi||^2)
@@ -289,9 +291,6 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
     nu = A.nu or 0.0
     if nu <= 0.0:
         raise ValueError("stationary covariance requires nu > 0")
-    n = A.shape[0]
-    if n > DENSE_CAP:
-        raise ValueError(f"dense Lyapunov solver limited to dimension {DENSE_CAP}")
     Asp = A.matrix
     psi2 = nu * noise.amps**2
     blocks = []
@@ -300,10 +299,7 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
         if not np.any(psi2[idx]):
             continue  # unforced invariant block: Q restricted there is zero
         a = Asp[np.ix_(idx, idx)]
-        if len(idx) == 1:
-            Qb = -psi2[idx][:, None] / (2.0 * a.toarray())
-        else:
-            Qb = _block_lyapunov(a, sectors, psi2[idx])
+        Qb = _block_lyapunov(a, sectors, psi2[idx])
         residual = a @ Qb + Qb @ a.T
         residual[np.diag_indices(len(idx))] += psi2[idx]
         res_sq += float(np.sum(residual**2))
@@ -319,7 +315,7 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
             f"Lyapunov residual {res_norm:.3e} exceeds certificate {bound:.3e}"
         )
     return CovarianceOperator(
-        A.N, BlockDiagonal(n, blocks), provenance=f"lyapunov(nu={nu:g})",
+        A.N, BlockDiagonal(A.shape[0], blocks), provenance=f"lyapunov(nu={nu:g})",
         meta={"nu": nu, "residual_fro": res_norm, "s": A.s},
     )
 
@@ -343,17 +339,16 @@ def gaussian_increment_covariance(
     (the dissipation on the diagonal of a) and tau <= h; ``h`` can only
     tighten the step.  Then k doublings S(2 tau) = S(tau) + E S(tau) E^T,
     E <- E^2 (Smith 1968).  Both results are :class:`BlockDiagonal` with
-    one block per invariant block of A.
+    one block per invariant block of A, each at most
+    ``operators.DENSE_CAP`` rows.
     """
     _check_generator(A, noise)
     n = A.shape[0]
-    if n > DENSE_CAP:
-        raise ValueError(f"dense covariance: n = {n} exceeds the dimension cap {DENSE_CAP}")
     psi2 = noise.amps**2
     E, S = [], []
     for idx in invariant_blocks(A):
         b = len(idx)
-        a = A.matrix[np.ix_(idx, idx)].toarray()
+        a = _dense(A.matrix, idx)
         rate = float(np.max(-np.diag(a), initial=0.0))
         k = max(_doublings(t, h), _doublings(t * rate, 1.0))
         C = np.block([[-a, np.diag(psi2[idx])], [np.zeros((b, b)), a.T]])
@@ -428,14 +423,8 @@ def _selector_mask(N: int, selector) -> np.ndarray:
     if selector == "k1-zero":
         return table.k1 == 0
     if callable(selector):
-        out = np.array(
-            [
-                bool(selector(int(table.k1[i]), int(table.k2[i]),
-                              "cos" if table.parity[i] == 0 else "sin"))
-                for i in range(table.size)
-            ]
-        )
-        return out
+        return np.array([bool(selector(int(k1), int(k2), PARITIES[q]))
+                         for k1, k2, q in zip(table.k1, table.k2, table.parity)])
     raise ValueError(f"unknown selector {selector!r}")
 
 
@@ -467,50 +456,55 @@ def covariance_distance(Q1: CovarianceOperator, Q2: CovarianceOperator) -> float
 # Export
 # ---------------------------------------------------------------------------
 
-_COV_HEADER = "# torusmix covariance v1"
+_COV_HEADERS = {"# torusmix covariance v1": 1, "# torusmix covariance v2": 2}
 
 
 def write_covariance(Q: CovarianceOperator, path_or_file) -> None:
-    """Dense text export: header (N, provenance) then row-major decimals.
+    """Block text export, covariance v2.
 
-    Written from the blocks: only stored entries are formatted, and every
-    row no block covers is one shared line of zeros.
+    The header line, the ``N`` and ``provenance`` lines and a line
+    ``blocks <count>``; then, per stored block, one line of its indices and
+    its rows in ``%.17g``, row by row.  Rows no block covers are zero.
     """
-    n = Q.blocks.n
-    zero_line = " ".join(["0"] * n) + "\n"
-    rows = {}                       # row -> (its block's columns, its block row)
-    for idx, block in Q.blocks.blocks:
-        cols = idx.tolist()
-        rows.update(zip(cols, ((cols, values) for values in block)))
     with _open_text(path_or_file, "w") as fh:
-        fh.write(_COV_HEADER + "\n")
-        fh.write(f"N {Q.N}\n")
-        fh.write(f"provenance {Q.provenance}\n")
-        for i in range(n):
-            if i not in rows:
-                fh.write(zero_line)
-                continue
-            cols, values = rows[i]
-            line = ["0"] * n
-            for j, v in zip(cols, values.tolist()):
-                line[j] = f"{v:.17g}"
-            fh.write(" ".join(line) + "\n")
+        fh.write(f"# torusmix covariance v2\nN {Q.N}\nprovenance {Q.provenance}\n"
+                 f"blocks {len(Q.blocks.blocks)}\n")
+        for idx, block in Q.blocks.blocks:
+            fh.write(" ".join(map(str, idx.tolist())) + "\n")
+            for row in block:       # one row of Python floats at a time
+                fh.write(" ".join(f"{v:.17g}" for v in row.tolist()) + "\n")
 
 
 def read_covariance(path_or_file) -> CovarianceOperator:
+    """Read a v2 export into its blocks, or a dense v1 export into one block."""
     with _open_text(path_or_file) as fh:
-        if fh.readline().strip() != _COV_HEADER:
+        version = _COV_HEADERS.get(fh.readline().strip())
+        if version is None:
             raise ValueError("not a torusmix covariance file")
         words = fh.readline().split()
         if len(words) != 2 or words[0] != "N":
             raise ValueError("missing truncation header line 'N <truncation>'")
+        N, n = int(words[1]), mode_table(int(words[1])).size
         tag, _, provenance = fh.readline().strip().partition(" ")
         if tag != "provenance":
             raise ValueError("missing provenance line")
-        rows = [np.array(line.split(), dtype=float) for line in fh if line.strip()]
-    if not rows:
-        raise ValueError("missing matrix rows")
-    return CovarianceOperator(int(words[1]), np.vstack(rows), provenance=provenance.strip())
+        if version == 1:
+            rows = [np.array(line.split(), dtype=float) for line in fh if line.strip()]
+            if not rows:
+                raise ValueError("missing matrix rows")
+            return CovarianceOperator(N, np.vstack(rows), provenance=provenance.strip())
+        words = fh.readline().split()
+        if len(words) != 2 or words[0] != "blocks":
+            raise ValueError("missing block count line 'blocks <count>'")
+        blocks = []
+        for b in range(int(words[1])):
+            idx = np.array(fh.readline().split(), dtype=int)
+            rows = [fh.readline().split() for _ in idx]
+            if not idx.size or idx.min() < 0 or idx.max() >= n or any(
+                    len(row) != idx.size for row in rows):
+                raise ValueError(f"block {b}: bad index line or rows")
+            blocks.append((idx, np.array(rows, dtype=float)))
+    return CovarianceOperator(N, BlockDiagonal(n, blocks), provenance=provenance.strip())
 
 
 def eigenvalue_summary(Q: CovarianceOperator) -> np.ndarray:

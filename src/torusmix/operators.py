@@ -58,9 +58,12 @@ Results that are dense inside each invariant block are stored per block, as
 a :class:`BlockDiagonal` of (index array, dense block) pairs that is zero
 off its blocks: the Lyapunov covariance (forced blocks only), the pair
 (E, S) of the finite-time covariance shared by the quadrature oracle and the
-exact Gaussian sampler, and the eigenvectors of ``spectral.spectrum``.  The
-two covariance routines still refuse n > ``DENSE_CAP``, the total dimension
-and not the block size.
+exact Gaussian sampler, and the eigenvectors of ``spectral.spectrum``.
+``DENSE_CAP`` caps the block, not n: every dense block of an operator, and
+the dense form of every block-diagonal result, comes from ``_dense``, which
+refuses more than ``DENSE_CAP`` rows (``semigroup_norm`` takes a larger
+sector by Lanczos instead).  So an operator of any size is solved as long
+as the blocks a computation makes dense fit under the cap.
 """
 
 from __future__ import annotations
@@ -92,9 +95,8 @@ __all__ = [
     "write_operator_triplets",
 ]
 
-# Largest dense matrix function: per symmetry sector in semigroup_norm (dense
-# below, Lanczos above), and for the whole space in the two covariance
-# solvers, which refuse larger n although they work per invariant block.
+# Most rows of a dense block: ``_dense`` refuses more, and semigroup_norm
+# takes a sector above it by Lanczos instead.
 DENSE_CAP = 4000
 
 
@@ -125,6 +127,7 @@ class OperatorMatrix:
         return True
 
     def dense(self) -> np.ndarray:
+        """The whole dense matrix, uncapped (a test and debugging aid)."""
         return self.matrix.toarray()
 
 
@@ -217,6 +220,18 @@ def generator(flow: Flow | None, nu: float, N: int, s: float = 1.0) -> OperatorM
     return OperatorMatrix(N, "generator", A, nu=float(nu), s=float(s))
 
 
+def _dense(matrix, idx=None) -> np.ndarray:
+    """Dense copy of ``matrix``, or of its block on the indices ``idx`` (internal).
+
+    ``matrix`` is sparse or a :class:`BlockDiagonal`.  The one place that
+    refuses on ``DENSE_CAP``: a dense array of more rows raises ValueError.
+    """
+    rows = matrix.shape[0] if idx is None else len(idx)
+    if rows > DENSE_CAP:
+        raise ValueError(f"dense block of {rows} rows exceeds the dimension cap {DENSE_CAP}")
+    return (matrix if idx is None else matrix[np.ix_(idx, idx)]).toarray()
+
+
 # ---------------------------------------------------------------------------
 # Block structure
 # ---------------------------------------------------------------------------
@@ -247,6 +262,7 @@ class BlockDiagonal:
 
     def __init__(self, n: int, blocks=()):
         self.n = int(n)
+        self.shape = (self.n, self.n)
         stored = []
         for idx, block in blocks:
             idx, block = np.asarray(idx).view(), np.asarray(block).view()

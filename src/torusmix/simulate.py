@@ -13,16 +13,19 @@ schemes are provided:
 
 ``ExactGaussian``
     Exact in law: f^{n+1} = E f^n + L xi_n with E = exp(dt A), L L^T =
-    Sigma_dt = nu int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds and n normals xi_n
-    per step.  E and Sigma_dt come from one ``gaussian_increment_covariance``
-    call; L is the PSD square root of Sigma_dt, per invariant block.
+    Sigma_dt = nu int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds.  E and Sigma_dt
+    come from one ``gaussian_increment_covariance`` call.  Sigma_dt vanishes
+    off the forced invariant blocks, so xi_n holds one normal per row of a
+    forced block, and L is the n x r restriction of the PSD square root of
+    Sigma_dt (per block) to those r columns.
 
 The ensemble is one n x M state, column m holding member m, so a step is
 one sparse product ``B @ F`` (SemiImplicitEM) or one dense ``E @ F`` plus
-``L @ Xi`` (ExactGaussian) for all members at once.  Randomness comes from
-counter-based Philox streams keyed by (seed, member); each member draws a
-window of steps at a time, the same numbers in the same order as one draw
-per step, so a member's trajectory does not depend on the ensemble size.
+``L @ Xi`` (ExactGaussian, n at most ``operators.DENSE_CAP``) for all
+members at once.  Randomness comes from counter-based Philox streams keyed
+by (seed, member); each member draws a window of steps at a time, the same
+numbers in the same order as one draw per step, so a member's trajectory
+does not depend on the ensemble size.
 Post-burn-in states are gathered per window and reduced with one centred
 GEMM per member into per-member accumulators, which the ensemble reduction
 merges in member order.
@@ -39,7 +42,7 @@ import scipy.linalg as sla
 from .covariance import CovarianceOperator, NoiseSpec, gaussian_increment_covariance
 from .fields import FourierField, _open_text, mode_table
 from .flows import Flow
-from .operators import BlockDiagonal, advection_matrix, dissipation_matrix, generator
+from .operators import BlockDiagonal, _dense, advection_matrix, dissipation_matrix, generator
 
 __all__ = [
     "SimConfig",
@@ -239,10 +242,11 @@ def simulate(
     if config.scheme == "ExactGaussian":
         A = generator(config.flow, config.nu, N, s=config.s)
         E, sigma = gaussian_increment_covariance(A, noise, config.dt)
-        L = BlockDiagonal(n, [(idx, _factor_psd(config.nu * Sb))
-                              for idx, Sb in sigma.blocks]).toarray()
-        E = E.toarray()
-        draws = n
+        forced = [(idx, _factor_psd(config.nu * Sb))
+                  for idx, Sb in sigma.blocks if noise.amps[idx].any()]
+        cols = np.sort(np.concatenate([idx for idx, _ in forced] or [np.empty(0, int)]))
+        E, L = _dense(E), _dense(BlockDiagonal(n, forced))[:, cols]
+        draws = cols.size
     else:
         Bmat = advection_matrix(config.flow, N).matrix
         dd = dissipation_matrix(N, config.s).matrix.diagonal()

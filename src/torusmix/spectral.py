@@ -39,7 +39,7 @@ from .fields import (
     sample_grid,
 )
 from .flows import Flow
-from .operators import BlockDiagonal, OperatorMatrix, advection_matrix, invariant_blocks
+from .operators import BlockDiagonal, OperatorMatrix, _dense, advection_matrix, invariant_blocks
 
 __all__ = [
     "SpectrumReport",
@@ -73,7 +73,7 @@ class SpectrumReport:
     @cached_property
     def vectors(self) -> np.ndarray:
         """Complex orthonormal columns, one per entry of ``frequencies``."""
-        return self.eigenvectors.toarray()[:, self.order]
+        return _dense(self.eigenvectors)[:, self.order]
 
     def to_csv(self, path_or_file) -> None:
         with _open_text(path_or_file, "w") as fh:
@@ -106,8 +106,9 @@ def spectrum(B: OperatorMatrix) -> SpectrumReport:
 
     Returns the real eigenfrequencies of the self-adjoint i B (ascending)
     with orthonormal complex eigenvectors, and the dimension of the kernel.
-    One Hermitian ``eigh`` per invariant block of B; the per-block
-    frequencies are merged by a stable sort.
+    One Hermitian ``eigh`` per invariant block of B, each block at most
+    ``operators.DENSE_CAP`` rows; the per-block frequencies are merged by a
+    stable sort.
     """
     if B.kind != "advection":
         raise ValueError("spectrum expects an advection matrix")
@@ -115,7 +116,7 @@ def spectrum(B: OperatorMatrix) -> SpectrumReport:
     freqs = np.empty(n)
     blocks = []
     for idx in invariant_blocks(B):
-        H = 1j * B.matrix[np.ix_(idx, idx)].toarray().astype(complex)
+        H = 1j * _dense(B.matrix, idx).astype(complex)
         freqs[idx], vecs = sla.eigh(H)
         blocks.append((idx, vecs))
     order = np.argsort(freqs, kind="stable")

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from torusmix import (
-    FourierField,
     NoiseSpec,
     advection_matrix,
     block_operator_norm,
@@ -41,6 +40,7 @@ from torusmix import (
     streamline_projection,
     SimConfig,
 )
+from torusmix.cli import _streamline_deviations, _top_eigenspace
 from torusmix.fields import random_field
 
 NU_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
@@ -218,21 +218,21 @@ def test_criterion_9_cellular_support_structure():
     # dissipation-limited) branches start above the invariant streamfunction
     # branch (exact variance 1/4) and cross below it inside the ladder, so
     # the deviation sequence plateaus near 1 and then collapses.  Decrease is
-    # asserted up to a 5e-3 plateau tolerance (degenerate-pair noise), plus
-    # strict first-to-last decrease and the final bound.
+    # asserted up to a 5e-3 plateau tolerance, plus strict first-to-last
+    # decrease and the final bound.  The deviation is that of the whole top
+    # eigenspace (per-block eigh, eigenvalues within 1e-10 of the largest),
+    # so it does not depend on which basis LAPACK returns for a degenerate
+    # top eigenvalue.
     N = 16
     cell = default_cellular_flow()
     noise = isotropic_low_mode_noise(N)
-    with criterion(9, "streamline deviation of the dominant eigenvector of "
+    with criterion(9, "streamline deviation of the dominant eigenspace of "
                       "Q_nu decreasing along the ladder (5e-3 plateau "
                       "tolerance), final < 0.2 (N=16, cellular)"):
         devs = []
         for nu in NU_LADDER:
-            Q = lyapunov_covariance(generator(cell, nu, N), noise)
-            eigvals, eigvecs = np.linalg.eigh(Q.matrix)
-            v = FourierField(N, eigvecs[:, -1])
-            pv = streamline_projection(cell, v, bins=64, grid=256)
-            devs.append(sobolev_norm(v - pv, 0) / sobolev_norm(v, 0))
+            _, basis = _top_eigenspace(lyapunov_covariance(generator(cell, nu, N), noise))
+            devs.append(_streamline_deviations(cell, basis, bins=64, grid=256)[0])
         print(f"    [info] criterion 9 deviations: "
               f"{np.array2string(np.asarray(devs), precision=4)}")
         assert all(a >= b - 5e-3 for a, b in zip(devs, devs[1:])), devs

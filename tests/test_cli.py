@@ -1,13 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torusmix import (CovarianceOperator, FourierField, default_cellular_flow, mode_table,
-                      streamline_projection)
+from torusmix import (CovarianceOperator, FourierField, default_cellular_flow, generator,
+                      lyapunov_covariance, mode_table, read_covariance, streamline_projection)
 from torusmix.cli import (ConfigError, _streamline_deviations, _top_eigenspace, main,
                           parse_spec)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SHEAR_FLOW = """
 [flow]
@@ -120,17 +123,98 @@ f0 =
     )
 
 
+# sin x sin y plus a sin(2x + y) and a cos y term: no lattice map and no
+# parity splits it, so at N = 32 its advection matrix is one 4224-row block
+RANDOM_FLOW = """
+[flow]
+kind = cellular
+streamfunction_N = 2
+streamfunction =
+    1 -1 cos 1.1
+    1 1 cos -1.1
+    2 1 sin 0.37
+    0 1 cos -0.52
+"""
+
+
+def support_config(tmp_path, N):
+    return write_config(tmp_path, f"""
+[experiment]
+type = cellular-support
+N = {N}
+{RANDOM_FLOW}
+[noise]
+modes =
+    0 1 cos 1.0
+    1 1 sin 1.0
+
+[cellular-support]
+nu = 0.1
+""", name="support.ini")
+
+
 def test_validate_warns_above_dense_cap(tmp_path, capsys):
-    # the experiments whose result is a dense n x n covariance
-    for cfg in (ladder_config(tmp_path, N=40), simulate_config(tmp_path, "ExactGaussian")):
+    # ExactGaussian steps with the whole-space E and L (n = 6560); the
+    # random cellular flow's one forced block has 4224 rows
+    for cfg, rows in ((simulate_config(tmp_path, "ExactGaussian"), 6560),
+                      (support_config(tmp_path, 32), 4224)):
         assert main(["validate", "--config", cfg]) == 0
         out = capsys.readouterr().out
-        assert "warning" in out and "6560" in out and "4000" in out
+        assert f"largest_block = {rows}" in out
+        assert "warning" in out and str(rows) in out and "4000" in out
+
+
+def test_validate_reports_block_sizes_not_dimension(tmp_path, capsys):
+    # the sin y shear at N = 40 (n = 6560): forced blocks of 1 and 81 rows
+    assert main(["validate", "--config", ladder_config(tmp_path, N=40,
+                                                       noise="0 1 cos 1.0\n    1 1 cos 1.0")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:6] == ["ok", "experiment = covariance-ladder", "dimension = 6560",
+                       "largest_block = 81", f"memory_estimate_mb = {(1 + 81**2) * 8 / 1e6:.1f}",
+                       "runtime_class = seconds"]
+    assert len(out) == 6
+
+
+@pytest.mark.parametrize("experiment", ["cellular-support", "spectrum"])
+def test_run_refuses_a_block_above_dense_cap(tmp_path, experiment):
+    cfg = (support_config(tmp_path, 32) if experiment == "cellular-support" else
+           write_config(tmp_path, f"[experiment]\ntype = spectrum\nN = 32\n{RANDOM_FLOW}",
+                        name="spectrum.ini"))
+    out = tmp_path / "refused"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "4224 rows exceeds the dimension cap 4000" in record["message"]
+
+
+def test_shear_ladder_above_old_dimension_cap(tmp_path):
+    # configs/covariance_ladder_shear.ini at N = 64 (n = 16,640): forced
+    # blocks of 1 and 129 rows, a block export of well under 1 MB per nu
+    text = (CONFIGS / "covariance_ladder_shear.ini").read_text()
+    assert "\nN = 12\n" in text
+    cfg = write_config(tmp_path, text.replace("\nN = 12\n", "\nN = 64\n"), name="ladder64.ini")
+    out = tmp_path / "ladder64"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    spec = parse_spec(cfg)
+    assert spec.dimension == 16640
+    half = spec.noise.total_intensity / 2.0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(spec.params["nu_ladder"])
+    for i, (row, nu) in enumerate(zip(rows, spec.params["nu_ladder"])):
+        assert abs(float(row.split(",")[1]) - half) <= 1e-10 * half
+        path = out / f"covariance_{i:02d}.txt"
+        assert path.stat().st_size < 1e6
+        solved = lyapunov_covariance(generator(spec.flow, nu, 64), spec.noise)
+        read = read_covariance(path)
+        assert [len(idx) for idx, _ in read.blocks.blocks] == [1, 129]
+        for (idx, block), (ridx, rblock) in zip(solved.blocks.blocks, read.blocks.blocks):
+            assert np.array_equal(idx, ridx)
+            assert np.array_equal(block.view(np.uint64), rblock.view(np.uint64))
 
 
 def test_validate_no_dense_warning_for_sparse_experiments(tmp_path, capsys):
     # neither refuses n above the cap: SemiImplicitEM steps with the sparse
-    # B, and the spectrum has no dense-covariance solve
+    # B, and the spectrum's invariant blocks of sin x sin y have about n / 4 rows
     spectrum = write_config(tmp_path, f"[experiment]\ntype = spectrum\nN = 40\n{CELL_FLOW}",
                             name="spectrum.ini")
     for cfg in (simulate_config(tmp_path, "SemiImplicitEM"), spectrum):

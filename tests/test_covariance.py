@@ -76,6 +76,19 @@ def test_zero_noise_gives_zero_covariance(shear):
     assert np.all(Q.matrix == 0.0)
 
 
+def test_singleton_blocks_match_closed_form_bit_for_bit():
+    # without a flow every block is a singleton a = -nu |k|^2, and the Schur
+    # path gives the scalar solution -nu psi^2 / (2 a) to the last bit
+    N, nu = 3, 0.37
+    amps = np.random.default_rng(4).uniform(0.1, 2.0, mode_table(N).size)
+    op = generator(None, nu, N)
+    Q = lyapunov_covariance(op, NoiseSpec(N, amps))
+    a = op.matrix.diagonal()
+    assert len(Q.blocks.blocks) == a.size
+    want = -(nu * amps**2) / (2.0 * a)
+    assert np.array_equal(Q.blocks.diagonal().view(np.uint64), want.view(np.uint64))
+
+
 def test_lyapunov_rejects_inviscid(shear):
     noise = unit_noise(4, [((0, 1), "cos", 1.0)])
     with pytest.raises(ValueError, match="nu > 0"):
@@ -451,27 +464,70 @@ def test_covariance_export_round_trip(shear, tmp_path):
         assert R.provenance == Q.provenance
 
 
-def test_covariance_export_from_blocks_is_byte_identical():
-    # a -0.0 inside a block, a singleton block, uncovered rows of zeros
+def test_covariance_export_v2_round_trip_is_bit_exact():
+    # a -0.0 inside a block, a singleton, an unsorted index array, uncovered rows
     N, n = 2, mode_table(2).size
     blocks = BlockDiagonal(n, [
         (np.array([0, 5, 9]), np.array([[2.0, -0.0, 0.1], [-0.0, 1.5, 1 / 3], [0.1, 1 / 3, 0.7]])),
         (np.array([3]), np.array([[0.25]])),
         (np.array([20, 7]), np.array([[3.0, 1e-300], [1e-300, 2.0]])),
     ])
-    texts = []
-    for Q in (CovarianceOperator(N, blocks, provenance="p"),
-              CovarianceOperator(N, blocks.toarray(), provenance="p")):
-        buf = io.StringIO()
-        write_covariance(Q, buf)
-        texts.append(buf.getvalue())
-    assert len(Q.blocks.blocks) == 1 and texts[0] == texts[1]
-    rows = texts[0].splitlines()[3:]
-    assert rows[0].split()[0] == "2" and rows[0].split()[5] == "-0"
-    assert rows[1] == " ".join(["0"] * n)
-    R = read_covariance(io.StringIO(texts[0]))
-    assert np.array_equal(R.matrix, Q.matrix)
-    assert np.array_equal(np.signbit(R.matrix), np.signbit(Q.matrix))
+    buf = io.StringIO()
+    write_covariance(CovarianceOperator(N, blocks, provenance="p q"), buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[:4] == ["# torusmix covariance v2", "N 2", "provenance p q", "blocks 3"]
+    assert lines[4] == "0 5 9" and lines[5].split()[1] == "-0"
+    assert lines[8:10] == ["3", "0.25"] and lines[10] == "20 7"
+    assert len(lines) == 4 + (1 + 3) + (1 + 1) + (1 + 2)
+    R = read_covariance(io.StringIO(buf.getvalue()))
+    assert R.N == N and R.provenance == "p q"
+    assert len(R.blocks.blocks) == 3
+    for (idx, block), (ridx, rblock) in zip(blocks.blocks, R.blocks.blocks):
+        assert np.array_equal(idx, ridx)
+        assert np.array_equal(block.view(np.uint64), rblock.view(np.uint64))   # sign bits too
+    assert np.array_equal(R.matrix.view(np.uint64), blocks.toarray().view(np.uint64))
+    # a dense covariance is one block over all indices
+    dense = CovarianceOperator(N, blocks.toarray(), provenance="d")
+    buf = io.StringIO()
+    write_covariance(dense, buf)
+    assert buf.getvalue().splitlines()[3:5] == ["blocks 1", " ".join(map(str, range(n)))]
+    R = read_covariance(io.StringIO(buf.getvalue()))
+    assert np.array_equal(R.matrix.view(np.uint64), dense.matrix.view(np.uint64))
+
+
+def test_covariance_import_reads_v1():
+    # the dense text of earlier versions: every row of the matrix, zeros included
+    rows = ["0.5 0 0 0", "0 0.25 -0.125 0", "0 -0.125 0.25 0", "0 0 0 -0"]
+    n = mode_table(1).size
+    assert n == 8
+    text = "# torusmix covariance v1\nN 1\nprovenance old\n" + "\n".join(
+        row + " 0 0 0 0" for row in rows) + "\n" + "\n".join(["0 0 0 0 0 0 0 0"] * 4) + "\n"
+    R = read_covariance(io.StringIO(text))
+    want = np.zeros((n, n))
+    want[0, 0], want[1, 1], want[2, 2] = 0.5, 0.25, 0.25
+    want[1, 2] = want[2, 1] = -0.125
+    want[3, 3] = -0.0
+    assert R.N == 1 and R.provenance == "old"
+    assert np.array_equal(R.matrix.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("cut", ["inside-block", "short-index-line", "index-out-of-range"])
+def test_covariance_import_rejects_broken_v2(cut):
+    N, n = 2, mode_table(2).size
+    blocks = BlockDiagonal(n, [(np.array([1]), np.array([[0.5]])),
+                               (np.array([2, 4, 6]), np.eye(3))])
+    buf = io.StringIO()
+    write_covariance(CovarianceOperator(N, blocks), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert lines[6] == "2 4 6\n"
+    if cut == "inside-block":
+        lines = lines[:8]
+    elif cut == "short-index-line":
+        lines[6] = "2 4\n"
+    else:
+        lines[6] = f"2 4 {n}\n"
+    with pytest.raises(ValueError, match="block 1"):
+        read_covariance(io.StringIO("".join(lines)))
 
 
 def test_covariance_import_rejects_bad_tag(shear):
@@ -485,7 +541,7 @@ def test_covariance_import_rejects_bad_tag(shear):
 
 @pytest.mark.parametrize(
     "lines,missing",
-    [(1, "truncation header"), (2, "provenance"), (3, "matrix rows")],
+    [(1, "truncation header"), (2, "provenance"), (3, "block count")],
     ids=["header-only", "cut-after-N", "no-rows"],
 )
 def test_covariance_import_rejects_truncated_file(shear, lines, missing):

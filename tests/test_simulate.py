@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from torusmix import (
 from torusmix.flows import make_cellular, sin_shear
 from torusmix.operators import generator
 from torusmix.covariance import gaussian_increment_covariance
-from torusmix.simulate import CovarianceAccumulator, _factor_psd
+from torusmix.simulate import CovarianceAccumulator, _factor_psd, _member_rng
 
 
 def single_mode_noise(N, amp=1.0):
@@ -320,6 +321,34 @@ def test_increment_factor_is_continuous_in_sigma(flow, N, dt):
     L, L_bumped = _factor_psd(sigma), _factor_psd(bumped)
     assert np.allclose(L @ L.T, sigma, rtol=0, atol=1e-12 * np.linalg.norm(sigma))
     assert np.linalg.norm(L_bumped - L) <= 1e-6 * np.linalg.norm(L)
+
+
+def test_exact_gaussian_draws_one_normal_per_forced_row():
+    # sin y shear at N = 6 forced on cos y and cos(x + y): the forced blocks
+    # are the singleton (0, 1) and one 13-row block; the first step from
+    # f0 = 0 is L xi with xi the member's first normals, one per such row
+    N, nu, dt = 6, 0.1, 0.5
+    noise = NoiseSpec.from_modes(N, [((0, 1), "cos", 1.0), ((1, 1), "cos", 1.0)])
+    table = mode_table(N)
+    keys = [((int(k1), int(k2)), "cos" if q == 0 else "sin")
+            for k1, k2, q in zip(table.k1, table.k2, table.parity)]
+    cfg = SimConfig(flow=sin_shear(), nu=nu, noise=noise, scheme="ExactGaussian",
+                    dt=dt, horizon=dt, burn_in=0.0, ensemble=1, seed=5)
+    stats = simulate(cfg, make_field(N, []), track_coefficients=tuple(keys))
+    f1 = np.array([stats.tracked_samples[key][1] for key in keys])
+    _, sigma = gaussian_increment_covariance(generator(sin_shear(), nu, N), noise, dt)
+    forced = [(idx, Sb) for idx, Sb in sigma.blocks if noise.amps[idx].any()]
+    assert sorted(len(idx) for idx, _ in forced) == [1, 13]
+    cols = np.sort(np.concatenate([idx for idx, _ in forced]))
+    xi = _member_rng(5, 0).standard_normal((1, cols.size))[0]
+    L = np.zeros((table.size, table.size))
+    for idx, Sb in forced:
+        L[np.ix_(idx, idx)] = _factor_psd(nu * Sb)
+    want = L[:, cols] @ xi
+    assert np.allclose(f1, want, rtol=0, atol=1e-14 * np.linalg.norm(want))
+    # without forcing no normal is drawn and the path stays at zero
+    quiet = simulate(dataclasses.replace(cfg, noise=zero_noise(N)), make_field(N, []))
+    assert not quiet.mean_l2_sq.any()
 
 
 def test_residual_series_matches_energy_balance(shear):
