@@ -46,7 +46,7 @@ from .fields import FourierField, format_record, make_field, mode_table, parse_r
 from .flows import Flow, ShearProfile, make_cellular, make_shear
 from .operators import DENSE_CAP, advection_matrix, generator, invariant_blocks, semigroup_norm
 from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
-from .spectral import h1_growth_average, spectrum, streamline_projection
+from .spectral import _streamline_projector, h1_growth_average, spectrum
 
 EXPERIMENTS = (
     "covariance-ladder",
@@ -379,9 +379,10 @@ def _write_eigs_csv(path: Path, Q) -> None:
 
 def _run_covariance_ladder(spec: ExperimentSpec, outdir: Path) -> None:
     Q0 = shear_limit_covariance(spec.noise)
+    B = advection_matrix(spec.flow, spec.N)
     rows = []
     for i, nu in enumerate(spec.params["nu_ladder"]):
-        A = generator(spec.flow, nu, spec.N)
+        A = generator(B, nu, spec.N)
         Q = lyapunov_covariance(A, spec.noise)
         write_covariance(Q, outdir / f"covariance_{i:02d}.txt")
         _write_eigs_csv(outdir / f"eigenvalues_{i:02d}.csv", Q)
@@ -420,9 +421,10 @@ def _run_growth(spec: ExperimentSpec, outdir: Path) -> None:
 
 def _run_dissipation_probe(spec: ExperimentSpec, outdir: Path) -> None:
     tau = spec.params["tau"]
+    B = advection_matrix(spec.flow, spec.N)
     rows = []
     for nu in spec.params["nu_ladder"]:
-        A = generator(spec.flow, nu, spec.N)
+        A = generator(B, nu, spec.N)
         t = tau / nu
         rows.append((nu, t, semigroup_norm(A, t), math.exp(-nu * t)))
     _write_csv(outdir / "probe.csv", ["nu", "t", "norm", "heat_bound"], rows)
@@ -454,17 +456,18 @@ def _top_eigenspace(Q) -> tuple:
     return top, basis
 
 
-def _streamline_deviations(flow: Flow, basis: list, bins: int, grid: int) -> tuple:
+def _streamline_deviations(project, basis: list) -> tuple:
     """||(I - P)V||_F / ||V||_F and ||PV - PPV||_F / ||PV||_F for the fields V.
 
-    P is the streamline projection, applied per column.  For an orthonormal
-    basis V of a subspace neither depends on which basis: V O for an
-    orthogonal O gives the same Frobenius norms.
+    P is the streamline projection ``project`` (a
+    ``spectral._streamline_projector``), applied per column.  For an
+    orthonormal basis V of a subspace neither depends on which basis: V O
+    for an orthogonal O gives the same Frobenius norms.
     """
     v_sq = dev_sq = pv_sq = idem_sq = 0.0
     for v in basis:
-        pv = streamline_projection(flow, v, bins=bins, grid=grid)
-        ppv = streamline_projection(flow, pv, bins=bins, grid=grid)
+        pv = project(v)
+        ppv = project(pv)
         v_sq += v.norm(0) ** 2
         dev_sq += (v - pv).norm(0) ** 2
         pv_sq += pv.norm(0) ** 2
@@ -489,11 +492,14 @@ def _run_cellular_support(spec: ExperimentSpec, outdir: Path) -> None:
     the columns are the deviations of its unit eigenvector.
     """
     p = spec.params
-    rows = []
-    for nu in spec.params["nu_ladder"]:
-        A = generator(spec.flow, nu, spec.N)
-        top, basis = _top_eigenspace(lyapunov_covariance(A, spec.noise))
-        rows.append((nu, top, *_streamline_deviations(spec.flow, basis, p["bins"], p["grid"])))
+    B = advection_matrix(spec.flow, spec.N)
+    tops = [_top_eigenspace(lyapunov_covariance(generator(B, nu, spec.N), spec.noise))
+            for nu in p["nu_ladder"]]
+    # psi is ranked once per run, after the solves: bins held through the
+    # solves raised the peak RSS of the covariance benchmark by about 2 MB
+    project = _streamline_projector(spec.flow, p["bins"], p["grid"])
+    rows = [(nu, top, *_streamline_deviations(project, basis))
+            for nu, (top, basis) in zip(p["nu_ladder"], tops)]
     _write_csv(outdir / "support.csv",
                ["nu", "top_eigenvalue", "rel_deviation", "idempotence_deviation"], rows)
 

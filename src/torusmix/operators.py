@@ -54,6 +54,18 @@ of a block is the direct sum of the Schur forms of its sectors, a twin
 repeating the Schur form of its sector.  Semigroup actions use
 ``expm_multiply``.
 
+``semigroup_norm`` computes only the sectors that can hold the maximum.
+By the logarithmic norm, ||exp(t V^T A V)|| <= exp(t mu) for t >= 0 with
+mu the top eigenvalue of the symmetric part of V^T A V.  B is skew with a
+zero diagonal, so the symmetric part of A is its diagonal -nu |k|^2 up to
+the round-off of B + B^T, and mu is at most the largest diagonal entry on
+the rows of the sector plus half the largest off-diagonal absolute row sum
+of a + a^T on its block, plus a round-off margin (``_sector_bounds``).
+Sectors go in descending order of that heat bound, and one whose bound is
+strictly below the largest norm found so far is not exponentiated: for
+sin(x)sin(y) at nu t = 1 only the two sectors with a |k|^2 = 1 mode (bound
+e^-1) are, of twelve distinct ones.
+
 Results that are dense inside each invariant block are stored per block, as
 a :class:`BlockDiagonal` of (index array, dense block) pairs that is zero
 off its blocks: the Lyapunov covariance (forced blocks only), the pair
@@ -210,11 +222,22 @@ def dissipation_matrix(N: int, s: float = 1.0) -> OperatorMatrix:
     return OperatorMatrix(N, "dissipation", sp.diags(diag), s=float(s))
 
 
-def generator(flow: Flow | None, nu: float, N: int, s: float = 1.0) -> OperatorMatrix:
-    """Generator A = -B + nu * D of f' = -u.grad f - nu (-Delta)^s f."""
+def generator(flow: Flow | OperatorMatrix | None, nu: float, N: int,
+              s: float = 1.0) -> OperatorMatrix:
+    """Generator A = -B + nu * D of f' = -u.grad f - nu (-Delta)^s f.
+
+    ``flow`` may also be the advection matrix B of truncation N itself, so
+    that a viscosity ladder assembles B once.
+    """
     if nu < 0:
         raise ValueError("diffusivity nu must be >= 0")
-    B = advection_matrix(flow, N)
+    if isinstance(flow, OperatorMatrix):
+        if flow.kind != "advection" or flow.N != N:
+            raise ValueError(f"expected an advection matrix at N = {N}, got {flow.kind} "
+                             f"at N = {flow.N}")
+        B = flow
+    else:
+        B = advection_matrix(flow, N)
     D = dissipation_matrix(N, s)
     A = -B.matrix + float(nu) * D.matrix
     return OperatorMatrix(N, "generator", A, nu=float(nu), s=float(s))
@@ -523,12 +546,20 @@ def _dense_norm(A: np.ndarray, t: float) -> float:
 
     The eigenvalue comes from Lanczos (ARPACK) on the dense E^T E, run to
     machine precision (tol = 0) from a fixed start, so reruns agree bit for
-    bit; unlike a dense ``eigh`` it never tridiagonalises E^T E.
+    bit; unlike a dense ``eigh`` it never tridiagonalises E^T E.  E is first
+    scaled by the power of two that brings max|E| into [1/2, 1), so E^T E
+    neither underflows (max|E| below about 1e-154 would make it zero) nor
+    overflows; the scaling is exact and is undone on the result.
     """
     E = sla.expm(t * A)
+    top = np.abs(E).max()
+    if top == 0.0:
+        return 0.0
+    scale = math.frexp(top)[1]
+    E = np.ldexp(E, -scale)
     start = np.random.default_rng(0).standard_normal(E.shape[0])
     lam = eigsh(E.T @ E, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
-    return float(math.sqrt(max(lam[0], 0.0)))
+    return math.ldexp(math.sqrt(max(lam[0], 0.0)), scale)
 
 
 def _krylov_norm(A: sp.csr_matrix, t: float, tol: float = 1e-8) -> float:
@@ -546,6 +577,38 @@ def _krylov_norm(A: sp.csr_matrix, t: float, tol: float = 1e-8) -> float:
     return float(math.sqrt(max(lam[0], 0.0)))
 
 
+# Round-off margin of a sector bound, relative to ||a||_inf.  Where the exact
+# norm attains the bound (an eigenmode at the largest diagonal entry, such
+# as the streamfunction of sin x sin y), the computed norm lies an ulp or
+# so above exp(t mu); the margin keeps the bound above the computed norm,
+# with room for the u ||t a|| error of a dense exponential.
+_BOUND_ROUNDOFF = 2.0**-40
+
+
+def _sector_bounds(op: OperatorMatrix) -> list:
+    """(mu, a, V) per distinct symmetry sector of ``op`` (internal).
+
+    In ``_symmetry_sectors`` order: ``a`` is the block of A the sector
+    lies in and ``V`` its basis.  ||exp(t V^T a V)|| <= exp(t mu) for
+    t >= 0, by the logarithmic norm: mu bounds the top eigenvalue of the
+    symmetric part of V^T a V.  As B is skew with a zero diagonal, the
+    symmetric part of a is its diagonal up to the round-off of B + B^T, so
+    mu is the largest diagonal entry of a on the rows where V is nonzero,
+    plus delta = half the largest off-diagonal absolute row sum of a + a^T
+    (which bounds the norm of the rest), plus ``_BOUND_ROUNDOFF`` ||a||_inf.
+    """
+    A = op.matrix
+    d = A.diagonal()
+    bounds = []
+    for idx, sectors in _symmetry_sectors(op):
+        a = A[np.ix_(idx, idx)]
+        delta = 0.5 * abs(a + a.T - sp.diags(2.0 * d[idx])).sum(axis=1).max()
+        slack = delta + _BOUND_ROUNDOFF * abs(a).sum(axis=1).max()
+        for V, _ in sectors:        # a twin has the same matrix, so the same norm
+            bounds.append((d[idx][V.indices].max() + slack, a, V))
+    return bounds
+
+
 def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     """Operator norm ||exp(t A)||_{L2 -> L2} at relative accuracy ~1e-8.
 
@@ -555,23 +618,30 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     of E^T E when it fits under DENSE_CAP, and a Lanczos iteration on
     exp(tA) exp(tA)^T otherwise; a twin sector has the same matrix, so the
     same norm, and is skipped.
+
+    Sectors go in descending order of their heat bound exp(t mu)
+    (``_sector_bounds``: the largest diagonal entry of A on the sector,
+    plus the skew defect of B and a round-off margin), ties in block and
+    sector order, and a sector whose bound is strictly below the largest
+    norm found so far is not computed: it cannot hold the maximum.  The
+    result is the same as with every sector computed.
     """
     if t < 0:
         raise ValueError("semigroup norm defined for t >= 0")
     if t == 0.0:
         return 1.0
     best = 0.0
-    for idx, sectors in _symmetry_sectors(op):
-        a = op.matrix[np.ix_(idx, idx)]
-        for V, _ in sectors:        # a twin has the same matrix, so the same norm
-            sub = (V.T @ a @ V).tocsr()
-            b = sub.shape[0]
-            if b == 1:
-                best = max(best, math.exp(t * sub[0, 0]))
-            elif b <= DENSE_CAP:
-                best = max(best, _dense_norm(sub.toarray(), t))
-            else:
-                best = max(best, _krylov_norm(sub, t))
+    for mu, a, V in sorted(_sector_bounds(op), key=lambda bound: -bound[0]):
+        if math.exp(t * mu) < best:
+            break       # the bounds descend: no later sector can beat best either
+        sub = (V.T @ a @ V).tocsr()
+        b = sub.shape[0]
+        if b == 1:
+            best = max(best, math.exp(t * sub[0, 0]))
+        elif b <= DENSE_CAP:
+            best = max(best, _dense_norm(sub.toarray(), t))
+        else:
+            best = max(best, _krylov_norm(sub, t))
     return best
 
 

@@ -149,22 +149,34 @@ def streamline_projection(
     degenerate.  The operation is approximately idempotent; callers that
     need the deviation apply it twice and compare.
     """
+    return _streamline_projector(flow, bins, grid)(f)
+
+
+def _streamline_projector(flow: Flow, bins: int, grid: int):
+    """``streamline_projection`` for one flow, bin count and grid, as a function of f (internal).
+
+    psi is sampled and the grid points are ranked once, for every field the
+    returned function projects.
+    """
     if flow.streamfunction is None:
         raise ValueError("streamline projection requires a cellular flow")
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    if grid < 4 * f.N:
-        raise ValueError(f"grid {grid} too coarse: need grid >= 4 N = {4 * f.N}")
     psi = flow.streamfunction
     if grid < 2 * psi.N + 2:
         raise ValueError("grid too coarse for the streamfunction")
-    psi_vals = sample_grid(psi, grid).ravel()
-    f_vals = sample_grid(f, grid).ravel()
-    order = np.argsort(psi_vals, kind="stable")
-    averaged = np.empty_like(f_vals)
-    for chunk in np.array_split(order, bins):
-        averaged[chunk] = f_vals[chunk].mean()
-    return field_from_grid(averaged.reshape(grid, grid), f.N)
+    chunks = np.array_split(np.argsort(sample_grid(psi, grid).ravel(), kind="stable"), bins)
+
+    def project(f: FourierField) -> FourierField:
+        if grid < 4 * f.N:
+            raise ValueError(f"grid {grid} too coarse: need grid >= 4 N = {4 * f.N}")
+        f_vals = sample_grid(f, grid).ravel()
+        averaged = np.empty_like(f_vals)
+        for chunk in chunks:
+            averaged[chunk] = f_vals[chunk].mean()
+        return field_from_grid(averaged.reshape(grid, grid), f.N)
+
+    return project
 
 
 def invariant_projection(flow: Flow | None, f: FourierField, **kwargs) -> FourierField:

@@ -41,6 +41,7 @@ from torusmix import (
     SimConfig,
 )
 from torusmix.cli import _streamline_deviations, _top_eigenspace
+from torusmix.spectral import _streamline_projector
 from torusmix.fields import random_field
 
 NU_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
@@ -229,10 +230,11 @@ def test_criterion_9_cellular_support_structure():
     with criterion(9, "streamline deviation of the dominant eigenspace of "
                       "Q_nu decreasing along the ladder (5e-3 plateau "
                       "tolerance), final < 0.2 (N=16, cellular)"):
+        project = _streamline_projector(cell, bins=64, grid=256)
         devs = []
         for nu in NU_LADDER:
             _, basis = _top_eigenspace(lyapunov_covariance(generator(cell, nu, N), noise))
-            devs.append(_streamline_deviations(cell, basis, bins=64, grid=256)[0])
+            devs.append(_streamline_deviations(project, basis)[0])
         print(f"    [info] criterion 9 deviations: "
               f"{np.array2string(np.asarray(devs), precision=4)}")
         assert all(a >= b - 5e-3 for a, b in zip(devs, devs[1:])), devs

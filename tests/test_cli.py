@@ -9,6 +9,7 @@ from torusmix import (CovarianceOperator, FourierField, default_cellular_flow, g
                       lyapunov_covariance, mode_table, read_covariance, streamline_projection)
 from torusmix.cli import (ConfigError, _streamline_deviations, _top_eigenspace, main,
                           parse_spec)
+from torusmix.spectral import _streamline_projector
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -401,6 +402,24 @@ nu = 0.5 0.2
         assert norm <= bound + 1e-8
 
 
+def test_dissipation_probe_shear_config(tmp_path):
+    # configs/dissipation_probe_shear.ini: the x-independent mode (0, 1) is
+    # invariant and decays at the heat bound, so the norm is e^-tau on every
+    # row, although the x-dependent sectors fall below 1e-160
+    cfg = CONFIGS / "dissipation_probe_shear.ini"
+    spec = parse_spec(cfg)
+    out = tmp_path / "probe"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "probe.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(spec.params["nu_ladder"]) == 3
+    tau = spec.params["tau"]
+    for row, nu in zip(rows, spec.params["nu_ladder"]):
+        _, t, norm, bound = map(float, row.split(","))
+        assert t == tau / nu
+        assert norm == pytest.approx(math.exp(-tau), rel=1e-12, abs=0)
+        assert bound == pytest.approx(math.exp(-tau), rel=1e-12, abs=0)
+
+
 def test_cellular_support_experiment(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -444,15 +463,16 @@ def test_cellular_support_deviations_are_basis_free():
     R = U.copy()
     R[:, -2:] = U[:, -2:] @ np.array([[c, -s], [s, c]])
     basis = [FourierField(N, U[:, j]) for j in (-2, -1)]
-    want = _streamline_deviations(flow, basis, bins, grid)
+    project = _streamline_projector(flow, bins, grid)
+    want = _streamline_deviations(project, basis)
     rotated = [FourierField(N, R[:, j]) for j in (-2, -1)]
-    assert _streamline_deviations(flow, rotated, bins, grid) == pytest.approx(want, rel=1e-12)
+    assert _streamline_deviations(project, rotated) == pytest.approx(want, rel=1e-12)
     lam = np.linspace(0.1, 0.5, n)
     for V, split in ((U, 1e-14), (R, -1e-14), (R, 0.0)):
         lam[-2:] = 1.0, 1.0 + split
         top, cluster = _top_eigenspace(CovarianceOperator(N, (V * lam) @ V.T))
         assert len(cluster) == 2 and top == pytest.approx(1.0, rel=1e-13)
-        got = _streamline_deviations(flow, cluster, bins, grid)
+        got = _streamline_deviations(project, cluster)
         assert got == pytest.approx(want, rel=1e-12)
     # a simple top eigenvalue: the deviations of its unit eigenvector
     lam[-2:] = 0.9, 1.0
@@ -462,7 +482,7 @@ def test_cellular_support_deviations_are_basis_free():
     pv = streamline_projection(flow, v, bins=bins, grid=grid)
     ppv = streamline_projection(flow, pv, bins=bins, grid=grid)
     one = ((v - pv).norm(0) / v.norm(0), (pv - ppv).norm(0) / pv.norm(0))
-    assert _streamline_deviations(flow, cluster, bins, grid) == pytest.approx(one, rel=1e-12)
+    assert _streamline_deviations(project, cluster) == pytest.approx(one, rel=1e-12)
 
 
 def test_cellular_support_rejects_shear(tmp_path):

@@ -24,9 +24,10 @@ from torusmix import (
     write_operator_triplets,
 )
 from torusmix.fields import random_field
-from torusmix.operators import BlockDiagonal, _krylov_norm, _symmetry_sectors
+from torusmix.operators import (BlockDiagonal, _dense_norm, _krylov_norm, _sector_bounds,
+                                _symmetry_sectors)
 
-from strategies import dihedral_flows, symmetric_flows
+from strategies import dihedral_flows, random_flows, symmetric_flows
 
 
 def test_advection_hand_convolution_sin_shear(shear):
@@ -117,6 +118,19 @@ def test_generator_structure(shear, cellular):
         for op in (B, D, A):
             assert sp.issparse(op.matrix) and op.matrix.format == "csr"
         assert np.array_equal(A.dense(), -B.dense() + 0.3 * D.dense())
+
+
+def test_generator_from_prebuilt_advection(shear, cellular):
+    # a nu ladder passes B itself: the same generator, bit for bit
+    for flow in (shear, cellular, None):
+        B = advection_matrix(flow, 6)
+        for nu in (0.0, 0.3):
+            want, got = generator(flow, nu, 6).matrix, generator(B, nu, 6).matrix
+            assert (want != got).nnz == 0 and got.nnz == want.nnz
+    with pytest.raises(ValueError, match="advection matrix at N = 5"):
+        generator(advection_matrix(shear, 6), 0.1, 5)
+    with pytest.raises(ValueError, match="advection matrix"):
+        generator(generator(shear, 0.1, 6), 0.1, 6)
 
 
 def test_generator_spectral_abscissa(shear, cellular):
@@ -353,6 +367,73 @@ def test_semigroup_norm_matches_block_svd_on_symmetric_flows(flow, N, nu, t):
     assert split
     reference = max(sla.svdvals(sla.expm(t * A[np.ix_(idx, idx)]))[0] for idx in blocks)
     assert semigroup_norm(op, t) == pytest.approx(reference, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=st.one_of(random_flows(), symmetric_flows(), dihedral_flows()), N=st.integers(2, 8),
+       nu=st.floats(0.05, 1.0), heat=st.floats(2.0, 20.0))
+@example(flow=default_cellular_flow(), N=8, nu=0.1, heat=1.0)
+def test_semigroup_norm_skips_only_sectors_below_the_maximum(flow, N, nu, heat):
+    # random_flows draws random cellular flows and random shears.  At
+    # nu t >= 2 a sector without a |k|^2 = 1 mode has a bound near
+    # exp(-2 nu t), and semigroup_norm skips most such sectors; the result
+    # must be the maximum over every sector, and no sector may exceed its
+    # bound
+    t = heat / nu
+    op = generator(flow, nu, N)
+    norms = []
+    for mu, a, V in _sector_bounds(op):
+        norm = sla.svdvals(sla.expm(t * (V.T @ a @ V).toarray()))[0]
+        assert norm <= math.exp(t * mu)
+        norms.append(norm)
+    assert semigroup_norm(op, t) == pytest.approx(max(norms), rel=1e-12)
+
+
+def test_semigroup_norm_exponentiates_only_sectors_with_a_unit_mode(cellular, monkeypatch):
+    # sin x sin y at nu t = 1: the sectors holding (1, 0) and (0, 1) have the
+    # heat bound e^-1 and reach 0.24; every other sector is bounded by
+    # e^-2 = 0.135 and is never exponentiated
+    nu, N, t = 0.1, 8, 10.0
+    op = generator(cellular, nu, N)
+    lam = mode_table(N).lam
+    unit = sorted(V.shape[1] for idx, sectors in _symmetry_sectors(op) for V, _ in sectors
+                  if np.any(lam[idx[V.indices]] == 1))
+    calls = []
+
+    def counted(A, t):
+        calls.append(A)
+        return _dense_norm(A, t)
+
+    monkeypatch.setattr("torusmix.operators._dense_norm", counted)
+    norm = semigroup_norm(op, t)
+    assert sorted(len(A) for A in calls) == unit and len(unit) == 2
+    assert all(np.diag(A).max() == pytest.approx(-nu, rel=1e-12) for A in calls)
+    assert 0.24 < norm < math.exp(-1)
+
+
+def test_dense_norm_without_underflow(shear):
+    # at nu t = 10, exp(ta) of the shear's x-dependent sectors falls to
+    # 1e-295, so E^T E would underflow to zero without the power-of-two
+    # scaling; semigroup_norm skips these sectors, so call _dense_norm itself
+    op = generator(shear, 1.0, 8)
+    tiny = 0
+    for idx, sectors in _symmetry_sectors(op):
+        a = op.matrix[np.ix_(idx, idx)]
+        for V, _ in sectors:
+            if V.shape[1] > 1:
+                sub = (V.T @ a @ V).toarray()
+                E = sla.expm(10.0 * sub)
+                tiny += np.abs(E).max() < 1e-154
+                assert _dense_norm(sub, 10.0) == pytest.approx(sla.svdvals(E)[0], rel=1e-12)
+    assert tiny >= 4
+    assert _dense_norm(np.diag([-1e3, -2e3]), 10.0) == 0.0     # exp(tA) is exactly zero
+
+
+def test_semigroup_norm_shear_at_large_heat_time(shear):
+    # the case whose x-dependent sectors underflow: the norm is the heat
+    # decay of the invariant x-independent mode (0, 1)
+    assert semigroup_norm(generator(shear, 1.0, 8), 10.0) == pytest.approx(
+        math.exp(-10.0), rel=1e-12)
 
 
 def test_triplet_export_round_trip(shear):

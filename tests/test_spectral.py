@@ -16,9 +16,9 @@ from torusmix import (
     spectrum,
     streamline_projection,
 )
-from torusmix.fields import random_field, sample_grid
+from torusmix.fields import field_from_grid, random_field, sample_grid
 from torusmix.flows import ShearProfile, make_shear
-from torusmix.spectral import invariant_projection, shear_h1sq_series
+from torusmix.spectral import _streamline_projector, invariant_projection, shear_h1sq_series
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,28 @@ def test_streamline_projection_kills_odd_functions(cellular):
     f = make_field(8, [((1, 0), "cos", 1.0)])
     out = streamline_projection(cellular, f, bins=64, grid=256)
     assert sobolev_norm(out, 0) <= 0.02
+
+
+def test_streamline_projector_matches_direct_binning(cellular, rng):
+    # one projector ranks psi once and projects many fields; each result is
+    # the direct equal-count bin average, bit for bit
+    from torusmix import make_cellular
+
+    def direct(flow, f, bins, grid):
+        order = np.argsort(sample_grid(flow.streamfunction, grid).ravel(), kind="stable")
+        values = sample_grid(f, grid).ravel()
+        averaged = np.empty_like(values)
+        for chunk in np.array_split(order, bins):
+            averaged[chunk] = values[chunk].mean()
+        return field_from_grid(averaged.reshape(grid, grid), f.N)
+
+    for flow, bins, grid in [(cellular, 16, 64), (make_cellular(random_field(2, rng)), 8, 96)]:
+        project = _streamline_projector(flow, bins, grid)
+        f = random_field(8, rng)
+        for g in (f, project(f), random_field(6, rng)):
+            want = direct(flow, g, bins, grid).coeffs
+            assert np.array_equal(project(g).coeffs, want)
+            assert np.array_equal(streamline_projection(flow, g, bins=bins, grid=grid).coeffs, want)
 
 
 def test_streamline_projection_zero_field(cellular):
