@@ -44,7 +44,8 @@ from .covariance import (
 )
 from .fields import FourierField, format_record, make_field, mode_table, parse_record
 from .flows import Flow, ShearProfile, make_cellular, make_shear
-from .operators import DENSE_CAP, advection_matrix, generator, invariant_blocks, semigroup_norm
+from .operators import (DENSE_CAP, _sector_bounds, advection_matrix, generator, invariant_blocks,
+                        semigroup_norm)
 from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
 from .spectral import _streamline_projector, h1_growth_average, spectrum
 
@@ -293,8 +294,6 @@ def parse_spec(path) -> ExperimentSpec:
             f"flow: velocity support {flow.max_wavenumber} exceeds 2 N = {2 * N}"
         )
 
-    # accepted for older configs; the ensemble runs as one batched loop
-    _get_scalar(cfg, "experiment", "threads", int, problems)
     if problems:
         raise ConfigError(problems)
 
@@ -538,15 +537,23 @@ def run(spec: ExperimentSpec, seed_override=None) -> None:
 def _dense_block_sizes(spec: ExperimentSpec) -> list:
     """Rows of each dense block a run of ``spec`` builds, from the sparsity of B.
 
-    The Lyapunov experiments solve the forced invariant blocks, ``spectrum``
-    takes every invariant block, and ExactGaussian steps with the whole
-    space; the other experiments build no dense block.  No solve is run.
+    The Lyapunov experiments solve the forced invariant blocks, ExactGaussian
+    steps the blocks that the noise forces or f0 touches, and ``spectrum``
+    takes every invariant block.  ``dissipation-probe`` takes the distinct
+    symmetry sectors of more than one row and at most ``DENSE_CAP`` rows
+    (Lanczos takes a larger one): an upper bound, as the heat bound of
+    ``semigroup_norm`` may skip sectors.  The other experiments build no
+    dense block.  No solve is run.
     """
+    if spec.experiment == "dissipation-probe":
+        sectors = _sector_bounds(advection_matrix(spec.flow, spec.N))
+        return [V.shape[1] for _, _, V in sectors if 1 < V.shape[1] <= DENSE_CAP]
     if spec.experiment == "simulate" and spec.params["scheme"] == "ExactGaussian":
-        return [spec.dimension]
-    if spec.experiment not in ("covariance-ladder", "cellular-support", "spectrum"):
+        used = np.abs(spec.noise.amps) + np.abs(spec.params["f0"].coeffs)
+    elif spec.experiment in ("covariance-ladder", "cellular-support", "spectrum"):
+        used = np.ones(spec.dimension) if spec.experiment == "spectrum" else spec.noise.amps
+    else:
         return []
-    used = np.ones(spec.dimension) if spec.experiment == "spectrum" else spec.noise.amps
     return [len(idx) for idx in invariant_blocks(advection_matrix(spec.flow, spec.N))
             if used[idx].any()]
 

@@ -15,8 +15,9 @@ invariant block, on the real Schur forms of the block's symmetry sectors,
 with a recursive blocked (level-3) solve of the triangular equation.
 Its finite-time part has one routine, :func:`gaussian_increment_covariance`
 (Van Loan's block exponential plus doubling, per invariant block): the exact
-Gaussian sampler takes its increment from it, and
-:func:`covariance_by_quadrature` is an oracle independent of Bartels-Stewart.
+Gaussian sampler takes its increment from the same per-block step, on the
+blocks it steps, and :func:`covariance_by_quadrature` is an oracle
+independent of Bartels-Stewart.
 The x-averaged (k1 = 0) block of the shear dynamics is exactly a bank of
 scalar OU processes, giving the closed-form diagonal limit
 :func:`shear_limit_covariance` with entries psi^2 / (2 j^2) on the (0, j)
@@ -343,24 +344,28 @@ def gaussian_increment_covariance(
     ``operators.DENSE_CAP`` rows.
     """
     _check_generator(A, noise)
-    n = A.shape[0]
-    psi2 = noise.amps**2
     E, S = [], []
     for idx in invariant_blocks(A):
-        b = len(idx)
-        a = _dense(A.matrix, idx)
-        rate = float(np.max(-np.diag(a), initial=0.0))
-        k = max(_doublings(t, h), _doublings(t * rate, 1.0))
-        C = np.block([[-a, np.diag(psi2[idx])], [np.zeros((b, b)), a.T]])
-        X = sla.expm((t / 2**k) * C)
-        Eb = X[b:, b:].T
-        Sb = Eb @ X[:b, b:]
-        for _ in range(k):
-            Sb += Eb @ Sb @ Eb.T
-            Eb = Eb @ Eb
+        Eb, Sb = _increment_block(_dense(A.matrix, idx), noise.amps[idx] ** 2, t, h)
         E.append((idx, Eb))
-        S.append((idx, 0.5 * (Sb + Sb.T)))
-    return BlockDiagonal(n, E), BlockDiagonal(n, S)
+        S.append((idx, Sb))
+    return BlockDiagonal(A.shape[0], E), BlockDiagonal(A.shape[0], S)
+
+
+def _increment_block(a: np.ndarray, psi2: np.ndarray, t: float, h: float | None = None):
+    """(exp(ta), S(t)) of one dense invariant block ``a`` forced by ``psi2``
+    (internal; see :func:`gaussian_increment_covariance`)."""
+    b = len(a)
+    rate = float(np.max(-np.diag(a), initial=0.0))
+    k = max(_doublings(t, h), _doublings(t * rate, 1.0))
+    C = np.block([[-a, np.diag(psi2)], [np.zeros((b, b)), a.T]])
+    X = sla.expm((t / 2**k) * C)
+    Eb = X[b:, b:].T
+    Sb = Eb @ X[:b, b:]
+    for _ in range(k):
+        Sb += Eb @ Sb @ Eb.T
+        Eb = Eb @ Eb
+    return Eb, 0.5 * (Sb + Sb.T)
 
 
 def covariance_by_quadrature(

@@ -13,22 +13,27 @@ schemes are provided:
 
 ``ExactGaussian``
     Exact in law: f^{n+1} = E f^n + L xi_n with E = exp(dt A), L L^T =
-    Sigma_dt = nu int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds.  E and Sigma_dt
-    come from one ``gaussian_increment_covariance`` call.  Sigma_dt vanishes
-    off the forced invariant blocks, so xi_n holds one normal per row of a
-    forced block, and L is the n x r restriction of the PSD square root of
-    Sigma_dt (per block) to those r columns.
+    Sigma_dt = nu int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds.  Each stepped
+    invariant block b has its own dense E_b and Sigma_b from the Van Loan
+    step of ``gaussian_increment_covariance``, and only those blocks are
+    exponentiated.  Sigma_dt vanishes off the forced invariant blocks, so
+    xi_n holds one normal per row of a forced block, and a forced block
+    adds L_b xi_b, with L_b the PSD square root of Sigma_b.
 
-The ensemble is one n x M state, column m holding member m, so a step is
-one sparse product ``B @ F`` (SemiImplicitEM) or one dense ``E @ F`` plus
-``L @ Xi`` (ExactGaussian, n at most ``operators.DENSE_CAP``) for all
-members at once.  Randomness comes from counter-based Philox streams keyed
-by (seed, member); each member draws a window of steps at a time, the same
-numbers in the same order as one draw per step, so a member's trajectory
-does not depend on the ensemble size.
+The invariant blocks of B do not mix, and a row outside the blocks that
+the noise forces, that f0 touches or that hold a tracked coefficient is
+zero at every step.  So the run lives on ``active``, the sorted union of
+those blocks (n_a of the n rows): the ensemble is one n_a x M state,
+column m holding member m, and a step is one sparse product with
+B restricted to ``active`` (SemiImplicitEM) or one dense E_b F_b plus
+L_b Xi_b per kept block (ExactGaussian), for all members at once.
+Randomness comes from counter-based Philox streams keyed by (seed,
+member); each member draws a window of steps at a time, the same numbers
+in the same order as one draw per step, so a member's trajectory does not
+depend on the ensemble size.
 Post-burn-in states are gathered per window and reduced with one centred
-GEMM per member into per-member accumulators, which the ensemble reduction
-merges in member order.
+GEMM per member into per-member n_a-dimensional accumulators, which the
+ensemble reduction merges in member order.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .covariance import CovarianceOperator, NoiseSpec, gaussian_increment_covariance
+from .covariance import CovarianceOperator, NoiseSpec, _increment_block
 from .fields import FourierField, _open_text, mode_table
 from .flows import Flow
-from .operators import BlockDiagonal, _dense, advection_matrix, dissipation_matrix, generator
+from .operators import (BlockDiagonal, _dense, advection_matrix, dissipation_matrix, generator,
+                        invariant_blocks)
 
 __all__ = [
     "SimConfig",
@@ -162,9 +168,14 @@ class CovarianceAccumulator:
 
 @dataclass
 class TrajectoryStats:
-    """Ensemble statistics of one simulation run."""
+    """Ensemble statistics of one simulation run.
+
+    The accumulators hold the coefficients ``active`` (sorted canonical
+    indices), the rows the run steps; every other coefficient is zero.
+    """
 
     config: SimConfig
+    active: np.ndarray
     times: np.ndarray
     mean_l2_sq: np.ndarray               # E ||f(t)||_L2^2
     mean_h1_sq: np.ndarray               # E ||f(t)||_H1^2
@@ -183,8 +194,13 @@ class TrajectoryStats:
 
     @property
     def member_covariances(self) -> list:
-        """Unbiased post-burn-in covariance of each member, in member order."""
-        return [acc.covariance() for acc in self.member_accumulators]
+        """Unbiased post-burn-in covariance of each member, in member order.
+
+        Each is n x n in the canonical ordering, zero off ``active``.
+        """
+        n = self.config.noise.amps.size
+        return [BlockDiagonal(n, [(self.active, acc.covariance())]).toarray()
+                for acc in self.member_accumulators]
 
     def write_csv(self, path_or_file) -> None:
         with _open_text(path_or_file, "w") as fh:
@@ -203,6 +219,11 @@ def _factor_psd(sigma: np.ndarray) -> np.ndarray:
     """
     vals, vecs = sla.eigh(sigma)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def _union(blocks) -> np.ndarray:
+    """The sorted union of index arrays (internal)."""
+    return np.sort(np.concatenate([*blocks, np.empty(0, dtype=np.intp)]))
 
 
 def _member_rng(seed: int, member: int) -> np.random.Generator:
@@ -229,39 +250,50 @@ def simulate(
     if noise.N != f0.N:
         raise ValueError("noise truncation does not match initial datum")
     N = f0.N
-    n = f0.coeffs.shape[0]
     M = config.ensemble
     steps, burn_steps = config.steps, config.burn_steps
     times = config.dt * np.arange(steps + 1)
     table = mode_table(N)
-    lam = table.lam.astype(float)[:, None]
-    support = noise.support
     guard = 1e6 * max(float(np.linalg.norm(f0.coeffs)),
                       math.sqrt(0.5 * noise.total_intensity), 1e-12)
 
-    if config.scheme == "ExactGaussian":
-        A = generator(config.flow, config.nu, N, s=config.s)
-        E, sigma = gaussian_increment_covariance(A, noise, config.dt)
-        forced = [(idx, _factor_psd(config.nu * Sb))
-                  for idx, Sb in sigma.blocks if noise.amps[idx].any()]
-        cols = np.sort(np.concatenate([idx for idx, _ in forced] or [np.empty(0, int)]))
-        E, L = _dense(E), _dense(BlockDiagonal(n, forced))[:, cols]
-        draws = cols.size
-    else:
-        Bmat = advection_matrix(config.flow, N).matrix
-        dd = dissipation_matrix(N, config.s).matrix.diagonal()
-        implicit_div = (1.0 / (1.0 - config.dt * config.nu * dd))[:, None]  # dd <= -1
-        kick = (math.sqrt(config.nu * config.dt) * noise.amps[support])[:, None]
-        draws = support.size
-
     tracked_idx = [table.coefficient_index(m, p) for m, p in track_coefficients]
+    used = (noise.amps != 0.0) | (f0.coeffs != 0.0)
+    used[tracked_idx] = True
+    B = advection_matrix(config.flow, N)
+    kept = [idx for idx in invariant_blocks(B) if used[idx].any()]
+    active = _union(kept)
+    lam = table.lam.astype(float)[active, None]
+
+    if config.scheme == "ExactGaussian":
+        A = generator(B, config.nu, N, s=config.s).matrix
+        # one normal per row of a forced block, in canonical order
+        forced = _union(idx for idx in kept if noise.amps[idx].any())
+        # per kept block: its rows of the state, E_b, and on a forced block
+        # L_b and the rows of its normals in the draw
+        blocks = []
+        for idx in kept:
+            Eb, Sb = _increment_block(_dense(A, idx), noise.amps[idx] ** 2, config.dt)
+            blocks.append((np.searchsorted(active, idx), Eb,
+                           _factor_psd(config.nu * Sb) if noise.amps[idx].any() else None,
+                           np.searchsorted(forced, idx)))
+        draws = forced.size
+    else:
+        Bmat = B.matrix[active][:, active]
+        dd = dissipation_matrix(N, config.s).matrix.diagonal()[active]
+        implicit_div = (1.0 / (1.0 - config.dt * config.nu * dd))[:, None]  # dd <= -1
+        kick = (math.sqrt(config.nu * config.dt) * noise.amps[noise.support])[:, None]
+        kick_rows = np.searchsorted(active, noise.support)
+        draws = kick_rows.size
+
+    tracked_rows = np.searchsorted(active, tracked_idx)
     rngs = [_member_rng(config.seed, m) for m in range(M)]
-    F = np.repeat(f0.coeffs[:, None], M, axis=1)
+    F = np.repeat(f0.coeffs[active, None], M, axis=1)
     l2 = np.empty((M, steps + 1))
     h1 = np.empty((M, steps + 1))
-    accs = [CovarianceAccumulator(n) for _ in range(M)]
+    accs = [CovarianceAccumulator(active.size) for _ in range(M)]
     tracked = np.empty((len(tracked_idx), M, steps + 1 - burn_steps))
-    window = np.empty((M, _WINDOW, n))
+    window = np.empty((M, _WINDOW, active.size))
     filled = 0
     for j in range(steps + 1):
         if j:
@@ -270,10 +302,13 @@ def simulate(
                 k = min(_WINDOW, steps + 1 - j)
                 xi = np.stack([rng.standard_normal((k, draws)) for rng in rngs], axis=-1)
             if config.scheme == "ExactGaussian":
-                F = E @ F + L @ xi[w]
+                G = np.empty_like(F)
+                for rows, Eb, Lb, q in blocks:
+                    G[rows] = Eb @ F[rows] if Lb is None else Eb @ F[rows] + Lb @ xi[w][q]
+                F = G
             else:
                 rhs = F - config.dt * (Bmat @ F)
-                rhs[support] += kick * xi[w]
+                rhs[kick_rows] += kick * xi[w]
                 F = implicit_div * rhs
         sq = F * F
         l2[:, j] = sq.sum(axis=0)
@@ -286,17 +321,17 @@ def simulate(
                 f"||f|| = {math.sqrt(l2[m, j]):.3e} (guard {guard:.3e})"
             )
         if j >= burn_steps:
-            tracked[:, :, j - burn_steps] = F[tracked_idx]
+            tracked[:, :, j - burn_steps] = F[tracked_rows]
             window[:, filled] = F.T
             filled += 1
             if filled == _WINDOW or j == steps:
                 # one centred GEMM per member and window: a stacked GEMM
-                # would hold another M n^2 floats next to the accumulators
+                # would hold another M n_a^2 floats next to the accumulators
                 for acc, X in zip(accs, window[:, :filled]):
                     acc.add(X)
                 filled = 0
 
-    total = CovarianceAccumulator(n)
+    total = CovarianceAccumulator(active.size)
     for acc in accs:
         total.merge(acc)
     intensity = noise.total_intensity
@@ -307,6 +342,7 @@ def simulate(
     residual_series = mean_l2 + dissipated - mean_l2[0] - config.nu * intensity * times
     return TrajectoryStats(
         config=config,
+        active=active,
         times=times,
         mean_l2_sq=mean_l2,
         mean_h1_sq=mean_h1,
@@ -333,13 +369,17 @@ def _balance_residual(times, l2, h1, nu, intensity, i0, i1):
 
 
 def empirical_covariance(stats: TrajectoryStats) -> CovarianceOperator:
-    """Unbiased sample covariance of the post-burn-in states."""
+    """Unbiased sample covariance of the post-burn-in states.
+
+    One block on ``stats.active``, or none when no row was stepped.
+    """
     if stats.accumulator.count < 2:
         raise ValueError("insufficient samples: need at least 2 post-burn-in states")
-    N = stats.config.noise.N
+    noise, active = stats.config.noise, stats.active
     return CovarianceOperator(
-        N,
-        stats.accumulator.covariance(),
+        noise.N,
+        BlockDiagonal(noise.amps.size,
+                      [(active, stats.accumulator.covariance())] if active.size else []),
         provenance=f"empirical(samples={stats.accumulator.count})",
         meta={"samples": stats.accumulator.count, "seed": stats.config.seed,
               "scheme": stats.config.scheme},

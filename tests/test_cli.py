@@ -98,14 +98,14 @@ def test_validate_rejects_inviscid_ladder(tmp_path):
         parse_spec(cfg)
 
 
-def simulate_config(tmp_path, scheme):
+def simulate_config(tmp_path, scheme, N=40, flow=SHEAR_FLOW):
     return write_config(
         tmp_path,
         f"""
 [experiment]
 type = simulate
-N = 40
-{SHEAR_FLOW}
+N = {N}
+{flow}
 [noise]
 modes =
     0 1 cos 1.0
@@ -155,14 +155,52 @@ nu = 0.1
 
 
 def test_validate_warns_above_dense_cap(tmp_path, capsys):
-    # ExactGaussian steps with the whole-space E and L (n = 6560); the
-    # random cellular flow's one forced block has 4224 rows
-    for cfg, rows in ((simulate_config(tmp_path, "ExactGaussian"), 6560),
-                      (support_config(tmp_path, 32), 4224)):
+    # the random cellular flow's one forced block has 4224 rows, for the
+    # Lyapunov solve and for the ExactGaussian step alike
+    for cfg in (simulate_config(tmp_path, "ExactGaussian", N=32, flow=RANDOM_FLOW),
+                support_config(tmp_path, 32)):
         assert main(["validate", "--config", cfg]) == 0
         out = capsys.readouterr().out
-        assert f"largest_block = {rows}" in out
-        assert "warning" in out and str(rows) in out and "4000" in out
+        assert "largest_block = 4224" in out
+        assert "warning" in out and "4224" in out and "4000" in out
+
+
+def test_exact_gaussian_above_old_dimension_cap(tmp_path, capsys):
+    # the sin y shear at N = 40 (n = 6560) forced on cos y: ExactGaussian
+    # steps the 1-row block of (0, 1) alone, so neither validate nor run
+    # meets the cap
+    cfg = simulate_config(tmp_path, "ExactGaussian")
+    assert main(["validate", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "dimension = 6560" in out and "largest_block = 1\n" in out
+    assert "warning" not in out
+    out = tmp_path / "exact40"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    Q = read_covariance(out / "empirical_covariance.txt")
+    assert [idx.tolist() for idx, _ in Q.blocks.blocks] == [
+        [mode_table(40).index[(0, 1, "cos")]]]
+
+
+def test_validate_dissipation_probe_reports_dense_sectors(tmp_path, capsys):
+    # the sectors semigroup_norm may exponentiate densely: for the sin y
+    # shear config at N = 16, blocks of 33 rows split into 17 + 16; for the
+    # random flow at N = 30, one sector of n = 3720 rows
+    probe = write_config(tmp_path, f"""
+[experiment]
+type = dissipation-probe
+N = 30
+{RANDOM_FLOW}
+[dissipation-probe]
+tau = 1.0
+nu = 0.1
+""", name="probe.ini")
+    assert main(["validate", "--config", str(CONFIGS / "dissipation_probe_shear.ini")]) == 0
+    out = capsys.readouterr().out
+    assert "largest_block = 17\n" in out and "warning" not in out
+    assert main(["validate", "--config", probe]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "largest_block = 3720" in out and "runtime_class = seconds" not in out
+    assert not any(line.startswith("warning") for line in out)
 
 
 def test_validate_reports_block_sizes_not_dimension(tmp_path, capsys):
@@ -519,13 +557,14 @@ N = 4
 
 
 def test_error_record_written_for_numerical_failure(tmp_path, capsys):
-    # ExactGaussian above the dense cap must fail with a machine-readable record
-    cfg = simulate_config(tmp_path, "ExactGaussian")
+    # ExactGaussian with a forced block above the dense cap must fail with a
+    # machine-readable record
+    cfg = simulate_config(tmp_path, "ExactGaussian", N=32, flow=RANDOM_FLOW)
     out = tmp_path / "fail"
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 3
     record = json.loads((out / "error.json").read_text())
-    assert "dimension cap" in record["message"]
+    assert "4224 rows exceeds the dimension cap 4000" in record["message"]
 
 
 def test_manifest_records_flow_and_noise(tmp_path):
@@ -582,13 +621,6 @@ nu = 0.5
     "simulate: dt": _simulate_config("dt = -0.1\nhorizon = 1.0\nensemble = 2"),
     "simulate: ensemble": _simulate_config("dt = 0.1\nhorizon = 1.0\nensemble = 0"),
     "simulate: horizon": _simulate_config("dt = 0.3\nhorizon = 1.0\nensemble = 2"),
-    "experiment.threads": f"""
-[experiment]
-type = spectrum
-N = 4
-threads = two
-{SHEAR_FLOW}
-""",
     "covariance-ladder.nu": f"""
 [experiment]
 type = covariance-ladder

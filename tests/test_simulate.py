@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torusmix import (
+    FourierField,
     NoiseSpec,
     SimConfig,
     empirical_covariance,
@@ -15,9 +18,12 @@ from torusmix import (
     simulate,
 )
 from torusmix.flows import make_cellular, sin_shear
-from torusmix.operators import generator
+from torusmix.operators import (advection_matrix, dissipation_matrix, generator,
+                                invariant_blocks, semigroup_apply)
 from torusmix.covariance import gaussian_increment_covariance
-from torusmix.simulate import CovarianceAccumulator, _factor_psd, _member_rng
+from torusmix.simulate import _WINDOW, CovarianceAccumulator, _factor_psd, _member_rng
+
+from strategies import random_flows
 
 
 def single_mode_noise(N, amp=1.0):
@@ -359,3 +365,146 @@ def test_residual_series_matches_energy_balance(shear):
     for j in (1, 7, 250, 500):
         expected = energy_balance_residual(stats, (0.0, stats.times[j]))
         assert stats.residual_series[j] == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def _whole_space_run(cfg, f0):
+    """States (M, steps + 1, n), L2 and H1 norms (M, steps + 1) of every member.
+
+    The reference for ``simulate``: an n x M state with the whole sparse B
+    or the whole dense E and L, drawing the same normals (one window of
+    steps at a time, one per forced coefficient or per row of a forced
+    block), and the norms summed over all n rows.
+    """
+    N, M, noise = f0.N, cfg.ensemble, cfg.noise
+    n = f0.coeffs.size
+    if cfg.scheme == "ExactGaussian":
+        E, sigma = gaussian_increment_covariance(generator(cfg.flow, cfg.nu, N, s=cfg.s),
+                                                 noise, cfg.dt)
+        E, L = E.toarray(), np.zeros((n, n))
+        forced = [(idx, Sb) for idx, Sb in sigma.blocks if noise.amps[idx].any()]
+        for idx, Sb in forced:
+            L[np.ix_(idx, idx)] = _factor_psd(cfg.nu * Sb)
+        cols = np.sort(np.concatenate([idx for idx, _ in forced] + [np.empty(0, int)]))
+        L = L[:, cols]
+        draws = cols.size
+    else:
+        B = advection_matrix(cfg.flow, N).matrix
+        dd = dissipation_matrix(N, cfg.s).matrix.diagonal()
+        div = (1.0 / (1.0 - cfg.dt * cfg.nu * dd))[:, None]
+        kick = (math.sqrt(cfg.nu * cfg.dt) * noise.amps[noise.support])[:, None]
+        draws = noise.support.size
+    rngs = [_member_rng(cfg.seed, m) for m in range(M)]
+    lam = mode_table(N).lam.astype(float)[:, None]
+    F = np.repeat(f0.coeffs[:, None], M, axis=1)
+    states, l2, h1 = [], [], []
+    for j in range(cfg.steps + 1):
+        if j:
+            w = (j - 1) % _WINDOW
+            if w == 0:
+                k = min(_WINDOW, cfg.steps + 1 - j)
+                xi = np.stack([rng.standard_normal((k, draws)) for rng in rngs], axis=-1)
+            if cfg.scheme == "ExactGaussian":
+                F = E @ F + L @ xi[w]
+            else:
+                rhs = F - cfg.dt * (B @ F)
+                rhs[noise.support] += kick * xi[w]
+                F = div * rhs
+        sq = F * F
+        states.append(F.T)
+        l2.append(sq.sum(axis=0))
+        h1.append((lam * sq).sum(axis=0))
+    return np.stack(states, axis=1), np.array(l2).T, np.array(h1).T
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=st.one_of(st.just(sin_shear()), random_flows()), N=st.integers(2, 4),
+       scheme=st.sampled_from(["SemiImplicitEM", "ExactGaussian"]),
+       M=st.integers(1, 3), steps=st.integers(2, 70), data=st.data())
+def test_active_blocks_match_whole_space_stepping(flow, N, scheme, M, steps, data):
+    # stepping only the blocks that the noise forces or f0 touches gives the
+    # whole-space trajectories, and the whole-space state is zero elsewhere
+    table = mode_table(N)
+    low = [int(i) for i in np.flatnonzero(table.lam <= 2)]
+    forced = data.draw(st.lists(st.sampled_from(low), max_size=3, unique=True))
+    touched = data.draw(st.lists(st.integers(0, table.size - 1), max_size=2, unique=True))
+    amps, coeffs = np.zeros(table.size), np.zeros(table.size)
+    amps[forced] = data.draw(st.lists(st.floats(0.5, 1.5), min_size=len(forced),
+                                      max_size=len(forced)))
+    coeffs[touched] = 0.5
+    f0 = FourierField(N, coeffs)
+    dt = 0.05
+    cfg = SimConfig(flow=flow, nu=0.3, noise=NoiseSpec(N, amps), scheme=scheme, dt=dt,
+                    horizon=steps * dt, burn_in=dt, ensemble=M, seed=3)
+    used = (amps != 0) | (coeffs != 0)
+    active = np.sort(np.concatenate(
+        [idx for idx in invariant_blocks(advection_matrix(flow, N)) if used[idx].any()]
+        + [np.empty(0, int)]))
+    keys = [((int(table.k1[i]), int(table.k2[i])), "cos" if table.parity[i] == 0 else "sin")
+            for i in active]
+    stats = simulate(cfg, f0, track_coefficients=tuple(keys))
+    assert np.array_equal(stats.active, active)
+    ref, l2, h1 = _whole_space_run(cfg, f0)
+    off = np.setdiff1d(np.arange(table.size), active)
+    assert not ref[:, :, off].any()
+    got = np.array([stats.tracked_samples[key] for key in keys]).reshape(len(keys), M, steps)
+    got = got.transpose(1, 2, 0)
+    want = ref[:, 1:, active]
+    exact = scheme == "SemiImplicitEM"
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        scale = max(np.abs(want).max(initial=0.0), 1e-300)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
+    # numpy sums the rows of an n x M state one after another, so zero rows
+    # change nothing; a single column (M = 1) it sums pairwise, and there the
+    # zero rows regroup the sum
+    for value, expected in ((stats.member_l2_sq, l2), (stats.mean_h1_sq, h1.mean(axis=0))):
+        if exact and M > 1:
+            assert np.array_equal(value, expected)
+        else:
+            assert np.allclose(value, expected, rtol=1e-13, atol=0)
+    for cov, states in zip(stats.member_covariances, ref[:, 1:]):
+        expected = np.cov(states.T) if active.size else np.zeros((table.size,) * 2)
+        assert np.allclose(cov, expected, rtol=0, atol=1e-12 * max(np.abs(expected).max(), 1.0))
+
+
+def test_exact_gaussian_on_an_unforced_block_is_the_semigroup():
+    # f0 on the (1, 0) block of the sin y shear, forcing on the (0, 1)
+    # singleton only: on that block every member follows exp(t_j A) f0
+    N, nu, dt = 4, 0.2, 0.25
+    flow, noise = sin_shear(), single_mode_noise(N)
+    f0 = make_field(N, [((1, 0), "cos", 1.0), ((1, 1), "sin", -0.4)])
+    A = generator(flow, nu, N)
+    block = next(idx for idx in invariant_blocks(A) if f0.coeffs[idx].any())
+    assert not noise.amps[block].any()
+    table = mode_table(N)
+    keys = [((int(table.k1[i]), int(table.k2[i])), "cos" if table.parity[i] == 0 else "sin")
+            for i in block]
+    cfg = SimConfig(flow=flow, nu=nu, noise=noise, scheme="ExactGaussian", dt=dt,
+                    horizon=20 * dt, burn_in=0.0, ensemble=2, seed=1)
+    stats = simulate(cfg, f0, track_coefficients=tuple(keys))
+    paths = np.array([stats.tracked_samples[key].reshape(2, -1) for key in keys])
+    for j, t in enumerate(stats.times):
+        want = semigroup_apply(A, t, f0).coeffs[block]
+        for m in range(2):
+            assert np.abs(paths[:, m, j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_member_covariances_are_canonically_indexed():
+    # u = 0 forced on sin(x + y) only: the one active row is not row 0, and
+    # the member covariances hold its variance psi^2 / (2 |k|^2) there
+    N = 3
+    noise = NoiseSpec.from_modes(N, [((1, 1), "sin", 1.0)])
+    i = mode_table(N).index[(1, 1, "sin")]
+    assert i != 0
+    cfg = SimConfig(flow=None, nu=0.2, noise=noise, scheme="ExactGaussian", dt=0.5,
+                    horizon=200.0, burn_in=20.0, ensemble=8, seed=4)
+    stats = simulate(cfg, make_field(N, []))
+    assert stats.active.tolist() == [i]
+    covs = stats.member_covariances
+    for cov in covs:
+        assert cov.shape == (mode_table(N).size,) * 2
+        assert np.flatnonzero(cov).tolist() == [i * cov.shape[0] + i]
+    entries = np.array([cov[i, i] for cov in covs])
+    assert abs(entries.mean() - 0.25) <= 3.0 * entries.std(ddof=1) / math.sqrt(len(entries))
+    assert np.array_equal(empirical_covariance(stats).matrix != 0, covs[0] != 0)
