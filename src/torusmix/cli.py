@@ -44,8 +44,8 @@ from .covariance import (
 )
 from .fields import FourierField, format_record, make_field, mode_table, parse_record
 from .flows import Flow, ShearProfile, make_cellular, make_shear
-from .operators import (DENSE_CAP, _sector_bounds, advection_matrix, generator, invariant_blocks,
-                        semigroup_norm)
+from .operators import (DENSE_CAP, _one_blas_pool, _sector_bounds, advection_matrix, generator,
+                        invariant_blocks, semigroup_norm)
 from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
 from .spectral import _streamline_projector, h1_growth_average, spectrum
 
@@ -513,20 +513,21 @@ def run(spec: ExperimentSpec, seed_override=None) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     _write_manifest(spec, outdir, seed_override)
-    if spec.experiment == "covariance-ladder":
-        _run_covariance_ladder(spec, outdir)
-    elif spec.experiment == "simulate":
-        _run_simulate(spec, outdir, seed_override)
-    elif spec.experiment == "spectrum":
-        _run_spectrum(spec, outdir)
-    elif spec.experiment == "growth":
-        _run_growth(spec, outdir)
-    elif spec.experiment == "dissipation-probe":
-        _run_dissipation_probe(spec, outdir)
-    elif spec.experiment == "cellular-support":
-        _run_cellular_support(spec, outdir)
-    else:  # pragma: no cover - parse_spec guards this
-        raise ConfigError([f"experiment.type: unknown {spec.experiment!r}"])
+    with _one_blas_pool():
+        if spec.experiment == "covariance-ladder":
+            _run_covariance_ladder(spec, outdir)
+        elif spec.experiment == "simulate":
+            _run_simulate(spec, outdir, seed_override)
+        elif spec.experiment == "spectrum":
+            _run_spectrum(spec, outdir)
+        elif spec.experiment == "growth":
+            _run_growth(spec, outdir)
+        elif spec.experiment == "dissipation-probe":
+            _run_dissipation_probe(spec, outdir)
+        elif spec.experiment == "cellular-support":
+            _run_cellular_support(spec, outdir)
+        else:  # pragma: no cover - parse_spec guards this
+            raise ConfigError([f"experiment.type: unknown {spec.experiment!r}"])
     finished = time.time()
     (outdir / "timestamps.txt").write_text(
         f"started_unix = {started:.3f}\nfinished_unix = {finished:.3f}\n"

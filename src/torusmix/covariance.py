@@ -16,8 +16,8 @@ with a recursive blocked (level-3) solve of the triangular equation.
 Its finite-time part has one routine, :func:`gaussian_increment_covariance`
 (Van Loan's block exponential plus doubling, per invariant block): the exact
 Gaussian sampler takes its increment from the same per-block step, on the
-blocks it steps, and :func:`covariance_by_quadrature` is an oracle
-independent of Bartels-Stewart.
+blocks it steps, and :func:`covariance_by_quadrature`, an oracle
+independent of Bartels-Stewart, on the forced blocks.
 The x-averaged (k1 = 0) block of the shear dynamics is exactly a bank of
 scalar OU processes, giving the closed-form diagonal limit
 :func:`shear_limit_covariance` with entries psi^2 / (2 j^2) on the (0, j)
@@ -373,8 +373,10 @@ def covariance_by_quadrature(
 ) -> CovarianceOperator:
     """nu * int_0^T exp(tA) Psi Psi^T exp(tA)^T dt, the oracle for the Lyapunov solve.
 
-    Evaluated by :func:`gaussian_increment_covariance` in closed form up to
-    round-off: ``h`` bounds the step T / 2^k of its Van Loan exponential
+    Evaluated per forced invariant block by the Van Loan step of
+    :func:`gaussian_increment_covariance`, in closed form up to round-off
+    (S(T) vanishes off the forced blocks, which are not exponentiated):
+    ``h`` bounds the step T / 2^k of the Van Loan exponential
     (``meta['h']``; a block with strong dissipation takes a shorter one),
     not a quadrature error.  The only approximation is the neglected tail,
     bounded by exp(-2 nu lambda_1 T) * nu ||Psi||^2 / (2 nu lambda_1) and
@@ -384,11 +386,14 @@ def covariance_by_quadrature(
     nu = A.nu or 0.0
     if nu <= 0.0:
         raise ValueError("covariance quadrature requires nu > 0")
-    _, S = gaussian_increment_covariance(A, noise, T, h)
+    _check_generator(A, noise)
+    psi2 = noise.amps**2
+    blocks = [(idx, nu * _increment_block(_dense(A.matrix, idx), psi2[idx], T, h)[1])
+              for idx in invariant_blocks(A) if psi2[idx].any()]
     h_eff = T / 2 ** _doublings(T, h)
     tail = math.exp(-2.0 * nu * T) * noise.total_intensity / 2.0    # lambda_1 = 1
     return CovarianceOperator(
-        A.N, BlockDiagonal(S.n, [(idx, nu * Sb) for idx, Sb in S.blocks]),
+        A.N, BlockDiagonal(A.shape[0], blocks),
         provenance=f"quadrature(nu={nu:g},T={T:g},h={h_eff:g})",
         meta={"nu": nu, "T": T, "h": h_eff, "tail_bound": tail},
     )

@@ -80,10 +80,14 @@ as the blocks a computation makes dense fit under the cap.
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -255,6 +259,61 @@ def _dense(matrix, idx=None) -> np.ndarray:
     return (matrix if idx is None else matrix[np.ix_(idx, idx)]).toarray()
 
 
+def _openblas_threads(package: str):
+    """(library path, get, set) of the thread count of the OpenBLAS that the
+    ``package`` wheel bundles in ``<package>.libs``, or None (internal)."""
+    root = Path(importlib.import_module(package).__file__).resolve().parent.parent
+    for path in sorted((root / f"{package}.libs").glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return path, get, put
+    return None
+
+
+@lru_cache(maxsize=None)
+def _numpy_blas_pool():
+    """(get, set) of numpy's thread count when numpy and scipy each bundle an
+    OpenBLAS, else None: one shared BLAS, or not an OpenBLAS found (internal)."""
+    numpy_pool, scipy_pool = _openblas_threads("numpy"), _openblas_threads("scipy")
+    if numpy_pool is None or scipy_pool is None or numpy_pool[0] == scipy_pool[0]:
+        return None
+    return numpy_pool[1:]
+
+
+@contextmanager
+def _one_blas_pool():
+    """Run numpy's bundled OpenBLAS on one thread for the scope (internal).
+
+    The numpy and scipy wheels each bundle an OpenBLAS with its own pool of
+    busy-waiting threads, and the code here alternates between them (numpy
+    ``@`` and ``eigh``, scipy ``schur``, ``dtrsyl`` and ``expm``), so two
+    pools oversubscribe the cores.  At the block sizes solved here (hundreds
+    of rows) a second numpy thread costs more in contention than it gains,
+    so numpy's pool is capped at one thread and scipy's keeps its count.  Numpy's count is restored on exit,
+    after an exception too; the libraries are looked up on first entry.
+    The count is process-wide, so scopes that overlap in two Python threads
+    may restore it out of order.  Without two bundled OpenBLAS pools this
+    does nothing.
+    """
+    pool = _numpy_blas_pool()
+    if pool is None:
+        yield
+        return
+    get, put = pool
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 # ---------------------------------------------------------------------------
 # Block structure
 # ---------------------------------------------------------------------------
@@ -342,7 +401,9 @@ class BlockDiagonal:
         """(idx, eigenvalues ascending, eigenvectors) of each block, in block order.
 
         numpy's ``eigh`` (LAPACK syevd): on a single block over all indices
-        it returns the eigenvectors a dense ``np.linalg.eigh`` would.
+        it returns the eigenvectors a dense ``np.linalg.eigh`` would on the
+        same BLAS thread count.  Under ``torusmix run`` that is numpy's pool
+        capped at one thread (``_one_blas_pool``).
         """
         return [(idx, *np.linalg.eigh(block)) for idx, block in self.blocks]
 

@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from torusmix import default_cellular_flow, sin_shear
+from torusmix.operators import _one_blas_pool
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_pool():
+    """The suite computes on the BLAS threads of ``torusmix run``."""
+    with _one_blas_pool():
+        yield
 
 
 @pytest.fixture

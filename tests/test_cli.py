@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from torusmix import cli
 from torusmix import (CovarianceOperator, FourierField, default_cellular_flow, generator,
                       lyapunov_covariance, mode_table, read_covariance, streamline_projection)
 from torusmix.cli import (ConfigError, _streamline_deviations, _top_eigenspace, main,
                           parse_spec)
+from torusmix.operators import _numpy_blas_pool
 from torusmix.spectral import _streamline_projector
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -390,6 +392,23 @@ N = 6
     assert len(lines) == 1 + (2 * 6 + 1) ** 2 - 1
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0] == "kernel_dim,dimension"
+
+
+def test_run_computes_on_one_numpy_blas_thread(tmp_path, monkeypatch):
+    if _numpy_blas_pool() is None:
+        pytest.skip("numpy and scipy do not each bundle an OpenBLAS")
+    get, put = _numpy_blas_pool()
+    seen = []
+    monkeypatch.setattr(cli, "_run_spectrum", lambda spec, outdir: seen.append(get()))
+    cfg = write_config(tmp_path, f"[experiment]\ntype = spectrum\nN = 2\n{CELL_FLOW}")
+    before = get()
+    put(2)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1]
 
 
 def test_growth_experiment_matches_closed_form(tmp_path):

@@ -8,6 +8,7 @@ from scipy.linalg.lapack import dtrsyl
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from torusmix import covariance
 from torusmix import (
     CovarianceOperator,
     NoiseSpec,
@@ -29,7 +30,7 @@ from torusmix import (
 from torusmix.covariance import (_LEAF, _split, _triangular_lyapunov, _triangular_sylvester,
                                  gaussian_increment_covariance)
 from torusmix.fields import random_field
-from torusmix.operators import BlockDiagonal, _symmetry_sectors
+from torusmix.operators import BlockDiagonal, _symmetry_sectors, invariant_blocks
 
 from strategies import dihedral_flows, random_flows, symmetric_flows
 
@@ -259,6 +260,27 @@ def test_quadrature_zero_noise(shear):
     noise = NoiseSpec(4, np.zeros(mode_table(4).size))
     Q = covariance_by_quadrature(generator(shear, 0.5, 4), noise, T=10.0, h=0.01)
     assert np.all(Q.matrix == 0.0)
+
+
+def test_quadrature_exponentiates_the_forced_blocks_only(shear, monkeypatch):
+    # S(T) vanishes off the forced blocks: the oracle runs one Van Loan step
+    # per forced invariant block and stores nothing else
+    N = 6
+    noise = unit_noise(N, [((0, 1), "cos", 1.0), ((1, 1), "cos", 1.0), ((2, 3), "sin", 0.5)])
+    A = generator(shear, 0.5, N)
+    forced = [idx for idx in invariant_blocks(A) if noise.amps[idx].any()]
+    assert 1 < len(forced) < len(invariant_blocks(A))
+    sizes = []
+    step = covariance._increment_block
+
+    def counted(a, psi2, t, h=None):
+        sizes.append(len(a))
+        return step(a, psi2, t, h)
+
+    monkeypatch.setattr(covariance, "_increment_block", counted)
+    Q = covariance_by_quadrature(A, noise, T=20.0, h=0.01)
+    assert sizes == [len(idx) for idx in forced]
+    assert [idx.tolist() for idx, _ in Q.blocks.blocks] == [idx.tolist() for idx in forced]
 
 
 def test_quadrature_agrees_with_lyapunov_mixed_forcing(shear):

@@ -1,5 +1,7 @@
+import importlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from torusmix import (
     sobolev_norm,
     write_operator_triplets,
 )
+from torusmix import operators
 from torusmix.fields import random_field
-from torusmix.operators import (BlockDiagonal, _dense_norm, _krylov_norm, _sector_bounds,
+from torusmix.operators import (BlockDiagonal, _dense_norm, _krylov_norm, _numpy_blas_pool,
+                                _one_blas_pool, _openblas_threads, _sector_bounds,
                                 _symmetry_sectors)
 
 from strategies import dihedral_flows, random_flows, symmetric_flows
@@ -447,3 +451,78 @@ def test_triplet_export_round_trip(shear):
         i, j, v = line.split()
         M[int(i), int(j)] = float(v)
     assert np.array_equal(M, op.dense())
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+
+def _bundled_pools():
+    """(numpy get, numpy set, scipy get, scipy set), or skip without two pools."""
+    if _numpy_blas_pool() is None:
+        pytest.skip("numpy and scipy do not each bundle an OpenBLAS")
+    return (*_openblas_threads("numpy")[1:], *_openblas_threads("scipy")[1:])
+
+
+@pytest.fixture
+def two_threads():
+    """Both pools at two threads for the test, then back to their counts."""
+    get, put, scipy_get, scipy_put = _bundled_pools()
+    before = get(), scipy_get()
+    put(2)
+    scipy_put(2)
+    yield get, scipy_get
+    put(before[0])
+    scipy_put(before[1])
+
+
+def test_one_blas_pool_caps_numpy_and_leaves_scipy(two_threads):
+    get, scipy_get = two_threads
+    with _one_blas_pool():
+        assert get() == 1
+        assert scipy_get() == 2
+
+
+def test_one_blas_pool_restores_numpy_count(two_threads):
+    get, _ = two_threads
+    with _one_blas_pool():
+        pass
+    assert get() == 2
+    with pytest.raises(ZeroDivisionError):
+        with _one_blas_pool():
+            1 / 0
+    assert get() == 2
+    with _one_blas_pool():
+        with _one_blas_pool():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+
+
+@pytest.mark.parametrize("missing", ["shared", "numpy", "scipy"])
+def test_one_blas_pool_without_two_pools_is_a_noop(monkeypatch, missing):
+    # one BLAS for both packages, or no OpenBLAS symbols found in one
+    calls = []
+    found = (Path("libopenblas.so"), lambda: 2, calls.append)
+    monkeypatch.setattr(operators, "_openblas_threads",
+                        lambda package: None if package == missing else found)
+    _numpy_blas_pool.cache_clear()
+    try:
+        assert _numpy_blas_pool() is None
+        with _one_blas_pool():
+            pass
+    finally:
+        _numpy_blas_pool.cache_clear()
+    assert calls == []
+
+
+@pytest.mark.parametrize("package", ["numpy", "scipy"])
+def test_blas_lookup_finds_every_bundled_openblas(package):
+    # a symbol renamed in a future wheel must fail here, not switch the cap off
+    root = Path(importlib.import_module(package).__file__).resolve().parent.parent
+    if not any((root / f"{package}.libs").glob("*openblas*.so*")):
+        pytest.skip(f"{package} bundles no OpenBLAS")
+    path, get, _ = _openblas_threads(package)
+    assert path.parent.name == f"{package}.libs"
+    assert get() >= 1
