@@ -10,6 +10,13 @@ the same ``k1 k2 cos|sin amplitude`` records as the field serialization
 format, one per line.  See the annotated examples under ``configs/`` and the
 schema section of the README.
 
+One table, ``EXPERIMENTS``, declares each experiment type once: the config
+sections it needs, the keys of its own section (parser, and default or
+required) and its runner.  ``parse_spec`` reads every key through it and
+then runs the checks that span keys, so ``validate`` and ``run`` reject the
+same inputs; ``run`` looks the runner up there.  Every number passes one
+parser that rejects non-finite values.
+
 Every run writes its result CSVs plus ``manifest.txt`` (the fully resolved
 config, seed, code version and RNG algorithm -- enough to reproduce the run)
 and ``timestamps.txt`` (wall-clock bookkeeping, kept separate so result
@@ -28,35 +35,20 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .covariance import (
-    NoiseSpec,
-    block_operator_norm,
-    covariance_distance,
-    eigenvalue_summary,
-    h1_trace,
-    lyapunov_covariance,
-    shear_limit_covariance,
-    write_covariance,
-)
-from .fields import FourierField, format_record, make_field, mode_table, parse_record
+from .covariance import (NoiseSpec, block_operator_norm, covariance_distance, eigenvalue_summary,
+                         h1_trace, lyapunov_covariance, shear_limit_covariance, write_covariance)
+from .fields import (FourierField, _write_csv, format_record, make_field, mode_table,
+                     parse_record)
 from .flows import Flow, ShearProfile, make_cellular, make_shear
 from .operators import (DENSE_CAP, _one_blas_pool, _sector_bounds, advection_matrix, generator,
                         invariant_blocks, semigroup_norm)
 from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
 from .spectral import _streamline_projector, h1_growth_average, spectrum
-
-EXPERIMENTS = (
-    "covariance-ladder",
-    "simulate",
-    "spectrum",
-    "growth",
-    "dissipation-probe",
-    "cellular-support",
-)
 
 
 class ConfigError(ValueError):
@@ -85,31 +77,105 @@ class ExperimentSpec:
         return (2 * self.N + 1) ** 2 - 1
 
 
+_NO_DEFAULT = object()   # the default of a required key
+
+
+class _Key(NamedTuple):
+    """One config key: ``parse(text, N)`` gives its value or raises ValueError."""
+
+    key: str
+    parse: Callable
+    default: object = _NO_DEFAULT   # a value, a function of N, or _NO_DEFAULT
+    param: str | None = None        # its name in ``ExperimentSpec.params``; ``key`` if None
+
+
+class _Experiment(NamedTuple):
+    """One experiment type: the sections it needs, the keys of its own section, its runner."""
+
+    sections: tuple
+    keys: tuple
+    run: Callable   # run(spec, outdir)
+
+
+def _number(text: str, N=None, conv=float):
+    """``conv(text)``, which must be a finite number: the one parser of config numbers."""
+    try:
+        value = conv(text)
+    except ValueError:
+        raise ValueError(f"bad value {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"bad value {text!r}: not a finite number")
+    return value
+
+
+def _integer(text: str, N) -> int:
+    return _number(text, conv=int)
+
+
+def _order(text: str, N) -> int:
+    value = _integer(text, N)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive(text: str, N) -> float:
+    value = _number(text)
+    if value <= 0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return value
+
+
+def _positives(text: str, N) -> list:
+    values = [_positive(v, N) for v in text.split()]
+    if not values:
+        raise ValueError("missing list of numbers")
+    return values
+
+
+def _viscosities(text: str, N) -> list:
+    values = [_number(v) for v in text.split()]
+    if not values or min(values) <= 0:
+        raise ValueError(f"requires nu > 0, got {text!r} (at nu = 0 there is no stationary "
+                         "covariance and no time tau/nu)")
+    return values
+
+
+_GROWTH_METHODS = ("auto", "shear-exact", "truncated-exponential")
+
+
+def _method(text: str, N) -> str:
+    if text not in _GROWTH_METHODS:
+        raise ValueError(f"got {text!r}, want one of {', '.join(_GROWTH_METHODS)}")
+    return text
+
+
 def _parse_records(text: str):
     return [parse_record(line) for line in text.splitlines() if line.strip()]
 
 
-def _get_scalar(cfg, section: str, key: str, conv, problems: list,
-                fallback=None, required: bool = False):
-    """``conv`` of one config value; a missing or malformed value goes to ``problems``."""
-    raw = cfg.get(section, key, fallback=None)
-    if raw is None:
-        if required:
-            problems.append(f"{section}.{key}: missing")
-        return fallback
-    try:
-        return conv(raw)
-    except ValueError:
-        problems.append(f"{section}.{key}: bad value {raw!r}")
-        return fallback
+def _field(text: str, N) -> FourierField:
+    return make_field(N, _parse_records(text))
 
 
-def _parse_floats(text: str, name: str, problems: list) -> list:
+def _nonzero_field(text: str, N) -> FourierField:
+    f0 = _field(text, N)
+    if not np.any(f0.coeffs):
+        raise ValueError("zero initial datum rejected")
+    return f0
+
+
+def _read(cfg, section: str, key: _Key, N, problems: list):
+    """The parsed value of ``key`` in ``section``, or its default; None after a problem."""
+    text = cfg.get(section, key.key, fallback=None)
     try:
-        return [float(v) for v in text.split()]
-    except ValueError:
-        problems.append(f"{name}: expected whitespace-separated numbers, got {text!r}")
-        return []
+        if text is not None:
+            return key.parse(text, N)
+        if key.default is _NO_DEFAULT:
+            raise ValueError("missing")
+        return key.default(N) if callable(key.default) else key.default
+    except ValueError as exc:
+        problems.append(f"{section}.{key.key}: {exc}")
 
 
 def _build_flow(cfg: configparser.ConfigParser, N: int, problems: list) -> Flow | None:
@@ -140,9 +206,10 @@ def _build_flow(cfg: configparser.ConfigParser, N: int, problems: list) -> Flow 
             )
             return make_shear(profile)
         if kind in ("cellular", "custom"):   # 'custom' is the older name
-            psi_N = _get_scalar(cfg, "flow", "streamfunction_N", int, problems, N)
-            entries = _parse_records(cfg.get("flow", "streamfunction", fallback=""))
-            return make_cellular(make_field(psi_N, entries))
+            psi_N = _read(cfg, "flow", _Key("streamfunction_N", _order, N), N, problems)
+            if psi_N is None:
+                return None
+            return make_cellular(_field(cfg.get("flow", "streamfunction", fallback=""), psi_N))
     except (ValueError, KeyError) as exc:
         problems.append(f"flow: {exc}")
         return None
@@ -150,29 +217,12 @@ def _build_flow(cfg: configparser.ConfigParser, N: int, problems: list) -> Flow 
     return None
 
 
-def _build_noise(cfg, N: int, problems: list) -> NoiseSpec | None:
-    if not cfg.has_section("noise"):
-        return None
-    try:
-        entries = _parse_records(cfg.get("noise", "modes", fallback=""))
-        return NoiseSpec.from_modes(N, entries)
-    except ValueError as exc:
-        problems.append(f"noise: {exc}")
-        return None
-
-
-_REQUIRED = {
-    "covariance-ladder": ("flow", "noise", "nu_ladder"),
-    "simulate": ("noise", "nu", "dt", "horizon", "ensemble", "seed"),
-    "spectrum": ("flow",),
-    "growth": ("flow", "f0", "T"),
-    "dissipation-probe": ("flow", "tau", "nu_ladder"),
-    "cellular-support": ("flow", "noise", "nu_ladder"),
-}
-
-
 def parse_spec(path) -> ExperimentSpec:
-    """Parse + validate a config file; raises ConfigError listing every violation."""
+    """Parse + validate a config file; raises ConfigError listing every violation.
+
+    The keys of the experiment's own section are read through its entry in
+    ``EXPERIMENTS``; the checks that span keys follow.
+    """
     cfg = configparser.ConfigParser(interpolation=None)
     try:
         read = cfg.read(path)
@@ -180,128 +230,64 @@ def parse_spec(path) -> ExperimentSpec:
         raise ConfigError([f"{exc.section}.{exc.option}: repeated key (line {exc.lineno})"])
     except configparser.Error as exc:
         raise ConfigError([f"config: {exc}"])
-    problems: list = []
-    warnings: list = []
+    problems, warnings = [], []
     if not read:
         raise ConfigError([f"config file {path!r} not found or unreadable"])
     if not cfg.has_section("experiment"):
         raise ConfigError(["experiment: section missing"])
     experiment = cfg.get("experiment", "type", fallback=None)
     if experiment not in EXPERIMENTS:
-        problems.append(
-            f"experiment.type: got {experiment!r}, want one of {', '.join(EXPERIMENTS)}"
-        )
-    N = _get_scalar(cfg, "experiment", "N", int, problems, required=True)
-    if N is not None and N < 1:
-        problems.append(f"experiment.N: must be >= 1, got {N}")
-        N = None
+        problems.append(f"experiment.type: got {experiment!r}, "
+                        f"want one of {', '.join(EXPERIMENTS)}")
+    N = _read(cfg, "experiment", _Key("N", _order), None, problems)
     if N is None or experiment not in EXPERIMENTS:
         raise ConfigError(problems)
+    entry = EXPERIMENTS[experiment]
 
     flow = _build_flow(cfg, N, problems)
-    noise = _build_noise(cfg, N, problems)
-    section = experiment
-    params: dict = {}
-    sim_config = None
-
-    def need(key: str):
-        return key in _REQUIRED[experiment]
-
-    if need("flow") and flow is None and not problems:
+    noise = None
+    if cfg.has_section("noise"):
+        try:
+            noise = NoiseSpec.from_modes(N, _parse_records(cfg.get("noise", "modes", fallback="")))
+        except ValueError as exc:
+            problems.append(f"noise: {exc}")
+    if "flow" in entry.sections and flow is None and not problems:
         problems.append("flow: this experiment requires a nonzero flow")
-    if need("noise") and noise is None:
+    if "noise" in entry.sections and not cfg.has_section("noise"):
         problems.append("noise: section with forcing modes required")
-    if noise is not None and noise.total_intensity == 0.0 and need("noise"):
+    if "noise" in entry.sections and noise is not None and noise.total_intensity == 0.0:
         warnings.append("noise: zero total intensity (degenerate experiment)")
 
-    getf = lambda key, fb=None: cfg.get(section, key, fallback=fb)
-    scalar = lambda key, conv, fb=None, required=False: _get_scalar(
-        cfg, section, key, conv, problems, fb, required)
+    params = {key.param or key.key: _read(cfg, experiment, key, N, problems)
+              for key in entry.keys}
+    known = {key.key.lower() for key in entry.keys}   # configparser stores T as t
+    if cfg.has_section(experiment):
+        warnings += [f"{experiment}.{key}: unknown key, ignored"
+                     for key in cfg.options(experiment) if key not in known]
 
-    if need("nu_ladder"):
-        text = getf("nu", "")
-        ladder = _parse_floats(text, f"{section}.nu", problems) if text else []
-        if not text:
-            problems.append(f"{section}.nu: missing viscosity ladder")
-        if experiment in ("covariance-ladder", "cellular-support") and any(
-            v <= 0 for v in ladder
-        ):
-            problems.append(f"{section}.nu: requires nu > 0 (no stationary covariance at nu = 0)")
-        if experiment == "dissipation-probe" and any(v <= 0 for v in ladder):
-            problems.append(f"{section}.nu: requires nu > 0")
-        params["nu_ladder"] = ladder
-
-    if experiment == "simulate":
-        for key, conv in (("nu", float), ("dt", float), ("horizon", float),
-                          ("ensemble", int), ("seed", int)):
-            value = scalar(key, conv, required=True)
-            if value is not None:
-                params[key] = value
-        # omitted: five e-folds of the slowest heat rate, 5/(nu lambda_1)
-        params["burn_in"] = scalar("burn_in", float)
-        params["s"] = scalar("s", float, 1.0)
-        params["scheme"] = getf("scheme", "SemiImplicitEM")
-        f0_text = getf("f0", "")
-        try:
-            params["f0"] = make_field(N, _parse_records(f0_text))
-        except ValueError as exc:
-            problems.append(f"{section}.f0: {exc}")
-        if not problems:
-            try:
-                sim_config = SimConfig(
-                    flow=flow, noise=noise,
-                    **{key: params[key] for key in ("nu", "scheme", "dt", "horizon",
-                                                    "burn_in", "ensemble", "seed", "s")},
-                )
-            except ValueError as exc:
-                problems.append(f"{section}: {exc}")
-
-    if experiment == "growth":
-        text = getf("T", "")
-        if not text:
-            problems.append(f"{section}.T: missing list of horizons")
-        params["T"] = _parse_floats(text, f"{section}.T", problems)
-        if any(v <= 0 for v in params.get("T", [])):
-            problems.append(f"{section}.T: horizons must be positive")
-        params["method"] = getf("method", "auto")
-        params["h"] = scalar("h", float)
-        try:
-            params["f0"] = make_field(N, _parse_records(getf("f0", "")))
-            if not np.any(params["f0"].coeffs):
-                problems.append(f"{section}.f0: zero initial datum rejected")
-        except ValueError as exc:
-            problems.append(f"{section}.f0: {exc}")
-
-    if experiment == "dissipation-probe":
-        tau = scalar("tau", float, required=True)
-        if tau is not None:
-            params["tau"] = tau
-            if tau <= 0:
-                problems.append(f"{section}.tau: must be positive")
-
-    if experiment == "cellular-support":
-        params["bins"] = scalar("bins", int, 64)
-        params["grid"] = scalar("grid", int, max(256, 4 * N))
-        if params["bins"] < 2:
-            problems.append(f"{section}.bins: need at least 2")
-        if params["grid"] < 4 * N:
-            problems.append(f"{section}.grid: need grid >= 4 N = {4 * N}")
-        if flow is not None and flow.streamfunction is None:
-            problems.append("flow: cellular-support requires a cellular flow")
-
+    grid, bins = params.get("grid"), params.get("bins")
+    if grid is not None and grid < 4 * N:
+        problems.append(f"{experiment}.grid: need grid >= 4 N = {4 * N}")
+    if grid is not None and bins is not None and not 2 <= bins <= grid * grid:
+        problems.append(f"{experiment}.bins: need 2 <= bins <= grid^2 = {grid * grid}")
+    if experiment == "cellular-support" and flow is not None and flow.streamfunction is None:
+        problems.append("flow: cellular-support requires a cellular flow")
+    if params.get("method") == "shear-exact" and flow is not None and flow.kind != "shear":
+        problems.append(f"{experiment}.method: shear-exact requires a shear flow")
     if flow is not None and flow.max_wavenumber > 2 * N:
-        problems.append(
-            f"flow: velocity support {flow.max_wavenumber} exceeds 2 N = {2 * N}"
-        )
-
+        problems.append(f"flow: velocity support {flow.max_wavenumber} exceeds 2 N = {2 * N}")
+    sim_config = None
+    if experiment == "simulate" and not problems:
+        try:
+            sim_config = SimConfig(flow=flow, noise=noise,
+                                   **{k: v for k, v in params.items() if k != "f0"})
+        except ValueError as exc:
+            problems.append(f"{experiment}: {exc}")
     if problems:
         raise ConfigError(problems)
-
     out = Path(cfg.get("experiment", "out", fallback="torusmix-out"))
-    return ExperimentSpec(
-        experiment=experiment, N=N, flow=flow, noise=noise, params=params,
-        out=out, sim_config=sim_config, warnings=warnings,
-    )
+    return ExperimentSpec(experiment=experiment, N=N, flow=flow, noise=noise, params=params,
+                          out=out, sim_config=sim_config, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +345,8 @@ def _write_manifest(spec: ExperimentSpec, outdir: Path, seed_override) -> None:
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _write_eigs_csv(path: Path, Q) -> None:
-    eigs = eigenvalue_summary(Q)
-    _write_csv(path, ["index", "eigenvalue"], list(enumerate(eigs)))
+    _write_csv(path, ["index", "eigenvalue"], enumerate(eigenvalue_summary(Q)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +371,8 @@ def _run_covariance_ladder(spec: ExperimentSpec, outdir: Path) -> None:
                ["nu", "h1_trace", "offblock_norm", "dist_to_Q0"], rows)
 
 
-def _run_simulate(spec: ExperimentSpec, outdir: Path, seed_override) -> None:
-    config = spec.sim_config
-    if seed_override is not None:
-        config = dataclasses.replace(config, seed=seed_override)
-    stats = simulate(config, spec.params["f0"])
+def _run_simulate(spec: ExperimentSpec, outdir: Path) -> None:
+    stats = simulate(spec.sim_config, spec.params["f0"])
     stats.write_csv(outdir / "stats.csv")
     Q = empirical_covariance(stats)
     write_covariance(Q, outdir / "empirical_covariance.txt")
@@ -504,6 +479,36 @@ def _run_cellular_support(spec: ExperimentSpec, outdir: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The experiment table
+# ---------------------------------------------------------------------------
+
+_NU_LADDER = _Key("nu", _viscosities, param="nu_ladder")
+
+# Range and choice rules live here only where no library constructor checks
+# them: SimConfig checks nu >= 0, dt, horizon, burn_in, ensemble, scheme and s.
+EXPERIMENTS = {
+    "covariance-ladder": _Experiment(("flow", "noise"), (_NU_LADDER,), _run_covariance_ladder),
+    "simulate": _Experiment(("noise",), (
+        _Key("nu", _number), _Key("dt", _number), _Key("horizon", _number),
+        # omitted: five e-folds of the slowest heat rate, 5/(nu lambda_1)
+        _Key("burn_in", _number, None),
+        _Key("ensemble", _integer), _Key("seed", _integer), _Key("s", _number, 1.0),
+        _Key("scheme", lambda text, N: text, "SemiImplicitEM"), _Key("f0", _field, make_field),
+    ), _run_simulate),
+    "spectrum": _Experiment(("flow",), (), _run_spectrum),
+    "growth": _Experiment(("flow",), (
+        _Key("T", _positives), _Key("method", _method, "auto"), _Key("h", _positive, None),
+        _Key("f0", _nonzero_field),
+    ), _run_growth),
+    "dissipation-probe": _Experiment(("flow",), (_Key("tau", _positive), _NU_LADDER),
+                                     _run_dissipation_probe),
+    "cellular-support": _Experiment(("flow", "noise"), (
+        _NU_LADDER, _Key("bins", _integer, 64), _Key("grid", _integer, lambda N: max(256, 4 * N)),
+    ), _run_cellular_support),
+}
+
+
+# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
@@ -513,21 +518,11 @@ def run(spec: ExperimentSpec, seed_override=None) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     _write_manifest(spec, outdir, seed_override)
+    if seed_override is not None and spec.sim_config is not None:
+        spec = dataclasses.replace(
+            spec, sim_config=dataclasses.replace(spec.sim_config, seed=seed_override))
     with _one_blas_pool():
-        if spec.experiment == "covariance-ladder":
-            _run_covariance_ladder(spec, outdir)
-        elif spec.experiment == "simulate":
-            _run_simulate(spec, outdir, seed_override)
-        elif spec.experiment == "spectrum":
-            _run_spectrum(spec, outdir)
-        elif spec.experiment == "growth":
-            _run_growth(spec, outdir)
-        elif spec.experiment == "dissipation-probe":
-            _run_dissipation_probe(spec, outdir)
-        elif spec.experiment == "cellular-support":
-            _run_cellular_support(spec, outdir)
-        else:  # pragma: no cover - parse_spec guards this
-            raise ConfigError([f"experiment.type: unknown {spec.experiment!r}"])
+        EXPERIMENTS[spec.experiment].run(spec, outdir)
     finished = time.time()
     (outdir / "timestamps.txt").write_text(
         f"started_unix = {started:.3f}\nfinished_unix = {finished:.3f}\n"

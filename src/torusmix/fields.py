@@ -386,6 +386,14 @@ def _open_text(path_or_file, mode: str = "r"):
     return contextlib.nullcontext(path_or_file)
 
 
+def _write_csv(path_or_file, header: list, rows) -> None:
+    """A header line, then one line per row: floats as ``%.17g``, other values as ``str``."""
+    with _open_text(path_or_file, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def parse_record(line: str) -> tuple[Mode, str, float]:
     """Parse one 'k1 k2 parity amplitude' record (shared with CLI configs)."""
     parts = line.split()
@@ -394,7 +402,10 @@ def parse_record(line: str) -> tuple[Mode, str, float]:
     k1, k2, parity, amp = parts
     if parity not in PARITIES:
         raise ValueError(f"bad parity {parity!r} in record {line!r}")
-    return Mode(int(k1), int(k2)), parity, float(amp)
+    value = float(amp)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite amplitude in record {line!r}")
+    return Mode(int(k1), int(k2)), parity, value
 
 
 def format_record(table: ModeTable, i: int, amplitude: float) -> str:

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .covariance import CovarianceOperator, NoiseSpec, _increment_block
-from .fields import FourierField, _open_text, mode_table
+from .fields import FourierField, _write_csv, mode_table
 from .flows import Flow
 from .operators import (BlockDiagonal, _dense, advection_matrix, dissipation_matrix, generator,
                         invariant_blocks)
@@ -98,8 +98,10 @@ class SimConfig:
             raise ValueError("ensemble size must be >= 1")
         if self.scheme not in ("SemiImplicitEM", "ExactGaussian"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.nu < 0:
-            raise ValueError("nu must be >= 0")
+        if not 0 <= self.nu < math.inf:
+            raise ValueError("nu must be >= 0 and finite")
+        if not 0 < self.s < math.inf:
+            raise ValueError("s must be positive and finite")
         if self.burn_in is None:
             auto = 5.0 / self.nu if self.nu > 0 else 0.0
             auto = math.ceil(auto / self.dt - 1e-9) * self.dt
@@ -203,11 +205,8 @@ class TrajectoryStats:
                 for acc in self.member_accumulators]
 
     def write_csv(self, path_or_file) -> None:
-        with _open_text(path_or_file, "w") as fh:
-            fh.write("t,mean_l2_sq,mean_h1_sq,energy_residual\n")
-            for row in zip(self.times, self.mean_l2_sq, self.mean_h1_sq,
-                           self.residual_series):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_csv(path_or_file, ["t", "mean_l2_sq", "mean_h1_sq", "energy_residual"],
+                   zip(self.times, self.mean_l2_sq, self.mean_h1_sq, self.residual_series))
 
 
 def _factor_psd(sigma: np.ndarray) -> np.ndarray:

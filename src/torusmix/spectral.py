@@ -31,7 +31,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .fields import (
     FourierField,
-    _open_text,
+    _write_csv,
     complex_lattice,
     field_from_complex_lattice,
     field_from_grid,
@@ -76,10 +76,7 @@ class SpectrumReport:
         return _dense(self.eigenvectors)[:, self.order]
 
     def to_csv(self, path_or_file) -> None:
-        with _open_text(path_or_file, "w") as fh:
-            fh.write("index,lambda\n")
-            for i, lam in enumerate(self.frequencies):
-                fh.write(f"{i},{lam:.17g}\n")
+        _write_csv(path_or_file, ["index", "lambda"], enumerate(self.frequencies))
 
 
 @dataclass(frozen=True)
@@ -95,10 +92,7 @@ class GrowthCurve:
     h_effective: np.ndarray = field(default=None, repr=False)
 
     def to_csv(self, path_or_file) -> None:
-        with _open_text(path_or_file, "w") as fh:
-            fh.write("T,G\n")
-            for t, g in zip(self.times, self.values):
-                fh.write(f"{t:.17g},{g:.17g}\n")
+        _write_csv(path_or_file, ["T", "G"], zip(self.times, self.values))
 
 
 def spectrum(B: OperatorMatrix) -> SpectrumReport:
@@ -295,6 +289,11 @@ def _h1sq_series_truncated(flow: Flow, f0: FourierField, times: np.ndarray) -> n
     return np.einsum("ij,j->i", states**2, lam)
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _trapz_running_average(values: np.ndarray, h: float) -> float:
     total = np.trapezoid(values, dx=h)
     T = h * (len(values) - 1)
@@ -319,8 +318,10 @@ def h1_growth_average(
     if not np.any(f0.coeffs):
         raise ValueError("zero initial datum rejected")
     T_list = sorted(float(T) for T in T_list)
-    if any(T <= 0 for T in T_list):
-        raise ValueError("averaging horizons must be positive")
+    for T in T_list:
+        _require_positive("averaging horizon T", T)
+    if h is not None:
+        _require_positive("quadrature step h", h)
     if method == "auto":
         method = "shear-exact" if flow.kind == "shear" else "truncated-exponential"
     if method == "shear-exact" and flow.kind != "shear":
@@ -400,8 +401,9 @@ def low_mode_time_average(
     """
     if not np.any(f0.coeffs):
         raise ValueError("zero initial datum rejected")
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    _require_positive("horizon T", T)
+    if h is not None:
+        _require_positive("quadrature step h", h)
     g0 = f0 - invariant_projection(flow, f0, **(projection_kwargs or {}))
     step = h if h is not None else T / 2000.0
     num = int(math.ceil(T / step)) + 1

@@ -399,7 +399,8 @@ def test_run_computes_on_one_numpy_blas_thread(tmp_path, monkeypatch):
         pytest.skip("numpy and scipy do not each bundle an OpenBLAS")
     get, put = _numpy_blas_pool()
     seen = []
-    monkeypatch.setattr(cli, "_run_spectrum", lambda spec, outdir: seen.append(get()))
+    monkeypatch.setitem(cli.EXPERIMENTS, "spectrum", cli.EXPERIMENTS["spectrum"]._replace(
+        run=lambda spec, outdir: seen.append(get())))
     cfg = write_config(tmp_path, f"[experiment]\ntype = spectrum\nN = 2\n{CELL_FLOW}")
     before = get()
     put(2)
@@ -597,7 +598,7 @@ def test_manifest_records_flow_and_noise(tmp_path):
     assert "rng_algorithm" in manifest
 
 
-def _simulate_config(body):
+def _simulate_config(body, nu=0.1):
     return f"""
 [experiment]
 type = simulate
@@ -608,83 +609,90 @@ modes =
     0 1 cos 1.0
 
 [simulate]
-nu = 0.1
+nu = {nu}
 seed = 1
 burn_in = 0.0
 {body}
 """
 
 
-BAD_SCALARS = {
-    "growth.h": f"""
+def _growth_config(body, flow=SHEAR_FLOW):
+    return f"""
 [experiment]
 type = growth
 N = 6
-{SHEAR_FLOW}
+{flow}
 [growth]
-T = 1.0
-h = abc
 f0 =
     1 0 cos 1.0
-""",
-    "dissipation-probe.tau": f"""
+{body}
+"""
+
+
+def _probe_config(body):
+    return f"""
 [experiment]
 type = dissipation-probe
 N = 8
 {CELL_FLOW}
 [dissipation-probe]
-tau = abc
-nu = 0.5
-""",
+{body}
+"""
+
+
+def _forced_config(experiment, body):
+    return f"""
+[experiment]
+type = {experiment}
+N = 8
+{CELL_FLOW}
+[noise]
+modes =
+    0 1 cos 1.0
+
+[{experiment}]
+{body}
+"""
+
+
+# keyed by the field each message must name, then " = <the bad value>"
+# where one field has several
+BAD_SCALARS = {
+    "growth.h": _growth_config("T = 1.0\nh = abc"),
+    "growth.h = 0": _growth_config("T = 1.0\nh = 0"),
+    "growth.h = -1": _growth_config("T = 1.0\nh = -1"),
+    "growth.h = nan": _growth_config("T = 1.0\nh = nan"),
+    "growth.T = inf": _growth_config("T = 1.0 inf\nh = 0.01"),
+    "growth.method = foo": _growth_config("T = 1.0\nmethod = foo"),
+    "growth.method = shear-exact": _growth_config("T = 1.0\nmethod = shear-exact", CELL_FLOW),
+    "dissipation-probe.tau": _probe_config("tau = abc\nnu = 0.5"),
+    "dissipation-probe.tau = nan": _probe_config("tau = nan\nnu = 0.5"),
+    "dissipation-probe.nu = inf": _probe_config("tau = 1.0\nnu = 0.5 inf"),
+    "covariance-ladder.nu = nan": _forced_config("covariance-ladder", "nu = 0.1 nan"),
+    "covariance-ladder.nu = inf": _forced_config("covariance-ladder", "nu = inf 0.1"),
+    "cellular-support.nu = nan": _forced_config("cellular-support", "nu = nan"),
+    "cellular-support.nu = inf": _forced_config("cellular-support", "nu = inf"),
+    "cellular-support.bins = 2000": _forced_config("cellular-support",
+                                                   "nu = 0.1\nbins = 2000\ngrid = 32"),
+    "noise = nan": _forced_config("covariance-ladder", "nu = 0.1").replace("cos 1.0", "cos nan"),
+    "simulate.nu = nan": _simulate_config("dt = 0.1\nhorizon = 1.0\nensemble = 2", nu="nan"),
+    "simulate.nu = inf": _simulate_config("dt = 0.1\nhorizon = 1.0\nensemble = 2", nu="inf"),
+    "simulate.s = nan": _simulate_config("dt = 0.1\nhorizon = 1.0\nensemble = 2\ns = nan"),
     # SimConfig's own checks, reported by validate as well as run
+    "simulate: s = 0": _simulate_config("dt = 0.1\nhorizon = 1.0\nensemble = 2\ns = 0"),
     "simulate: dt": _simulate_config("dt = -0.1\nhorizon = 1.0\nensemble = 2"),
     "simulate: ensemble": _simulate_config("dt = 0.1\nhorizon = 1.0\nensemble = 0"),
     "simulate: horizon": _simulate_config("dt = 0.3\nhorizon = 1.0\nensemble = 2"),
-    "covariance-ladder.nu": f"""
-[experiment]
-type = covariance-ladder
-N = 4
-{SHEAR_FLOW}
-[noise]
-modes =
-    0 1 cos 1.0
-
-[covariance-ladder]
-nu = 0.2
-nu = 0.1
-""",
-    "cellular-support.bins": f"""
-[experiment]
-type = cellular-support
-N = 8
-{CELL_FLOW}
-[noise]
-modes =
-    0 1 cos 1.0
-
-[cellular-support]
-nu = 0.1
-bins = many
-""",
-    "cellular-support.grid": f"""
-[experiment]
-type = cellular-support
-N = 8
-{CELL_FLOW}
-[noise]
-modes =
-    0 1 cos 1.0
-
-[cellular-support]
-nu = 0.1
-grid = 12.5
-""",
+    "covariance-ladder.nu": _forced_config("covariance-ladder", "nu = 0.2\nnu = 0.1"),
+    "cellular-support.bins": _forced_config("cellular-support", "nu = 0.1\nbins = many"),
+    "cellular-support.grid": _forced_config("cellular-support", "nu = 0.1\ngrid = 12.5"),
 }
 
 
-@pytest.mark.parametrize("field", sorted(BAD_SCALARS))
-def test_bad_config_value_is_config_error(tmp_path, capsys, field):
-    cfg = write_config(tmp_path, BAD_SCALARS[field])
+@pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+def test_bad_config_value_is_config_error(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, BAD_SCALARS[case])
+    field = case.partition(" = ")[0]
     assert main(["validate", "--config", cfg]) == 1
     out = capsys.readouterr().out
     assert "invalid" in out and field in out
@@ -692,3 +700,16 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, field):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError"
     assert any(field in problem for problem in record["fields"])
+
+
+def test_unknown_key_in_experiment_section_warns(tmp_path, capsys):
+    # keys compare lowercased (configparser stores T as t); [experiment]
+    # accepts keys it does not use, such as the benchmark's threads
+    text = _growth_config("T = 1.0\nbin = 32").replace("N = 6\n", "N = 6\nthreads = 2\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["validate", "--config", cfg]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: growth.bin: unknown key, ignored"]
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "warning: growth.bin: unknown key, ignored" in capsys.readouterr().err

@@ -48,6 +48,12 @@ def test_config_validation():
         SimConfig(flow=None, nu=0.1, noise=noise, dt=0.3, horizon=1.0, burn_in=0.0)
     with pytest.raises(ValueError, match="burn_in must be an integer multiple"):
         SimConfig(flow=None, nu=0.1, noise=noise, dt=0.1, horizon=1.0, burn_in=0.25)
+    for nu in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="nu must be >= 0 and finite"):
+            SimConfig(flow=None, nu=nu, noise=noise)
+    for order in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="s must be positive and finite"):
+            SimConfig(flow=None, nu=0.1, noise=noise, s=order)
 
 
 def test_noiseless_em_contracts(shear):

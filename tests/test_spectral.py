@@ -277,6 +277,18 @@ def test_growth_average_rejects_zero_datum(shear):
         h1_growth_average(shear, make_field(4, []), [1.0])
 
 
+def test_time_averages_reject_bad_horizon_and_step(shear):
+    # before these guards: ZeroDivisionError (h = 0), IndexError (h < 0),
+    # ValueError or OverflowError (a NaN or infinite h or T)
+    f0 = make_field(4, [((1, 0), "cos", 1.0)])
+    for T, h in ((1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (math.inf, 0.01),
+                 (math.nan, 0.01), (0.0, 0.01)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            h1_growth_average(shear, f0, [1.0, T], h=h)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            low_mode_time_average(shear, f0, 2.0, T, h=h)
+
+
 def test_growth_cellular_trend(cellular):
     # data orthogonal to the streamline-constant subspace grow on average
     f0 = make_field(16, [((1, 0), "cos", 1.0)])
