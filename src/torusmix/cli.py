@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import __version__
 from .covariance import (NoiseSpec, block_operator_norm, covariance_distance, eigenvalue_summary,
@@ -257,6 +258,8 @@ def parse_spec(path) -> ExperimentSpec:
         problems.append("noise: section with forcing modes required")
     if "noise" in entry.sections and noise is not None and noise.total_intensity == 0.0:
         warnings.append("noise: zero total intensity (degenerate experiment)")
+    if "noise" not in entry.sections and cfg.has_section("noise"):
+        warnings.append(f"noise: section not used by {experiment}, ignored")
 
     params = {key.param or key.key: _read(cfg, experiment, key, N, problems)
               for key in entry.keys}
@@ -367,6 +370,7 @@ def _run_covariance_ladder(spec: ExperimentSpec, outdir: Path) -> None:
             (nu, h1_trace(Q), block_operator_norm(Q, "k1-nonzero"),
              covariance_distance(Q, Q0))
         )
+        del Q   # the next solve does not hold this one beside its own
     _write_csv(outdir / "summary.csv",
                ["nu", "h1_trace", "offblock_norm", "dist_to_Q0"], rows)
 
@@ -411,19 +415,39 @@ def _run_dissipation_probe(spec: ExperimentSpec, outdir: Path) -> None:
 _TOP_CLUSTER_RTOL = 1e-10
 
 
+# Eigenpairs per stored block of the first partial eigh of ``_top_eigenspace``
+_TOP_PAIRS = 4
+
+
+def _top_pairs(block: np.ndarray, k: int) -> tuple:
+    """The k largest eigenvalues of ``block``, ascending, and their eigenvectors.
+
+    LAPACK's syevr on a copy of the block, with no eigenvector beyond the k.
+    """
+    b = len(block)
+    return sla.eigh(block, subset_by_index=(b - k, b - 1), check_finite=False)
+
+
 def _top_eigenspace(Q) -> tuple:
     """(top eigenvalue of Q, orthonormal basis of its top eigenspace as fields).
 
     The eigenvalues within ``_TOP_CLUSTER_RTOL`` of the largest, taken
-    across the stored blocks of Q.
+    across the stored blocks of Q.  Each block gives its ``_TOP_PAIRS``
+    largest eigenpairs, and twice as many again while they all lie in the
+    cluster.
     """
     n = mode_table(Q.N).size
+    pairs = [(idx, block, *_top_pairs(block, min(_TOP_PAIRS, len(idx))))
+             for idx, block in Q.blocks.blocks]
     # without forcing Q = 0, and e_{n-1} stands for its top eigenspace
-    pairs = Q.blocks.eigh() or [(np.array([n - 1]), np.zeros(1), np.ones((1, 1)))]
-    top = max(vals[-1] for _, vals, _ in pairs)
+    pairs = pairs or [(np.array([n - 1]), None, np.zeros(1), np.ones((1, 1)))]
+    top = max(vals[-1] for _, _, vals, _ in pairs)
+    cut = top - _TOP_CLUSTER_RTOL * top
     basis = []
-    for idx, vals, vecs in pairs:
-        for j in np.flatnonzero(vals >= top - _TOP_CLUSTER_RTOL * top):
+    for idx, block, vals, vecs in pairs:
+        while vals[0] >= cut and len(vals) < len(idx):
+            vals, vecs = _top_pairs(block, min(2 * len(vals), len(idx)))
+        for j in np.flatnonzero(vals >= cut):
             coeffs = np.zeros(n)
             coeffs[idx] = vecs[:, j]
             basis.append(FourierField(Q.N, coeffs))
@@ -557,18 +581,23 @@ def _dense_block_sizes(spec: ExperimentSpec) -> list:
 def validate_report(spec: ExperimentSpec) -> str:
     """What ``validate`` prints for a valid ``spec``.
 
-    n, the largest dense block, the memory of the dense blocks (the sum of
-    b^2 doubles) and a runtime class from the sum of b^3; a warning if the
-    largest block passes ``DENSE_CAP``, then the warnings of ``spec``.
+    n, the largest dense block, a memory estimate and a runtime class from
+    the sum of b^3; a warning if the largest block passes ``DENSE_CAP``,
+    then the warnings of ``spec``.  The memory is the sum of b^2 doubles
+    over the dense blocks, plus for the Lyapunov experiments the two b^2
+    working arrays that the solve of the largest block holds beside its Q.
     """
     sizes = _dense_block_sizes(spec)
     largest, cubes = max(sizes, default=0), sum(b**3 for b in sizes)
+    doubles = sum(b * b for b in sizes)
+    if spec.experiment in ("covariance-ladder", "cellular-support"):
+        doubles += 2 * largest * largest
     lines = [
         "ok",
         f"experiment = {spec.experiment}",
         f"dimension = {spec.dimension}",
         f"largest_block = {largest}",
-        f"memory_estimate_mb = {sum(b * b for b in sizes) * 8 / 1e6:.1f}",
+        f"memory_estimate_mb = {doubles * 8 / 1e6:.1f}",
         f"runtime_class = {'seconds' if cubes <= 1e9 else 'minutes' if cubes <= 1e11 else 'tens-of-minutes'}",
     ]
     if largest > DENSE_CAP:
@@ -583,6 +612,25 @@ def _error_record(exc: Exception) -> dict:
     if isinstance(exc, ConfigError):
         record["fields"] = exc.problems
     return record
+
+
+def _write_error(out: Path, record: dict) -> None:
+    """Leave ``record`` as ``out/error.json``, if the directory can be written."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "error.json").write_text(json.dumps(record) + "\n")
+    except OSError:
+        pass
+
+
+def _config_out(path) -> str | None:
+    """The ``[experiment] out`` key of a rejected config, if it can still be read."""
+    cfg = configparser.ConfigParser(interpolation=None)
+    try:
+        cfg.read(path)
+    except configparser.Error:
+        return None
+    return cfg.get("experiment", "out", fallback=None)
 
 
 def main(argv=None) -> int:
@@ -606,7 +654,11 @@ def main(argv=None) -> int:
             for problem in exc.problems:
                 print(f"error: {problem}")
             return 1
-        print(json.dumps(_error_record(exc)), file=sys.stderr)
+        record = _error_record(exc)
+        print(json.dumps(record), file=sys.stderr)
+        out = args.out if args.out is not None else _config_out(args.config)
+        if out is not None:
+            _write_error(Path(out), record)
         return 2
     if args.out is not None:
         spec.out = Path(args.out)
@@ -620,11 +672,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # numerical failures carry their diagnostics
         record = _error_record(exc)
         print(json.dumps(record), file=sys.stderr)
-        try:
-            spec.out.mkdir(parents=True, exist_ok=True)
-            (spec.out / "error.json").write_text(json.dumps(record) + "\n")
-        except OSError:
-            pass
+        _write_error(spec.out, record)
         return 3
     for w in spec.warnings:
         print(f"warning: {w}", file=sys.stderr)

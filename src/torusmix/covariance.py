@@ -12,7 +12,11 @@ is the unique solution of the Lyapunov equation
 equivalent to the time integral  nu * int_0^inf exp(tA) Psi Psi^T exp(tA)^T dt.
 :func:`lyapunov_covariance` solves it by Bartels-Stewart per forced
 invariant block, on the real Schur forms of the block's symmetry sectors,
-with a recursive blocked (level-3) solve of the triangular equation.
+with a recursive blocked (level-3) solve of the triangular equation.  For
+a block of b rows no step of the solve, its residual certificate included,
+holds more than three dense b x b arrays and a temporary of a quarter of
+one, and the stored Q is one of them at the end: a block of
+``operators.DENSE_CAP`` rows needs about 0.4 GB.
 Its finite-time part has one routine, :func:`gaussian_increment_covariance`
 (Van Loan's block exponential plus doubling, per invariant block): the exact
 Gaussian sampler takes its increment from the same per-block step, on the
@@ -48,7 +52,7 @@ from typing import Iterable
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .fields import PARITIES, _open_text, mode_table
 from .operators import BlockDiagonal, OperatorMatrix, _dense, _symmetry_sectors, invariant_blocks
@@ -207,67 +211,128 @@ def _triangular_sylvester(Ta: np.ndarray, Tb: np.ndarray, X: np.ndarray) -> None
         _triangular_sylvester(Ta, Tb[:h, :h], X[:, :h])
 
 
+def _subtract(C: np.ndarray, D: np.ndarray) -> None:
+    """C -= D, row by row: on a strided block a ufunc allocates 192 KB of buffers."""
+    for c, d in zip(C, D):
+        c -= d
+
+
+def _spare(Y21: np.ndarray, rows: int, cols: int):
+    """The leading rows x cols of the unused block ``Y21``, or None if it is too small."""
+    return Y21[:rows, :cols] if rows <= Y21.shape[0] and cols <= Y21.shape[1] else None
+
+
 def _triangular_lyapunov(T: np.ndarray, Y: np.ndarray) -> None:
     """Overwrite symmetric Y (holding F) with the solution of T Y + Y T^T = F.
 
     T is upper quasi-triangular.  With T = [[T11, T12], [0, T22]]: solve
     Y22, then the Sylvester equation T11 Y12 + Y12 T22^T = F12 - T12 Y22,
     then Y11 from F11 - T12 Y12^T - Y12 T12^T; Y21 = Y12^T is copied, never
-    solved.  Blocks of at most ``_LEAF`` rows go to dtrsyl.
+    solved.  Until then Y21 is unused, and the products T12 Y22 and
+    T12 Y12^T are written into it where they fit: the same GEMMs, without
+    a temporary.  A split moved by a 2 x 2 bump leaves Y21 too small, and
+    they take one of a quarter of Y.  Blocks of at most ``_LEAF`` rows go
+    to dtrsyl.
     """
     b = len(T)
     if b <= _LEAF:
         _leaf_solve(T, T, Y)
         return
     h = _split(T)
-    T12, Y12 = T[:h, h:], Y[:h, h:]
+    T12, Y12, Y21 = T[:h, h:], Y[:h, h:], Y[h:, :h]
     _triangular_lyapunov(T[h:, h:], Y[h:, h:])
-    Y12 -= T12 @ Y[h:, h:]
+    _subtract(Y12, np.matmul(T12, Y[h:, h:], out=_spare(Y21, h, b - h)))
     _triangular_sylvester(T[:h, :h], T[h:, h:], Y12)
-    M = T12 @ Y12.T
-    Y[:h, :h] -= M
-    Y[:h, :h] -= M.T
+    M = np.matmul(T12, Y12.T, out=_spare(Y21, h, h))
+    _subtract(Y[:h, :h], M)
+    _subtract(Y[:h, :h], M.T)
     del M
     _triangular_lyapunov(T[:h, :h], Y[:h, :h])
-    Y[h:, :h] = Y12.T
+    Y21[...] = Y12.T
 
 
-def _block_lyapunov(a: sp.spmatrix, sectors: Iterable, psi2: np.ndarray) -> np.ndarray:
-    """Q of a Q + Q a^T + diag(psi2) = 0 on one invariant block (Bartels-Stewart).
+def _schur(a: np.ndarray) -> tuple:
+    """Real Schur form (T, U) of the Fortran-ordered ``a``, overwritten by T.
 
-    The real Schur form of a is the direct sum of those of its symmetry
-    sectors: T = diag(T_1, ...), W = [V_1 U_1, ...] with V_s^T a V_s =
-    U_s T_s U_s^T.  A twin basis G_s of sector s has G_s^T a G_s =
-    V_s^T a V_s, so it reuses (T_s, U_s): its columns of W are G_s U_s.
-    With Y = W^T Q W the equation is the triangular T Y + Y T^T =
-    -W^T diag(psi2) W; the forcing couples the sectors and their twins,
-    and their cross terms are the off-diagonal Sylvester solves of
-    :func:`_triangular_lyapunov`.
+    LAPACK's dgees with the workspace that ``scipy.linalg.schur`` would
+    query, so the same arithmetic, but neither the query nor the solve
+    copies ``a``.
     """
-    b = a.shape[0]
-    a = _dense(a)
-    T = np.zeros((b, b))
-    W = np.empty((b, b))
+    def keep(*_):
+        return None
+    lwork = int(dgees(keep, a, lwork=-1, overwrite_a=True)[-2][0])
+    T, _, _, _, U, _, info = dgees(keep, a, lwork=lwork, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found (dgees info {info})")
+    return T, U
+
+
+def _sector_schur(a: sp.spmatrix, sectors: list) -> tuple:
+    """(T, W) of a block split in sectors: T = diag(T_1, ...), W = [V_1 U_1, ...].
+
+    V_s^T a V_s = U_s T_s U_s^T is built sparse and decomposed in place, and
+    a twin basis G_s (G_s^T a G_s = V_s^T a V_s) reuses (T_s, U_s): its
+    columns of W are G_s U_s.
+    """
+    T = _dense(sp.csr_matrix(a.shape))      # zeros, refused above the cap
+    W = np.empty_like(T)
     o = 0
     for V, twins in sectors:
-        sub = (V.T @ (V.T @ a).T).T          # V^T a V, as two sparse-dense products
-        Ts, U = sla.schur(sub, output="real", overwrite_a=True)
-        for basis in (V, *twins):           # a twin basis gives the same matrix
+        # V^T a V: the transpose of (V^T (V^T a)^T), read as a Fortran array
+        Ts, U = _schur((V.T @ (V.T @ a).T).toarray().T)
+        for basis in (V, *twins):
             e = o + V.shape[1]
             T[o:e, o:e] = Ts
             W[:, o:e] = basis @ U
             o = e
+    return T, W
+
+
+def _block_lyapunov(A: sp.csr_matrix, idx: np.ndarray, sectors: Iterable,
+                    psi2: np.ndarray) -> np.ndarray:
+    """Q of a Q + Q a^T + diag(psi2) = 0 on the invariant block a = A[idx, idx].
+
+    The real Schur form of a is the direct sum of those of its symmetry
+    sectors (:func:`_sector_schur`); a block that is one sector without
+    twins has V = I, and its Schur form is T and its Schur vectors W.  With
+    Y = W^T Q W the equation is the triangular T Y + Y T^T =
+    -W^T diag(psi2) W; the forcing couples the sectors and their twins,
+    and their cross terms are the off-diagonal Sylvester solves of
+    :func:`_triangular_lyapunov`.  No step holds more than three b x b
+    arrays, beside the forced rows of W and the temporaries of the
+    triangular solve: the Schur form and its vectors, with a C-ordered
+    copy of one of them; T, W and Y; then W, W Y and Q.
+    """
+    a = A[np.ix_(idx, idx)]
+    sectors = list(sectors)
+    if len(sectors) == 1 and not sectors[0][1]:
+        T, W = _schur(_dense(a.T).T)
+        # C order, as in a sector split (GEMMs on Fortran-ordered operands
+        # can round differently), one copy at a time
+        T = np.ascontiguousarray(T)
+        W = np.ascontiguousarray(W)
+    else:
+        T, W = _sector_schur(a, sectors)
     del a
     forced = np.flatnonzero(psi2)
     Y = (W[forced].T * -psi2[forced]) @ W[forced]
     _triangular_lyapunov(T, Y)
     del T
-    Y = W @ Y
-    Q = Y @ W.T
-    del W, Y
+    Q = W @ Y
+    del Y
+    Q = Q @ W.T
+    del W
     Q += Q.T
     Q *= 0.5
     return Q
+
+
+def _residual_sq(a: sp.spmatrix, Q: np.ndarray, psi2: np.ndarray) -> float:
+    """||a Q + Q a^T + diag(psi2)||_F^2 for the exactly symmetric Q: R = a Q, R += R^T."""
+    R = a @ Q
+    R += R.T
+    R[np.diag_indices(len(psi2))] += psi2
+    return float(np.vdot(R, R))
 
 
 def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperator:
@@ -299,12 +364,9 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
     for idx, sectors in _symmetry_sectors(A):
         if not np.any(psi2[idx]):
             continue  # unforced invariant block: Q restricted there is zero
-        a = Asp[np.ix_(idx, idx)]
-        Qb = _block_lyapunov(a, sectors, psi2[idx])
-        residual = a @ Qb + Qb @ a.T
-        residual[np.diag_indices(len(idx))] += psi2[idx]
-        res_sq += float(np.sum(residual**2))
-        q_sq += float(np.sum(Qb**2))
+        Qb = _block_lyapunov(Asp, idx, sectors, psi2[idx])
+        res_sq += _residual_sq(Asp[np.ix_(idx, idx)], Qb, psi2[idx])
+        q_sq += float(np.vdot(Qb, Qb))
         blocks.append((idx, Qb))
     # Q and the residual vanish off the forced blocks, so their Frobenius
     # norms are the root sums of squares over the blocks
@@ -456,10 +518,14 @@ def block_operator_norm(Q: CovarianceOperator, selector="all") -> float:
 
 
 def covariance_distance(Q1: CovarianceOperator, Q2: CovarianceOperator) -> float:
-    """Operator (spectral) norm of Q1 - Q2, per block of the joined partitions."""
+    """Operator (spectral) norm of Q1 - Q2, per block of the joined partitions.
+
+    One block of the difference is held at a time.
+    """
     if Q1.N != Q2.N:
         raise ValueError("covariance truncations do not match")
-    return float(np.max(np.abs((Q1.blocks - Q2.blocks).eigvalsh())))
+    return max((float(np.max(np.abs(sla.eigvalsh(D, overwrite_a=True))))
+                for _, D in Q1.blocks.differences(Q2.blocks)), default=0.0)
 
 
 # ---------------------------------------------------------------------------

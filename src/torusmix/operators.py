@@ -373,39 +373,35 @@ class BlockDiagonal:
             out[idx] = np.diagonal(block)
         return out
 
-    def __sub__(self, other: "BlockDiagonal") -> "BlockDiagonal":
-        """Difference on the join of both partitions: unions of overlapping blocks."""
+    def differences(self, other: "BlockDiagonal"):
+        """Yield the blocks (idx, D) of ``self - other``, one at a time.
+
+        The blocks of the difference live on the join of both partitions:
+        the unions of overlapping blocks, in the order of their first index.
+        """
         pairs = [(idx[0], i) for idx, _ in self.blocks + other.blocks for i in idx]
         rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
         graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
         _, labels = connected_components(graph, directed=False)
-        joined = {}
+        terms = {}
         for sign, operand in ((1.0, self), (-1.0, other)):
             for idx, block in operand.blocks:
-                label = labels[idx[0]]
-                if label not in joined:
-                    part = np.flatnonzero(labels == label)
-                    joined[label] = (part, np.zeros((part.size, part.size)))
-                part, D = joined[label]
+                terms.setdefault(labels[idx[0]], []).append((sign, idx, block))
+        parts = {label: np.flatnonzero(labels == label) for label in terms}
+        for label in sorted(terms, key=lambda label: parts[label][0]):
+            part = parts[label]
+            D = np.zeros((part.size, part.size))
+            for sign, idx, block in terms[label]:
                 pos = np.searchsorted(part, idx)
-                D[np.ix_(pos, pos)] += sign * block
-        return BlockDiagonal(self.n, sorted(joined.values(), key=lambda pair: pair[0][0]))
+                for i, row in zip(pos, block):     # no temporary of the block's size
+                    D[i, pos] += sign * row
+            yield part, D
 
     def eigvalsh(self) -> np.ndarray:
         """All n eigenvalues, ascending: those of each block plus a zero per uncovered index."""
         vals = [sla.eigvalsh(block) for _, block in self.blocks]
         covered = sum(len(idx) for idx, _ in self.blocks)
         return np.sort(np.concatenate(vals + [np.zeros(self.n - covered)]))
-
-    def eigh(self) -> list:
-        """(idx, eigenvalues ascending, eigenvectors) of each block, in block order.
-
-        numpy's ``eigh`` (LAPACK syevd): on a single block over all indices
-        it returns the eigenvectors a dense ``np.linalg.eigh`` would on the
-        same BLAS thread count.  Under ``torusmix run`` that is numpy's pool
-        capped at one thread (``_one_blas_pool``).
-        """
-        return [(idx, *np.linalg.eigh(block)) for idx, block in self.blocks]
 
 
 def _check_semigroup_time(op: OperatorMatrix, t: float) -> None:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -206,12 +207,14 @@ nu = 0.1
 
 
 def test_validate_reports_block_sizes_not_dimension(tmp_path, capsys):
-    # the sin y shear at N = 40 (n = 6560): forced blocks of 1 and 81 rows
+    # the sin y shear at N = 40 (n = 6560): forced blocks of 1 and 81 rows,
+    # and the solve's two working arrays of the 81-row block
     assert main(["validate", "--config", ladder_config(tmp_path, N=40,
                                                        noise="0 1 cos 1.0\n    1 1 cos 1.0")]) == 0
     out = capsys.readouterr().out.splitlines()
+    doubles = 1 + 81**2 + 2 * 81**2
     assert out[:6] == ["ok", "experiment = covariance-ladder", "dimension = 6560",
-                       "largest_block = 81", f"memory_estimate_mb = {(1 + 81**2) * 8 / 1e6:.1f}",
+                       "largest_block = 81", f"memory_estimate_mb = {doubles * 8 / 1e6:.1f}",
                        "runtime_class = seconds"]
     assert len(out) == 6
 
@@ -713,3 +716,75 @@ def test_unknown_key_in_experiment_section_warns(tmp_path, capsys):
     assert warnings == ["warning: growth.bin: unknown key, ignored"]
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert "warning: growth.bin: unknown key, ignored" in capsys.readouterr().err
+
+
+def test_rejected_config_leaves_error_json(tmp_path, capsys, monkeypatch):
+    # run writes the ConfigError record it prints to <out>/error.json, with
+    # out from --out or else from the config's own [experiment] out
+    text = BAD_SCALARS["growth.h"]
+    out = tmp_path / "given"
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert json.loads((out / "error.json").read_text()) == record
+    keyed = tmp_path / "keyed"
+    cfg = write_config(tmp_path, text.replace("[experiment]\n", f"[experiment]\nout = {keyed}\n"),
+                       name="keyed.ini")
+    assert main(["run", "--config", cfg]) == 2
+    assert json.loads((keyed / "error.json").read_text()) == json.loads(
+        capsys.readouterr().err.strip())
+    # no out anywhere: the record goes to stderr only
+    cfg = write_config(tmp_path, "[experiment]\ntype = growth\n", name="bare.ini")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not (tmp_path / "torusmix-out").exists()
+
+
+def test_unused_noise_section_warns(tmp_path, capsys):
+    text = (CONFIGS / "spectrum_cellular.ini").read_text() + "\n[noise]\nmodes =\n    0 1 cos 1\n"
+    cfg = write_config(tmp_path, text, name="spectrum.ini")
+    warning = "warning: noise: section not used by spectrum, ignored"
+    assert main(["validate", "--config", cfg]) == 0
+    assert warning in capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert warning in capsys.readouterr().err.splitlines()
+    assert "noise.modes = 0 1 cos 1" in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("experiment, N, flow", [
+    ("cellular-support", 12, RANDOM_FLOW),       # one block of 624 rows
+    ("covariance-ladder", 12, CELL_FLOW),        # four blocks of 154 and 156 rows
+], ids=["cellular-support", "covariance-ladder"])
+def test_validate_memory_estimate_matches_traced_peak(tmp_path, capsys, experiment, N, flow):
+    # the stored blocks of Q plus the two working arrays of the largest solve
+    cfg = write_config(tmp_path, f"""
+[experiment]
+type = {experiment}
+N = {N}
+{flow}
+[noise]
+modes =
+    0 1 cos 1.0
+    1 0 sin 1.0
+    1 1 cos 1.0
+    1 -1 sin 1.0
+
+[{experiment}]
+nu = 0.1 0.05
+""")
+    assert main(["validate", "--config", cfg]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("memory_estimate_mb = "))
+    estimate = float(line.partition(" = ")[2]) * 1e6
+    spec = cli.parse_spec(cfg)
+    spec.out = tmp_path / "out"
+    cli.run(spec)    # fills the caches
+    tracemalloc.start()
+    try:
+        cli.run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peak - estimate) <= 0.25 * peak

@@ -1,16 +1,22 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.linalg.lapack import dtrsyl
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from torusmix import covariance
+from torusmix import cli, covariance
 from torusmix import (
     CovarianceOperator,
+    FourierField,
     NoiseSpec,
     advection_matrix,
     block_operator_norm,
@@ -21,6 +27,7 @@ from torusmix import (
     generator,
     h1_trace,
     lyapunov_covariance,
+    make_cellular,
     mode_table,
     read_covariance,
     shear_limit_covariance,
@@ -444,7 +451,10 @@ def test_per_block_results_match_dense_computation(flow, N, nu, forcing_seed):
 
     eigs = sla.eigvalsh(Q.matrix)
     assert close(eigenvalue_summary(Q), eigs[::-1])
-    tops = [(vals[-1], idx, vecs[:, -1]) for idx, vals, vecs in Q.blocks.eigh()]
+    tops = []
+    for idx, block in Q.blocks.blocks:
+        vals, vecs = sla.eigh(block)
+        tops.append((vals[-1], idx, vecs[:, -1]))
     top, idx, vec = max(tops, key=lambda t: t[0])
     assert close(top, eigs[-1])
     v = np.zeros(n)
@@ -464,6 +474,124 @@ def test_per_block_results_match_dense_computation(flow, N, nu, forcing_seed):
     rep = spectrum(B)
     assert close(rep.frequencies, sla.eigvalsh(1j * B.dense()))
     assert close(1j * B.dense() @ rep.vectors, rep.vectors * rep.frequencies)
+
+
+# ---------------------------------------------------------------------------
+# memory of the solve and of the top eigenspace
+# ---------------------------------------------------------------------------
+
+# the forcing of the benchmark's support ladders: every mode with |k|^2 <= 2
+LOW_MODES = [((k1, k2), parity, 1.0) for k1, k2 in ((0, 1), (1, 0), (1, 1), (1, -1))
+             for parity in ("cos", "sin")]
+
+
+def _one_block_generator(N, nu=0.05, seed=7):
+    """A random |k|_inf <= 2 cellular flow: its generator is one block, one sector."""
+    psi = np.random.default_rng(seed).uniform(-1.0, 1.0, mode_table(2).size)
+    A = generator(make_cellular(FourierField(2, psi)), nu, N)
+    assert [len(idx) for idx in invariant_blocks(A)] == [mode_table(N).size]
+    return A
+
+
+def _traced_peak(fn, *args):
+    """tracemalloc peak of fn(*args), after one call that fills the caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("N", [12, 16])
+def test_solve_and_top_eigenspace_hold_few_block_arrays(N):
+    # b = 624 and 1088.  The solve holds T, W and Y (then W, W Y and Q),
+    # and a quarter-size GEMM product where a 2 x 2 bump at the top split
+    # leaves no room in Y21; the top eigenspace holds one copy of the block
+    b = mode_table(N).size
+    A = _one_block_generator(N)
+    noise = unit_noise(N, LOW_MODES)
+    assert _traced_peak(lyapunov_covariance, A, noise) <= 3.3 * 8 * b * b
+    Q = lyapunov_covariance(A, noise)
+    assert _traced_peak(cli._top_eigenspace, Q) <= 2.2 * 8 * b * b
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM of Linux")
+def test_top_eigenspace_peak_rss():
+    # tracemalloc does not see the workspace numpy.linalg allocates, so the
+    # peak RSS of a fresh process judges the eigh step: a full syevd held the
+    # eigenvectors, a copy and a 2 b^2 workspace beside the stored block.
+    # VmHWM, not ru_maxrss, which keeps the parent's peak across exec.
+    code = """
+import re
+import numpy as np
+from torusmix import CovarianceOperator, mode_table
+from torusmix.cli import _top_eigenspace
+from torusmix.operators import BlockDiagonal
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+N = 16
+b = mode_table(N).size
+G = np.random.default_rng(0).standard_normal((b, 8))
+Q = G @ G.T
+Q[np.diag_indices(b)] += 1.0
+Q = CovarianceOperator(N, BlockDiagonal(b, [(np.arange(b), Q)]))
+before = peak_kb()
+_top_eigenspace(Q)
+print((peak_kb() - before) * 1024 / (8 * b * b))
+"""
+    src = str(Path(covariance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert float(done.stdout) <= 1.5
+
+
+def _check_top_eigenspace(Q):
+    """``cli._top_eigenspace`` against the cluster of one full ``np.linalg.eigh``."""
+    top, basis = cli._top_eigenspace(Q)
+    vals, vecs = np.linalg.eigh(Q.matrix)
+    cluster = vals >= vals[-1] - cli._TOP_CLUSTER_RTOL * vals[-1]
+    assert len(basis) == cluster.sum()
+    assert abs(top - vals[-1]) <= 1e-13 * vals[-1]
+    V = np.column_stack([f.coeffs for f in basis])
+    rayleigh = np.einsum("ij,ij->j", V, Q.matrix @ V)
+    assert np.max(np.abs(rayleigh - vals[cluster])) <= 1e-13 * vals[-1]
+    P = vecs[:, cluster] @ vecs[:, cluster].T
+    assert np.max(np.abs(V @ V.T - P)) <= 1e-10
+    return len(basis)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=st.one_of(random_flows(), dihedral_flows()), N=st.integers(2, 6),
+       nu=st.floats(0.05, 1.0), forcing_seed=st.integers(0, 2**32 - 1))
+def test_partial_top_eigenspace_matches_full_eigh(flow, N, nu, forcing_seed):
+    rng = np.random.default_rng(forcing_seed)
+    n = mode_table(N).size
+    amps = np.where(rng.random(n) < 0.2, rng.uniform(0.1, 2.0, n), 0.0)
+    amps[rng.integers(n)] = 1.0
+    Q = lyapunov_covariance(generator(flow, nu, N), NoiseSpec(N, amps))
+    vals = np.linalg.eigvalsh(Q.matrix)
+    below = vals[vals < vals[-1] - 1e-10 * vals[-1]]
+    # the projectors agree to 1e-10 only where the cluster is well apart
+    # from the next eigenvalue (the error of either goes as eps / gap)
+    assume(below.size == 0 or vals[-1] - below[-1] >= 1e-5 * vals[-1])
+    _check_top_eigenspace(Q)
+
+
+def test_top_eigenspace_of_the_default_support_ladder(cellular):
+    # configs/cellular_support_default.ini: for nu >= 0.025 the top is a
+    # pair, split across twin sectors or, at nu = 0.2, inside the sector
+    # where a lattice map is a complex structure; at nu = 0.0125 it is simple
+    noise = unit_noise(16, LOW_MODES)
+    B = advection_matrix(cellular, 16)
+    dims = [_check_top_eigenspace(lyapunov_covariance(generator(B, nu, 16), noise))
+            for nu in (0.2, 0.1, 0.05, 0.025, 0.0125)]
+    assert dims == [2, 2, 2, 2, 1]
 
 
 # ---------------------------------------------------------------------------
