@@ -29,7 +29,6 @@ from .fields import (
     FourierField,
     Mode,
     field_from_grid,
-    laplacian_eigenvalues,
     make_field,
     mode_table,
     project_low,

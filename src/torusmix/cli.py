@@ -49,7 +49,7 @@ from .flows import Flow, ShearProfile, make_cellular, make_shear
 from .operators import (DENSE_CAP, _one_blas_pool, _sector_bounds, advection_matrix, generator,
                         invariant_blocks, semigroup_norm)
 from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
-from .spectral import _streamline_projector, h1_growth_average, spectrum
+from .spectral import _growth_method, _streamline_projector, h1_growth_average, spectrum
 
 
 class ConfigError(ValueError):
@@ -185,7 +185,7 @@ def _build_flow(cfg: configparser.ConfigParser, N: int, problems: list) -> Flow 
         return None
     kind = cfg.get("flow", "kind", fallback=None)
     if kind is None:
-        problems.append("flow.kind: missing (shear | cellular | custom | none)")
+        problems.append("flow.kind: missing (shear | cellular | none)")
         return None
     if kind == "none":
         return None
@@ -206,7 +206,7 @@ def _build_flow(cfg: configparser.ConfigParser, N: int, problems: list) -> Flow 
                 sin_amps=tuple(sin_amps.get(j, 0.0) for j in range(1, jmax + 1)),
             )
             return make_shear(profile)
-        if kind in ("cellular", "custom"):   # 'custom' is the older name
+        if kind == "cellular":
             psi_N = _read(cfg, "flow", _Key("streamfunction_N", _order, N), N, problems)
             if psi_N is None:
                 return None
@@ -273,6 +273,9 @@ def parse_spec(path) -> ExperimentSpec:
         problems.append(f"{experiment}.grid: need grid >= 4 N = {4 * N}")
     if grid is not None and bins is not None and not 2 <= bins <= grid * grid:
         problems.append(f"{experiment}.bins: need 2 <= bins <= grid^2 = {grid * grid}")
+    if experiment == "covariance-ladder" and flow is not None and flow.kind != "shear":
+        warnings.append(f"covariance-ladder: dist_to_Q0 is the distance to the shear limit "
+                        f"psi^2/(2 j^2), not to the limit of this {flow.kind} flow")
     if experiment == "cellular-support" and flow is not None and flow.streamfunction is None:
         problems.append("flow: cellular-support requires a cellular flow")
     if params.get("method") == "shear-exact" and flow is not None and flow.kind != "shear":
@@ -562,20 +565,26 @@ def _dense_block_sizes(spec: ExperimentSpec) -> list:
     takes every invariant block.  ``dissipation-probe`` takes the distinct
     symmetry sectors of more than one row and at most ``DENSE_CAP`` rows
     (Lanczos takes a larger one): an upper bound, as the heat bound of
-    ``semigroup_norm`` may skip sectors.  The other experiments build no
-    dense block.  No solve is run.
+    ``semigroup_norm`` may skip sectors.  A truncated-exponential ``growth``
+    decomposes the invariant blocks that f0 touches, up to ``DENSE_CAP``
+    rows (``expm_multiply`` takes a larger one).  The other experiments
+    build no dense block.  No solve is run.
     """
     if spec.experiment == "dissipation-probe":
         sectors = _sector_bounds(advection_matrix(spec.flow, spec.N))
         return [V.shape[1] for _, _, V in sectors if 1 < V.shape[1] <= DENSE_CAP]
+    cap = math.inf      # a larger block is refused: reported, so that validate warns
     if spec.experiment == "simulate" and spec.params["scheme"] == "ExactGaussian":
         used = np.abs(spec.noise.amps) + np.abs(spec.params["f0"].coeffs)
     elif spec.experiment in ("covariance-ladder", "cellular-support", "spectrum"):
         used = np.ones(spec.dimension) if spec.experiment == "spectrum" else spec.noise.amps
+    elif (spec.experiment == "growth"
+          and _growth_method(spec.flow, spec.params["method"]) == "truncated-exponential"):
+        used, cap = spec.params["f0"].coeffs, DENSE_CAP
     else:
         return []
     return [len(idx) for idx in invariant_blocks(advection_matrix(spec.flow, spec.N))
-            if used[idx].any()]
+            if used[idx].any() and len(idx) <= cap]
 
 
 def validate_report(spec: ExperimentSpec) -> str:

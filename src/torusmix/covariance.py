@@ -547,8 +547,9 @@ def write_covariance(Q: CovarianceOperator, path_or_file) -> None:
                  f"blocks {len(Q.blocks.blocks)}\n")
         for idx, block in Q.blocks.blocks:
             fh.write(" ".join(map(str, idx.tolist())) + "\n")
+            line = " ".join(["%.17g"] * len(idx)) + "\n"     # one format per block width
             for row in block:       # one row of Python floats at a time
-                fh.write(" ".join(f"{v:.17g}" for v in row.tolist()) + "\n")
+                fh.write(line % tuple(row.tolist()))
 
 
 def read_covariance(path_or_file) -> CovarianceOperator:

@@ -53,7 +53,6 @@ __all__ = [
     "sobolev_norm",
     "project_low",
     "project_low_eigencount",
-    "laplacian_eigenvalues",
     "sample_grid",
     "field_from_grid",
     "write_field",
@@ -154,11 +153,6 @@ def mode_table(N: int) -> ModeTable:
     for arr in (table.k1, table.k2, table.lam, table.parity):
         arr.setflags(write=False)
     return table
-
-
-def laplacian_eigenvalues(N: int) -> np.ndarray:
-    """Laplacian eigenvalues per coefficient, in canonical (ascending) order."""
-    return mode_table(N).lam
 
 
 @dataclass(frozen=True)

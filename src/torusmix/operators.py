@@ -51,8 +51,9 @@ the square root of the top eigenvalue of E^T E (Lanczos to machine
 precision) with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
 iteration on the action of exp(tA) above; the real Schur form
 of a block is the direct sum of the Schur forms of its sectors, a twin
-repeating the Schur form of its sector.  Semigroup actions use
-``expm_multiply``.
+repeating the Schur form of its sector.  ``semigroup_apply`` uses
+``expm_multiply``, and so does ``spectral`` on a block above ``DENSE_CAP``
+(``_orbit``); below it ``spectral`` evolves in the block's eigenbasis.
 
 ``semigroup_norm`` computes only the sectors that can hold the maximum.
 By the logarithmic norm, ||exp(t V^T A V)|| <= exp(t mu) for t >= 0 with
@@ -402,6 +403,15 @@ class BlockDiagonal:
         vals = [sla.eigvalsh(block) for _, block in self.blocks]
         covered = sum(len(idx) for idx, _ in self.blocks)
         return np.sort(np.concatenate(vals + [np.zeros(self.n - covered)]))
+
+
+def _orbit(a: sp.csr_matrix, v: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(t a) v at each t of the equispaced ``times`` from 0, one row per t (internal).
+
+    ``expm_multiply`` on the sparse ``a``: the semigroup action on a block
+    above ``DENSE_CAP``, where no dense exponential or eigenbasis is made.
+    """
+    return expm_multiply(a, v, start=times[0], stop=times[-1], num=len(times), endpoint=True)
 
 
 def _check_semigroup_time(op: OperatorMatrix, t: float) -> None:

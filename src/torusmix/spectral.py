@@ -16,6 +16,13 @@ orthogonal.  On top of the eigendecomposition this module provides
 * low-mode time averages: the fraction of mass the evolution keeps inside a
   fixed band of Laplacian eigenvalues, which decays for data carried by the
   continuous spectrum.
+
+The Galerkin evolution exp(-tB) f0 of both probes runs in the eigenbasis of
+each invariant block of B that f0 touches: one Hermitian ``eigh`` of i B_b,
+the helper that ``spectrum`` uses too, gives exp(-tB) f0 on the block as
+V (exp(i w t) * (V^H f0_b)) at every point of every time grid.  A block
+above ``operators.DENSE_CAP`` rows stays sparse and is evolved by
+``expm_multiply`` instead.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import expm_multiply
 
 from .fields import (
     FourierField,
@@ -39,7 +45,8 @@ from .fields import (
     sample_grid,
 )
 from .flows import Flow
-from .operators import BlockDiagonal, OperatorMatrix, _dense, advection_matrix, invariant_blocks
+from .operators import (DENSE_CAP, BlockDiagonal, OperatorMatrix, _dense, _orbit, advection_matrix,
+                        invariant_blocks)
 
 __all__ = [
     "SpectrumReport",
@@ -110,8 +117,7 @@ def spectrum(B: OperatorMatrix) -> SpectrumReport:
     freqs = np.empty(n)
     blocks = []
     for idx in invariant_blocks(B):
-        H = 1j * _dense(B.matrix, idx).astype(complex)
-        freqs[idx], vecs = sla.eigh(H)
+        freqs[idx], vecs = _block_eigh(B, idx)
         blocks.append((idx, vecs))
     order = np.argsort(freqs, kind="stable")
     freqs = freqs[order]
@@ -119,6 +125,15 @@ def spectrum(B: OperatorMatrix) -> SpectrumReport:
     kernel_dim = int(np.count_nonzero(np.abs(freqs) <= 1e-10 * scale))
     return SpectrumReport(N=B.N, frequencies=freqs, eigenvectors=BlockDiagonal(n, blocks),
                           order=order, kernel_dim=kernel_dim)
+
+
+def _block_eigh(B: OperatorMatrix, idx: np.ndarray) -> tuple:
+    """(w, V) with i B = V diag(w) V^H on the invariant block ``idx`` of B (internal).
+
+    One Hermitian ``eigh`` of the dense block, at most ``DENSE_CAP`` rows:
+    w real ascending, V unitary.
+    """
+    return sla.eigh(1j * _dense(B.matrix, idx).astype(complex))
 
 
 def shear_E_projection(f: FourierField) -> FourierField:
@@ -279,14 +294,40 @@ def shear_h1sq_series(profile, f0: FourierField, times: np.ndarray,
     return alpha + beta * t + gamma * t * t
 
 
-def _h1sq_series_truncated(flow: Flow, f0: FourierField, times: np.ndarray) -> np.ndarray:
-    """||exp(-tB) f0||_H1^2 along an equispaced time grid (Galerkin evolution)."""
-    B = advection_matrix(flow, f0.N)
-    lam = mode_table(f0.N).lam.astype(float)
-    t0, t1, num = float(times[0]), float(times[-1]), len(times)
-    states = expm_multiply(-B.matrix, f0.coeffs, start=t0, stop=t1,
-                           num=num, endpoint=True)
-    return np.einsum("ij,j->i", states**2, lam)
+def _inviscid_series(B: OperatorMatrix, f0: np.ndarray, weights: np.ndarray,
+                     grids: list) -> list:
+    """sum_j weights_j (exp(-tB) f0)_j^2 along each equispaced time grid of ``grids`` (internal).
+
+    Block by block, over the invariant blocks of B on which both f0 and the
+    weights are nonzero.  A block of at most ``DENSE_CAP`` rows is
+    decomposed once (``_block_eigh``), and every grid reuses it:
+    exp(-tB) f0 = V (exp(i w t) * (V^H f0)) = U exp(i w t) there, with
+    U = V diag(V^H f0).  The state is real, and it is computed in real
+    products only: V^H f0 from Re V and Im V, and the states along a grid
+    as cos(w t) Re U^T - sin(w t) Im U^T, two real GEMMs on arrays of
+    len(grid) x b doubles.  That is half the flops of the complex product,
+    and numpy's complex BLAS raised the peak RSS of a run by 0.3 to 0.6 MB.
+    A larger block is evolved sparse, by ``expm_multiply`` per grid.
+    """
+    out = [np.zeros(len(times)) for times in grids]
+    for idx in invariant_blocks(B):
+        v, wt = f0[idx], weights[idx]
+        if not v.any() or not wt.any():
+            continue
+        if len(idx) > DENSE_CAP:
+            a = -B.matrix[np.ix_(idx, idx)]
+            for series, times in zip(out, grids):
+                series += _orbit(a, v, times) ** 2 @ wt
+            continue
+        w, U = _block_eigh(B, idx)
+        U *= U.real.T @ v - 1j * (U.imag.T @ v)     # V diag(V^H f0), in place of V
+        Ur, Ui = np.ascontiguousarray(U.real.T), np.ascontiguousarray(U.imag.T)
+        for series, times in zip(out, grids):
+            theta = np.outer(times, w)
+            states = np.cos(theta) @ Ur
+            states -= np.sin(theta) @ Ui
+            series += states ** 2 @ wt
+    return out
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -294,10 +335,31 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _time_grid(T: float, h: float | None, steps: int) -> np.ndarray:
+    """Equispaced grid on [0, T] with step <= h, or <= T / steps when h is None."""
+    step = h if h is not None else T / steps
+    return np.linspace(0.0, T, int(math.ceil(T / step)) + 1)
+
+
 def _trapz_running_average(values: np.ndarray, h: float) -> float:
     total = np.trapezoid(values, dx=h)
     T = h * (len(values) - 1)
     return float(total / T)
+
+
+def _growth_method(flow: Flow, method: str) -> str:
+    """The evolution ``h1_growth_average`` runs for ``method``: 'auto' resolved, others checked.
+
+    'auto' is 'shear-exact' for a shear flow and 'truncated-exponential'
+    otherwise.
+    """
+    if method == "auto":
+        return "shear-exact" if flow.kind == "shear" else "truncated-exponential"
+    if method not in ("shear-exact", "truncated-exponential"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "shear-exact" and flow.kind != "shear":
+        raise ValueError("shear-exact method requires a shear flow")
+    return method
 
 
 def h1_growth_average(
@@ -311,9 +373,11 @@ def h1_growth_average(
     """Time-averaged H1 growth G(T) = (1/T) int_0^T ||S(t) f0||_H1^2 dt.
 
     Inviscid dynamics only.  ``method`` is 'shear-exact' (shear flows: exact
-    slice evolution), 'truncated-exponential' (any flow: Galerkin exp(-tB)),
-    or 'auto'.  Each requested T gets a trapezoidal quadrature with step
-    <= h (default T/1000), recorded in ``h_effective``.
+    slice evolution), 'truncated-exponential' (any flow: Galerkin exp(-tB),
+    from one eigendecomposition per invariant block that f0 touches, shared
+    by every T), or 'auto' (``_growth_method``).  Each requested T gets a
+    trapezoidal quadrature with step <= h (default T/1000), recorded in
+    ``h_effective``.
     """
     if not np.any(f0.coeffs):
         raise ValueError("zero initial datum rejected")
@@ -322,23 +386,15 @@ def h1_growth_average(
         _require_positive("averaging horizon T", T)
     if h is not None:
         _require_positive("quadrature step h", h)
-    if method == "auto":
-        method = "shear-exact" if flow.kind == "shear" else "truncated-exponential"
-    if method == "shear-exact" and flow.kind != "shear":
-        raise ValueError("shear-exact method requires a shear flow")
-    values, heff = [], []
-    for T in T_list:
-        step = h if h is not None else T / 1000.0
-        num = int(math.ceil(T / step)) + 1
-        times = np.linspace(0.0, T, num)
-        if method == "shear-exact":
-            series = shear_h1sq_series(flow.profile, f0, times, ygrid=ygrid)
-        elif method == "truncated-exponential":
-            series = _h1sq_series_truncated(flow, f0, times)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        values.append(_trapz_running_average(series, times[1] - times[0]))
-        heff.append(times[1] - times[0])
+    method = _growth_method(flow, method)
+    grids = [_time_grid(T, h, 1000) for T in T_list]
+    if method == "shear-exact":
+        series = [shear_h1sq_series(flow.profile, f0, times, ygrid=ygrid) for times in grids]
+    else:
+        series = _inviscid_series(advection_matrix(flow, f0.N), f0.coeffs,
+                                  mode_table(f0.N).lam.astype(float), grids)
+    heff = [times[1] - times[0] for times in grids]
+    values = [_trapz_running_average(s, step) for s, step in zip(series, heff)]
     return GrowthCurve(
         times=np.asarray(T_list),
         values=np.asarray(values),
@@ -405,9 +461,7 @@ def low_mode_time_average(
     if h is not None:
         _require_positive("quadrature step h", h)
     g0 = f0 - invariant_projection(flow, f0, **(projection_kwargs or {}))
-    step = h if h is not None else T / 2000.0
-    num = int(math.ceil(T / step)) + 1
-    times = np.linspace(0.0, T, num)
+    times = _time_grid(T, h, 2000)
     table = mode_table(f0.N)
     if flow.kind == "shear":
         if ygrid is None:
@@ -417,9 +471,6 @@ def low_mode_time_average(
             ygrid = int(2 ** math.ceil(math.log2(max(8 * f0.N, 2.5 * span + 64))))
         series = _low_mode_mass_series_shear(flow.profile, g0, times, lam_max, ygrid)
     else:
-        B = advection_matrix(flow, f0.N)
-        states = expm_multiply(-B.matrix, g0.coeffs, start=0.0, stop=float(T),
-                               num=num, endpoint=True)
-        mask = (table.lam <= lam_max).astype(float)
-        series = np.einsum("ij,j->i", states**2, mask)
+        series, = _inviscid_series(advection_matrix(flow, f0.N), g0.coeffs,
+                                   (table.lam <= lam_max).astype(float), [times])
     return _trapz_running_average(series, times[1] - times[0])

@@ -219,6 +219,48 @@ def test_validate_reports_block_sizes_not_dimension(tmp_path, capsys):
     assert len(out) == 6
 
 
+def test_validate_growth_reports_the_blocks_f0_touches(tmp_path, capsys):
+    # a truncated-exponential growth (and auto on a cellular flow) decomposes
+    # the invariant blocks that f0 touches: in configs/growth_cellular.ini,
+    # cos x lies in one 156-row block of sin x sin y at N = 12.  shear-exact
+    # builds none, and a block above DENSE_CAP stays sparse (the random flow's
+    # one block of 4224 rows at N = 32), so it is not reported and not refused
+    text = (CONFIGS / "growth_cellular.ini").read_text()
+    assert "\nmethod = truncated-exponential\n" in text
+    auto = write_config(tmp_path, text.replace("\nmethod = truncated-exponential\n", "\n"),
+                        name="auto.ini")
+    above = write_config(tmp_path, f"[experiment]\ntype = growth\nN = 32\n{RANDOM_FLOW}"
+                         "[growth]\nT = 1.0\nf0 =\n    1 0 cos 1.0\n", name="above.ini")
+    for cfg, largest, mb in ((str(CONFIGS / "growth_cellular.ini"), 156, 156**2 * 8 / 1e6),
+                             (auto, 156, 156**2 * 8 / 1e6),
+                             (str(CONFIGS / "growth_shear.ini"), 0, 0.0),
+                             (above, 0, 0.0)):
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"largest_block = {largest}" in out
+        assert f"memory_estimate_mb = {mb:.1f}" in out
+        assert not any(line.startswith("warning") for line in out)
+
+
+def test_covariance_ladder_warns_on_a_cellular_flow(tmp_path, capsys):
+    # dist_to_Q0 measures the distance to the shear limit psi^2/(2 j^2); for
+    # a cellular flow that is not its limit.  The payload does not change
+    warning = ("warning: covariance-ladder: dist_to_Q0 is the distance to the shear limit "
+               "psi^2/(2 j^2), not to the limit of this cellular flow")
+    shear = Path(ladder_config(tmp_path, N=4)).read_text()
+    cell = write_config(tmp_path, shear.replace(SHEAR_FLOW, CELL_FLOW), name="cell.ini")
+    assert main(["validate", "--config", cell]) == 0
+    assert warning in capsys.readouterr().out.splitlines()
+    out = tmp_path / "cell"
+    assert main(["run", "--config", cell, "--out", str(out)]) == 0
+    assert warning in capsys.readouterr().err.splitlines()
+    assert (out / "summary.csv").read_text().splitlines()[0] == (
+        "nu,h1_trace,offblock_norm,dist_to_Q0")
+    for cfg in [write_config(tmp_path, shear), *map(str, sorted(CONFIGS.glob("*.ini")))]:
+        assert main(["validate", "--config", cfg]) == 0
+        assert "warning" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("experiment", ["cellular-support", "spectrum"])
 def test_run_refuses_a_block_above_dense_cap(tmp_path, experiment):
     cfg = (support_config(tmp_path, 32) if experiment == "cellular-support" else

@@ -645,6 +645,23 @@ def test_covariance_export_v2_round_trip_is_bit_exact():
     assert np.array_equal(R.matrix.view(np.uint64), dense.matrix.view(np.uint64))
 
 
+def test_covariance_export_matches_per_value_format():
+    # one "%.17g ... %.17g" format per block width gives the text of
+    # f"{v:.17g}" per value: -0.0, a subnormal, 1e308 and integral floats
+    N, n = 2, mode_table(2).size
+    values = np.array([[-0.0, 5e-324, 1e308], [3.0, -2.0, 1 / 3], [0.1, 2.5e-310, -1e308]])
+    blocks = BlockDiagonal(n, [(np.array([4, 1, 7]), values), (np.array([2]), np.array([[8.0]]))])
+    buf = io.StringIO()
+    write_covariance(CovarianceOperator(N, blocks, provenance="p"), buf)
+    rows = [" ".join(f"{v:.17g}" for v in row) for row in values.tolist()]
+    assert buf.getvalue().splitlines()[4:] == ["4 1 7", *rows, "2", "8"]
+    assert rows[0] == "-0 4.9406564584124654e-324 1e+308" and rows[1].startswith("3 -2 ")
+    R = read_covariance(io.StringIO(buf.getvalue()))
+    for (idx, block), (ridx, rblock) in zip(blocks.blocks, R.blocks.blocks):
+        assert np.array_equal(idx, ridx)
+        assert np.array_equal(block.view(np.uint64), rblock.view(np.uint64))
+
+
 def test_covariance_import_reads_v1():
     # the dense text of earlier versions: every row of the matrix, zeros included
     rows = ["0.5 0 0 0", "0 0.25 -0.125 0", "0 -0.125 0.25 0", "0 0 0 -0"]

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 from torusmix import (
     advection_matrix,
+    default_cellular_flow,
     dissipation_matrix,
     h1_growth_average,
+    invariant_blocks,
     low_mode_time_average,
     make_field,
     mode_table,
@@ -16,9 +21,13 @@ from torusmix import (
     spectrum,
     streamline_projection,
 )
+from torusmix import spectral
 from torusmix.fields import field_from_grid, random_field, sample_grid
 from torusmix.flows import ShearProfile, make_shear
-from torusmix.spectral import _streamline_projector, invariant_projection, shear_h1sq_series
+from torusmix.spectral import (_inviscid_series, _streamline_projector, invariant_projection,
+                               shear_h1sq_series)
+
+from strategies import dihedral_flows, random_flows
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +345,83 @@ def test_low_mode_average_cellular_path(cellular):
     val = low_mode_time_average(cellular, f0, lam_max=4, T=5.0,
                                 projection_kwargs={"bins": 32, "grid": 128})
     assert 0.0 <= val <= sobolev_norm(f0, 0) ** 2 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Galerkin evolution in the eigenbasis of each invariant block
+# ---------------------------------------------------------------------------
+
+
+def _expm_series(B, f0, weights, times):
+    """The oracle: expm_multiply of -B on the whole space, one state per time."""
+    states = expm_multiply(-B.matrix, f0, start=times[0], stop=times[-1], num=len(times),
+                           endpoint=True)
+    return states**2 @ weights
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=st.one_of(random_flows(), dihedral_flows()), N=st.integers(2, 8),
+       seed=st.integers(0, 2**32 - 1), T=st.floats(0.5, 4.0))
+@example(flow=default_cellular_flow(), N=8, seed=1, T=4.0)
+def test_inviscid_series_matches_expm_multiply(flow, N, seed, T):
+    # a random cellular flow has one block of all n rows; sin x sin y (the
+    # example) has several, and a random shear many small ones
+    f0 = random_field(N, np.random.default_rng(seed)).coeffs
+    B = advection_matrix(flow, N)
+    lam = mode_table(N).lam.astype(float)
+    grids = [np.linspace(0.0, T / 2, 51), np.linspace(0.0, T, 101)]
+    h1sq = _inviscid_series(B, f0, lam, grids)
+    for series, times in zip(h1sq, grids):
+        oracle = _expm_series(B, f0, lam, times)
+        assert np.max(np.abs(series - oracle)) <= 1e-12 * np.max(oracle)
+    l2sq = _inviscid_series(B, f0, np.ones_like(f0), grids)
+    for series in l2sq:
+        assert np.max(np.abs(series - f0 @ f0)) <= 1e-12 * (f0 @ f0)
+
+
+def test_blocks_above_dense_cap_evolve_by_expm_multiply(cellular, monkeypatch):
+    # every block above a patched cap stays sparse: the same values, and no eigh
+    N = 8
+    f0 = make_field(N, [((1, 0), "cos", 1.0), ((2, 1), "sin", 0.4), ((1, 2), "cos", -0.3)])
+    rng_f0 = random_field(N, np.random.default_rng(3))
+    growth = h1_growth_average(cellular, f0, [1.0, 3.0], method="truncated-exponential", h=0.01)
+    low = low_mode_time_average(cellular, rng_f0, lam_max=4, T=3.0, h=0.01,
+                                projection_kwargs={"bins": 32, "grid": 128})
+    monkeypatch.setattr(spectral, "DENSE_CAP", 0)
+    monkeypatch.setattr(spectral, "_block_eigh", None)
+    sparse = h1_growth_average(cellular, f0, [1.0, 3.0], method="truncated-exponential",
+                               h=0.01)
+    assert np.allclose(sparse.values, growth.values, rtol=1e-12, atol=0)
+    assert np.array_equal(sparse.h_effective, growth.h_effective)
+    assert low_mode_time_average(cellular, rng_f0, lam_max=4, T=3.0, h=0.01,
+                                 projection_kwargs={"bins": 32, "grid": 128}) == pytest.approx(
+        low, rel=1e-12)
+
+
+def test_growth_decomposes_each_touched_block_once(cellular, monkeypatch):
+    # one B per call and one eigh per block f0 touches, shared by every T
+    N = 8
+    f0 = make_field(N, [((1, 0), "cos", 1.0), ((0, 1), "sin", 0.5)])
+    B = advection_matrix(cellular, N)
+    touched = [idx for idx in invariant_blocks(B) if f0.coeffs[idx].any()]
+    assert 1 <= len(touched) < len(invariant_blocks(B))
+    calls = {"advection_matrix": 0, "_block_eigh": 0}
+    for name in calls:
+        original = getattr(spectral, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+    h1_growth_average(cellular, f0, [1.0, 2.0, 4.0], method="truncated-exponential", h=0.05)
+    assert calls == {"advection_matrix": 1, "_block_eigh": len(touched)}
+    assert not hasattr(spectral, "expm_multiply")
+
+
+def test_spectrum_frequencies_come_from_the_shared_block_eigh(cellular):
+    B = advection_matrix(cellular, 6)
+    rep = spectrum(B)
+    for idx in invariant_blocks(B):
+        w, _ = spectral._block_eigh(B, idx)
+        assert np.array_equal(np.sort(w), np.sort(rep.frequencies[np.isin(rep.order, idx)]))
