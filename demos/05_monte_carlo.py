@@ -29,7 +29,7 @@ stats = tm.simulate(config, tm.make_field(N, []))
 Q_emp = tm.empirical_covariance(stats)
 Q_lyap = tm.lyapunov_covariance(tm.generator(shear, nu, N), noise)
 
-i = tm.mode_table(N).index[(0, 1, "cos")]
+i = tm.mode_table(N).coefficient_index((0, 1), "cos")
 entries = np.array([c[i, i] for c in stats.member_covariances])
 se = entries.std(ddof=1) / math.sqrt(len(entries))
 print(f"samples: {stats.sample_count}")

@@ -179,6 +179,10 @@ def _read(cfg, section: str, key: _Key, N, problems: list):
         problems.append(f"{section}.{key.key}: {exc}")
 
 
+# the keys of [flow] besides kind, per kind (configparser stores keys lowercased)
+_FLOW_KEYS = {"shear": ("profile",), "cellular": ("streamfunction", "streamfunction_n")}
+
+
 def _build_flow(cfg: configparser.ConfigParser, N: int, problems: list) -> Flow | None:
     if not cfg.has_section("flow"):
         problems.append("flow: section missing")
@@ -263,10 +267,13 @@ def parse_spec(path) -> ExperimentSpec:
 
     params = {key.param or key.key: _read(cfg, experiment, key, N, problems)
               for key in entry.keys}
-    known = {key.key.lower() for key in entry.keys}   # configparser stores T as t
-    if cfg.has_section(experiment):
-        warnings += [f"{experiment}.{key}: unknown key, ignored"
-                     for key in cfg.options(experiment) if key not in known]
+    known = {experiment: {key.key.lower() for key in entry.keys},   # configparser stores T as t
+             "flow": ("kind", *_FLOW_KEYS.get(cfg.get("flow", "kind", fallback=None), ())),
+             "noise": ("modes",)}
+    for section, keys in known.items():
+        if cfg.has_section(section):
+            warnings += [f"{section}.{key}: unknown key, ignored"
+                         for key in cfg.options(section) if key not in keys]
 
     grid, bins = params.get("grid"), params.get("bins")
     if grid is not None and grid < 4 * N:

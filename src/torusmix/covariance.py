@@ -573,13 +573,18 @@ def read_covariance(path_or_file) -> CovarianceOperator:
         words = fh.readline().split()
         if len(words) != 2 or words[0] != "blocks":
             raise ValueError("missing block count line 'blocks <count>'")
-        blocks = []
+        blocks, taken = [], np.zeros(n, dtype=bool)
         for b in range(int(words[1])):
             idx = np.array(fh.readline().split(), dtype=int)
             rows = [fh.readline().split() for _ in idx]
             if not idx.size or idx.min() < 0 or idx.max() >= n or any(
                     len(row) != idx.size for row in rows):
                 raise ValueError(f"block {b}: bad index line or rows")
+            if np.unique(idx).size != idx.size:
+                raise ValueError(f"block {b}: an index repeats within the block")
+            if taken[idx].any():
+                raise ValueError(f"block {b}: index {idx[taken[idx]][0]} is in an earlier block")
+            taken[idx] = True
             blocks.append((idx, np.array(rows, dtype=float)))
     return CovarianceOperator(N, BlockDiagonal(n, blocks), provenance=provenance.strip())
 

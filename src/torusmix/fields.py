@@ -17,10 +17,13 @@ sorted by the key
 
     (|k|^2, |k1|, |k2|, k1, k2)
 
-(ascending Laplacian eigenvalue, ties broken lexicographically), and each
+(ascending Laplacian eigenvalue, ties broken lexicographically; as k1 >= 0
+on the half lattice, one ``np.lexsort`` on (|k|^2, k1, |k2|, k2)), and each
 representative contributes its cosine coefficient followed by its sine
-coefficient.  The flat coefficient vector has length (2N+1)^2 - 1.  All
-matrix-valued operators in this package act on this ordering, and the
+coefficient.  The flat coefficient vector has length (2N+1)^2 - 1.  The
+position of a coefficient is read from one integer array,
+``ModeTable.slot``, indexed by [k1+N, k2+N] like the complex lattice below.
+All matrix-valued operators in this package act on this ordering, and the
 serialization format below documents it.
 
 Serialization format (one field per file)::
@@ -95,7 +98,9 @@ class ModeTable:
     """Canonical ordering data for one truncation order N.
 
     Arrays are aligned with the flat coefficient vector: entry i describes
-    the basis function of coefficient i.
+    the basis function of coefficient i.  ``slot[k1+N, k2+N]`` is the
+    position of the cosine coefficient of the pair {k, -k} (the same for k
+    and -k); the sine coefficient follows it.  The entry at k = 0 is -1.
     """
 
     N: int
@@ -103,7 +108,7 @@ class ModeTable:
     k2: np.ndarray          # int, shape (n,)
     lam: np.ndarray         # |k|^2 per coefficient, shape (n,)
     parity: np.ndarray      # 0 = cos, 1 = sin, shape (n,)
-    index: dict             # (k1, k2, parity_str) -> flat index
+    slot: np.ndarray        # int, shape (2N+1, 2N+1)
 
     @property
     def size(self) -> int:
@@ -111,12 +116,11 @@ class ModeTable:
 
     def coefficient_index(self, mode: Sequence[int], parity: str) -> int:
         m = _validate_mode(mode, self.N)
-        rep = m.representative()
         if parity not in PARITIES:
             raise ValueError(f"parity must be 'cos' or 'sin', got {parity!r}")
         # c_{-k} = c_k, s_{-k} = -s_k: callers who pass the non-representative
         # mode get the representative slot; the sign flip is their concern.
-        return self.index[(rep.k1, rep.k2, parity)]
+        return int(self.slot[m.k1 + self.N, m.k2 + self.N]) + PARITIES.index(parity)
 
 
 @lru_cache(maxsize=None)
@@ -124,33 +128,25 @@ def mode_table(N: int) -> ModeTable:
     """Build (and cache) the canonical mode table for truncation N."""
     if N < 1:
         raise ValueError("truncation order N must be >= 1")
-    reps = [
-        Mode(k1, k2)
-        for k1 in range(0, N + 1)
-        for k2 in range(-N, N + 1)
-        if Mode(k1, k2).is_representative() and abs(k1) <= N and abs(k2) <= N
-    ]
-    reps.sort(key=lambda m: (m.lam, abs(m.k1), abs(m.k2), m.k1, m.k2))
-    k1, k2, lam, parity = [], [], [], []
-    index = {}
-    for m in reps:
-        for p, pname in enumerate(PARITIES):
-            index[(m.k1, m.k2, pname)] = len(k1)
-            k1.append(m.k1)
-            k2.append(m.k2)
-            lam.append(m.lam)
-            parity.append(p)
+    k1, k2 = np.indices((N + 1, 2 * N + 1)).reshape(2, -1) - [[0], [N]]
+    half = (k1 > 0) | (k2 > 0)
+    k1, k2 = k1[half], k2[half]
+    lam = k1 * k1 + k2 * k2
+    order = np.lexsort((k2, np.abs(k2), k1, lam))
+    k1, k2, lam = k1[order], k2[order], lam[order]
+    slot = np.full((2 * N + 1, 2 * N + 1), -1)
+    slot[N + k1, N + k2] = slot[N - k1, N - k2] = np.arange(0, 2 * k1.size, 2)
     table = ModeTable(
         N=N,
-        k1=np.asarray(k1, dtype=np.int64),
-        k2=np.asarray(k2, dtype=np.int64),
-        lam=np.asarray(lam, dtype=np.int64),
-        parity=np.asarray(parity, dtype=np.int64),
-        index=index,
+        k1=np.repeat(k1, 2),
+        k2=np.repeat(k2, 2),
+        lam=np.repeat(lam, 2),
+        parity=np.tile(np.arange(2), k1.size),
+        slot=slot,
     )
     expected = (2 * N + 1) ** 2 - 1
     assert table.size == expected, (table.size, expected)
-    for arr in (table.k1, table.k2, table.lam, table.parity):
+    for arr in (table.k1, table.k2, table.lam, table.parity, table.slot):
         arr.setflags(write=False)
     return table
 
@@ -218,9 +214,7 @@ class FourierField:
             return self
         src, dst = self.table, mode_table(N_new)
         out = np.zeros(dst.size)
-        for i in range(src.size):
-            j = dst.index[(int(src.k1[i]), int(src.k2[i]), PARITIES[src.parity[i]])]
-            out[j] = self.coeffs[i]
+        out[dst.slot[N_new + src.k1, N_new + src.k2] + src.parity] = self.coeffs
         return FourierField(N_new, out)
 
 

@@ -6,7 +6,11 @@ complex exponential basis (no collocation, no aliasing) and then rotated to
 the real trigonometric basis by the unitary change of basis.  Because the
 Galerkin compression of a skew-adjoint operator is skew-adjoint, B + B^T = 0
 to machine precision, which is the backbone of every energy identity in this
-package.
+package.  The complex coefficient of e_k sits at position
+(k1+N)(2N+1) + (k2+N) of the whole (2N+1)^2 lattice, the row-major layout
+of ``fields.complex_lattice``; the row and column of k = 0 stay empty, so
+the convolution by a velocity mode m is the shift of every position by
+m1 (2N+1) + m2.
 
 Dissipation is diagonal, -(|k|^2)^s per coefficient, and the generator of
 the viscous dynamics  f' = -u.grad f + nu Delta^s f  is  A = -B + nu D.
@@ -96,7 +100,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, expm_multiply
 
-from .fields import PARITIES, FourierField, _open_text, mode_table
+from .fields import FourierField, _open_text, mode_table
 from .flows import Flow
 
 __all__ = [
@@ -148,36 +152,21 @@ class OperatorMatrix:
         return self.matrix.toarray()
 
 
-@lru_cache(maxsize=None)
-def _complex_index(N: int) -> dict:
-    """Enumerate the full nonzero lattice |k|_inf <= N (internal)."""
-    modes = [(k1, k2) for k1 in range(-N, N + 1) for k2 in range(-N, N + 1)
-             if (k1, k2) != (0, 0)]
-    return {m: i for i, m in enumerate(modes)}
-
-
-@lru_cache(maxsize=None)
 def _real_to_complex(N: int) -> sp.csc_matrix:
     """Unitary map V: real canonical coefficients -> complex lattice coefficients."""
     table = mode_table(N)
-    cidx = _complex_index(N)
     n = table.size
-    rows, cols, vals = [], [], []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        k = (int(table.k1[i]), int(table.k2[i]))
-        mk = (-k[0], -k[1])
-        if table.parity[i] == 0:  # cosine: z_k = a/sqrt2 on both k and -k
-            rows += [cidx[k], cidx[mk]]
-            cols += [i, i]
-            vals += [inv_sqrt2, inv_sqrt2]
-        else:  # sine: z_k = -i b/sqrt2, z_{-k} = +i b/sqrt2
-            rows += [cidx[k], cidx[mk]]
-            cols += [i, i]
-            vals += [-1j * inv_sqrt2, 1j * inv_sqrt2]
-    return sp.csc_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
-    )
+    # cosine: z_k = z_{-k} = a/sqrt2; sine: z_k = -i b/sqrt2, z_{-k} = +i b/sqrt2
+    cos = table.parity == 0
+    vals = np.stack([np.where(cos, inv_sqrt2, -1j * inv_sqrt2),
+                     np.where(cos, inv_sqrt2, 1j * inv_sqrt2)], axis=1)
+    L = (2 * N + 1) ** 2
+    k = (table.k1 + N) * (2 * N + 1) + table.k2 + N
+    rows = np.stack([k, L - 1 - k], axis=1)     # -k sits at the mirror position of k
+    cols = np.repeat(np.arange(n), 2)
+    return sp.csc_matrix(sp.coo_matrix((vals.ravel(), (rows.ravel(), cols)),
+                                       shape=(L, n), dtype=complex))
 
 
 def advection_matrix(flow: Flow | None, N: int) -> OperatorMatrix:
@@ -195,18 +184,20 @@ def advection_matrix(flow: Flow | None, N: int) -> OperatorMatrix:
         raise ValueError(
             f"velocity support {flow.max_wavenumber} exceeds 2N = {2 * N}"
         )
-    cidx = _complex_index(N)
+    L = (2 * N + 1) ** 2
+    k1, k2 = np.indices((2 * N + 1, 2 * N + 1)).reshape(2, L) - N     # complex positions
+    source = (k1 != 0) | (k2 != 0)
     rows, cols, vals = [], [], []
     for (m1, m2), (a1, a2) in flow.velocity.items():
-        for (k1, k2), j in cidx.items():
-            t1, t2 = k1 + m1, k2 + m2
-            if (t1, t2) == (0, 0) or abs(t1) > N or abs(t2) > N:
-                continue
-            # u . grad e_k = i (k . uhat_m) e_{k+m}
-            vals.append(1j * (k1 * a1 + k2 * a2))
-            rows.append(cidx[(t1, t2)])
-            cols.append(j)
-    Bc = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
+        t1, t2 = k1 + m1, k2 + m2
+        keep = np.flatnonzero(source & ((t1 != 0) | (t2 != 0))
+                              & (np.abs(t1) <= N) & (np.abs(t2) <= N))
+        # u . grad e_k = i (k . uhat_m) e_{k+m}
+        vals.append(1j * (k1[keep] * a1 + k2[keep] * a2))
+        rows.append(keep + m1 * (2 * N + 1) + m2)
+        cols.append(keep)
+    Bc = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(L, L), dtype=complex).tocsr()
     V = _real_to_complex(N)
     Br = (V.getH() @ (Bc @ V)).tocoo()
     imag_max = np.max(np.abs(Br.data.imag)) if Br.nnz else 0.0
@@ -452,9 +443,7 @@ def _lattice_maps(N: int) -> tuple:
     for M in _REFLECTIONS:
         m1, m2 = np.asarray(M) @ np.stack([table.k1, table.k2])
         rep = (m1 > 0) | ((m1 == 0) & (m2 > 0))
-        r1, r2 = np.where(rep, m1, -m1), np.where(rep, m2, -m2)
-        p = np.array([table.index[(int(a), int(b), PARITIES[q])]
-                      for a, b, q in zip(r1, r2, table.parity)])
+        p = table.slot[N + m1, N + m2] + table.parity
         flip = np.where(rep | (table.parity == 0), 1.0, -1.0)
         p.setflags(write=False)
         for t1 in (0, 1):

@@ -155,7 +155,7 @@ def test_criterion_5_monte_carlo_consistency():
         stats = simulate(config, make_field(N, []))
         assert stats.sample_count >= 10_000
         Q = empirical_covariance(stats)
-        i = mode_table(N).index[(0, 1, "cos")]
+        i = mode_table(N).coefficient_index((0, 1), "cos")
         entry = Q.matrix[i, i]
         assert abs(entry - 0.5) <= 0.05 * 0.5, entry
         res = energy_balance_residual(stats, (config.burn_in, config.horizon))

@@ -181,7 +181,7 @@ def test_exact_gaussian_above_old_dimension_cap(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     Q = read_covariance(out / "empirical_covariance.txt")
     assert [idx.tolist() for idx, _ in Q.blocks.blocks] == [
-        [mode_table(40).index[(0, 1, "cos")]]]
+        [mode_table(40).coefficient_index((0, 1), "cos")]]
 
 
 def test_validate_dissipation_probe_reports_dense_sectors(tmp_path, capsys):
@@ -758,6 +758,28 @@ def test_unknown_key_in_experiment_section_warns(tmp_path, capsys):
     assert warnings == ["warning: growth.bin: unknown key, ignored"]
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert "warning: growth.bin: unknown key, ignored" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flow,extra,warning", [
+    (SHEAR_FLOW, "streamfunction_N = 2\n", "flow.streamfunction_n"),
+    (CELL_FLOW, "profile =\n    0 1 sin 1.0\n", "flow.profile"),
+    (CELL_FLOW + "mode = 1\n", "", "flow.mode"),
+], ids=["streamfunction-on-shear", "profile-on-cellular", "typo"])
+def test_unknown_key_in_flow_section_warns(tmp_path, capsys, flow, extra, warning):
+    # the keys [flow] takes depend on its kind
+    cfg = write_config(tmp_path, _growth_config("T = 1.0", flow=flow + extra))
+    assert main(["validate", "--config", cfg]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == [f"warning: {warning}: unknown key, ignored"]
+
+
+def test_unknown_key_in_noise_section_warns(tmp_path, capsys):
+    cfg = ladder_config(tmp_path, noise="0 1 cos 1.0\nmode = 0 2 cos 1.0")
+    assert main(["validate", "--config", cfg]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: noise.mode: unknown key, ignored"]
 
 
 def test_rejected_config_leaves_error_json(tmp_path, capsys, monkeypatch):

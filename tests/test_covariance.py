@@ -56,7 +56,7 @@ def test_ou_stationary_variance_heat_only():
     # nu psi^2 / (2 nu |k|^2) = psi^2 / (2 |k|^2), independent of nu
     N = 4
     t = mode_table(N)
-    i = t.index[(0, 1, "cos")]
+    i = t.coefficient_index((0, 1), "cos")
     noise = unit_noise(N, [((0, 1), "cos", 1.0)])
     for nu in (1.0, 0.1, 0.01):
         Q = lyapunov_covariance(generator(None, nu, N), noise)
@@ -70,7 +70,7 @@ def test_ou_variance_higher_mode_and_fractional():
     t = mode_table(N)
     noise = unit_noise(N, [((1, 1), "sin", 2.0)])
     Q = lyapunov_covariance(generator(None, 0.3, N), noise)
-    i = t.index[(1, 1, "sin")]
+    i = t.coefficient_index((1, 1), "sin")
     assert Q.matrix[i, i] == pytest.approx(4.0 / (2.0 * 2.0), rel=1e-12)
     # fractional dissipation s = 1/2: rate |k|^{2s} = sqrt(2)
     Qf = lyapunov_covariance(generator(None, 0.3, N, s=0.5), noise)
@@ -250,7 +250,7 @@ def test_quadrature_single_mode_closed_form():
     # u = 0, one forced mode: nu int_0^T e^{-2 nu |k|^2 t} dt in closed form
     N = 3
     t = mode_table(N)
-    i = t.index[(0, 2, "cos")]
+    i = t.coefficient_index((0, 2), "cos")
     nu, lam, psi = 0.25, 4.0, 1.5
     noise = unit_noise(N, [((0, 2), "cos", psi)])
     A = generator(None, nu, N)
@@ -333,12 +333,14 @@ def test_shear_limit_values():
     t = mode_table(N)
     noise = unit_noise(N, [((0, 1), "cos", 1.0)])
     Q0 = shear_limit_covariance(noise)
-    assert Q0.matrix[t.index[(0, 1, "cos")], t.index[(0, 1, "cos")]] == 0.5
+    i = t.coefficient_index((0, 1), "cos")
+    assert Q0.matrix[i, i] == 0.5
     assert np.count_nonzero(Q0.matrix) == 1
 
     noise3 = unit_noise(N, [((0, 3), "cos", 2.0)])
     Q3 = shear_limit_covariance(noise3)
-    assert Q3.matrix[t.index[(0, 3, "cos")], t.index[(0, 3, "cos")]] == pytest.approx(2.0 / 9.0)
+    i = t.coefficient_index((0, 3), "cos")
+    assert Q3.matrix[i, i] == pytest.approx(2.0 / 9.0)
 
 
 def test_shear_limit_vanishes_for_x_dependent_forcing():
@@ -695,6 +697,19 @@ def test_covariance_import_rejects_broken_v2(cut):
         lines[6] = f"2 4 {n}\n"
     with pytest.raises(ValueError, match="block 1"):
         read_covariance(io.StringIO("".join(lines)))
+
+
+@pytest.mark.parametrize("second,message", [
+    ("1 2", "block 1: index 1 is in an earlier block"),
+    ("3 3", "block 1: an index repeats within the block"),
+], ids=["shared-index", "repeated-index"])
+def test_covariance_import_rejects_overlapping_blocks(second, message):
+    # blocks [[1, 0], [0, 1]] and [[5, 0], [0, 5]]: toarray would overwrite
+    # the first with the second on a shared index
+    text = ("# torusmix covariance v2\nN 2\nprovenance p\nblocks 2\n"
+            f"0 1\n1 0\n0 1\n{second}\n5 0\n0 5\n")
+    with pytest.raises(ValueError, match=message):
+        read_covariance(io.StringIO(text))
 
 
 def test_covariance_import_rejects_bad_tag(shear):

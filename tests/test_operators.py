@@ -40,16 +40,16 @@ def test_advection_hand_convolution_sin_shear(shear):
     N = 4
     B = advection_matrix(shear, N).dense()
     t = mode_table(N)
-    col = B[:, t.index[(1, 0, "cos")]]
+    col = B[:, t.coefficient_index((1, 0), "cos")]
     expected = np.zeros_like(col)
-    expected[t.index[(1, 1, "cos")]] = 0.5
-    expected[t.index[(1, -1, "cos")]] = -0.5
+    expected[t.coefficient_index((1, 1), "cos")] = 0.5
+    expected[t.coefficient_index((1, -1), "cos")] = -0.5
     assert np.allclose(col, expected, atol=1e-14)
     # the sine partner couples within the sine family the same way
-    col_s = B[:, t.index[(1, 0, "sin")]]
+    col_s = B[:, t.coefficient_index((1, 0), "sin")]
     expected_s = np.zeros_like(col_s)
-    expected_s[t.index[(1, 1, "sin")]] = 0.5
-    expected_s[t.index[(1, -1, "sin")]] = -0.5
+    expected_s[t.coefficient_index((1, 1), "sin")] = 0.5
+    expected_s[t.coefficient_index((1, -1), "sin")] = -0.5
     assert np.allclose(col_s, expected_s, atol=1e-14)
 
 
@@ -92,7 +92,7 @@ def test_dissipation_diagonal_values(mode, s, expected):
     N = 4
     D = dissipation_matrix(N, s).dense()
     t = mode_table(N)
-    i = t.index[(*mode, "cos")]
+    i = t.coefficient_index(mode, "cos")
     assert D[i, i] == pytest.approx(expected, rel=1e-15)
     assert np.count_nonzero(D - np.diag(np.diag(D))) == 0
 

@@ -118,7 +118,7 @@ def test_exact_gaussian_ou_variance():
     stats = simulate(cfg, make_field(N, []))
     assert stats.sample_count >= 10_000
     Q = empirical_covariance(stats)
-    i = mode_table(N).index[(0, 1, "cos")]
+    i = mode_table(N).coefficient_index((0, 1), "cos")
     entries = np.array([c[i, i] for c in stats.member_covariances])
     se = entries.std(ddof=1) / math.sqrt(len(entries))
     assert abs(Q.matrix[i, i] - 0.5) <= 3.0 * se
@@ -229,7 +229,7 @@ def test_scheme_agreement_as_dt_shrinks(shear):
     N = 4
     nu = 0.1
     noise = single_mode_noise(N)
-    i = mode_table(N).index[(0, 1, "cos")]
+    i = mode_table(N).coefficient_index((0, 1), "cos")
 
     eg = SimConfig(flow=shear, nu=nu, noise=noise, scheme="ExactGaussian",
                    dt=0.5, horizon=550.0, burn_in=50.0, ensemble=32, seed=17)
@@ -501,7 +501,7 @@ def test_member_covariances_are_canonically_indexed():
     # the member covariances hold its variance psi^2 / (2 |k|^2) there
     N = 3
     noise = NoiseSpec.from_modes(N, [((1, 1), "sin", 1.0)])
-    i = mode_table(N).index[(1, 1, "sin")]
+    i = mode_table(N).coefficient_index((1, 1), "sin")
     assert i != 0
     cfg = SimConfig(flow=None, nu=0.2, noise=noise, scheme="ExactGaussian", dt=0.5,
                     horizon=200.0, burn_in=20.0, ensemble=8, seed=4)
