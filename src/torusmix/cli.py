@@ -17,10 +17,11 @@ then runs the checks that span keys, so ``validate`` and ``run`` reject the
 same inputs; ``run`` looks the runner up there.  Every number passes one
 parser that rejects non-finite values.
 
-Every run writes its result CSVs plus ``manifest.txt`` (the fully resolved
-config, seed, code version and RNG algorithm -- enough to reproduce the run)
-and ``timestamps.txt`` (wall-clock bookkeeping, kept separate so result
-payloads are byte-identical across reruns).  Failures exit nonzero and leave
+Every run writes its result CSVs (and covariance v3 ``.cov`` files) plus
+``manifest.txt`` (the fully resolved config, seed, code version and RNG
+algorithm -- enough to reproduce the run) and ``timestamps.txt``
+(wall-clock bookkeeping, kept separate so result payloads are
+byte-identical across reruns).  Failures exit nonzero and leave
 a machine-readable ``error.json``.
 """
 
@@ -374,7 +375,7 @@ def _run_covariance_ladder(spec: ExperimentSpec, outdir: Path) -> None:
     for i, nu in enumerate(spec.params["nu_ladder"]):
         A = generator(B, nu, spec.N)
         Q = lyapunov_covariance(A, spec.noise)
-        write_covariance(Q, outdir / f"covariance_{i:02d}.txt")
+        write_covariance(Q, outdir / f"covariance_{i:02d}.cov")
         _write_eigs_csv(outdir / f"eigenvalues_{i:02d}.csv", Q)
         rows.append(
             (nu, h1_trace(Q), block_operator_norm(Q, "k1-nonzero"),
@@ -389,7 +390,7 @@ def _run_simulate(spec: ExperimentSpec, outdir: Path) -> None:
     stats = simulate(spec.sim_config, spec.params["f0"])
     stats.write_csv(outdir / "stats.csv")
     Q = empirical_covariance(stats)
-    write_covariance(Q, outdir / "empirical_covariance.txt")
+    write_covariance(Q, outdir / "empirical_covariance.cov")
     _write_eigs_csv(outdir / "eigenvalues.csv", Q)
 
 
@@ -594,20 +595,31 @@ def _dense_block_sizes(spec: ExperimentSpec) -> list:
             if used[idx].any() and len(idx) <= cap]
 
 
+# Doubles per b^2 that a run holds at its peak, measured with tracemalloc:
+# (per stored block, beside them for the working set of the largest block)
+_MEMORY_PER_B2 = {
+    "covariance-ladder": (1, 2),    # Q; the solve's two further b x b arrays
+    "cellular-support": (1, 2),
+    "simulate": (2, 35),            # E_b and L_b; expm of Van Loan's 2b x 2b matrix
+    "spectrum": (2, 4),             # complex eigenvectors; the complex block and eigh's copy
+    "growth": (0, 6),               # one complex eigh at a time, as in spectrum
+    "dissipation-probe": (0, 11),   # one sector at a time: exp(tA), E^T E, Lanczos
+}
+
+
 def validate_report(spec: ExperimentSpec) -> str:
     """What ``validate`` prints for a valid ``spec``.
 
     n, the largest dense block, a memory estimate and a runtime class from
-    the sum of b^3; a warning if the largest block passes ``DENSE_CAP``,
-    then the warnings of ``spec``.  The memory is the sum of b^2 doubles
-    over the dense blocks, plus for the Lyapunov experiments the two b^2
-    working arrays that the solve of the largest block holds beside its Q.
+    the sum of b^3; a warning if a dense array of the run passes
+    ``DENSE_CAP``, then the warnings of ``spec``.  The memory counts the
+    blocks a run stores and the working set of its largest block, in
+    doubles per b^2 as measured (``_MEMORY_PER_B2``).
     """
     sizes = _dense_block_sizes(spec)
     largest, cubes = max(sizes, default=0), sum(b**3 for b in sizes)
-    doubles = sum(b * b for b in sizes)
-    if spec.experiment in ("covariance-ladder", "cellular-support"):
-        doubles += 2 * largest * largest
+    stored, working = _MEMORY_PER_B2[spec.experiment]
+    doubles = stored * sum(b * b for b in sizes) + working * largest * largest
     lines = [
         "ok",
         f"experiment = {spec.experiment}",
@@ -619,6 +631,10 @@ def validate_report(spec: ExperimentSpec) -> str:
     if largest > DENSE_CAP:
         lines.append(f"warning: a dense block of {largest} rows exceeds the dimension cap "
                      f"{DENSE_CAP}; the run will be refused")
+    elif spec.experiment == "simulate" and 2 * largest > DENSE_CAP:
+        lines.append(f"warning: the Van Loan matrix of a block of {largest} rows has "
+                     f"{2 * largest} rows, above the dimension cap {DENSE_CAP}; "
+                     "the run will be refused")
     lines += [f"warning: {w}" for w in spec.warnings]
     return "\n".join(lines)
 

@@ -30,9 +30,10 @@ coefficients.
 Psi Psi^T is diagonal, so Q vanishes off the forced invariant blocks of A.
 A :class:`CovarianceOperator` keeps Q per block (``operators.BlockDiagonal``)
 and every diagnostic here works block by block: the H1 trace, the selector
-and distance norms, the eigenvalue summary.  The text export, covariance v2,
-writes the stored blocks and nothing else; :func:`read_covariance` also
-reads the dense v1 text of earlier versions.
+and distance norms, the eigenvalue summary.  The export, covariance v3,
+writes the stored blocks and nothing else: text header and index lines,
+each block's values as raw little-endian float64.  :func:`read_covariance`
+also reads the v2 block text and the dense v1 text of earlier versions.
 
 Two structural identities hold exactly at the Galerkin level for every flow
 and every nu > 0, and the test suite enforces them:
@@ -54,7 +55,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgees, dtrsyl
 
-from .fields import PARITIES, _open_text, mode_table
+from .fields import PARITIES, _open, mode_table
 from .operators import BlockDiagonal, OperatorMatrix, _dense, _symmetry_sectors, invariant_blocks
 
 __all__ = [
@@ -402,8 +403,9 @@ def gaussian_increment_covariance(
     (the dissipation on the diagonal of a) and tau <= h; ``h`` can only
     tighten the step.  Then k doublings S(2 tau) = S(tau) + E S(tau) E^T,
     E <- E^2 (Smith 1968).  Both results are :class:`BlockDiagonal` with
-    one block per invariant block of A, each at most
-    ``operators.DENSE_CAP`` rows.
+    one block per invariant block of A.  The Van Loan matrix of a block has
+    twice its rows, and it too is refused above ``operators.DENSE_CAP``:
+    each block has at most ``DENSE_CAP // 2`` rows.
     """
     _check_generator(A, noise)
     E, S = [], []
@@ -420,7 +422,11 @@ def _increment_block(a: np.ndarray, psi2: np.ndarray, t: float, h: float | None 
     b = len(a)
     rate = float(np.max(-np.diag(a), initial=0.0))
     k = max(_doublings(t, h), _doublings(t * rate, 1.0))
-    C = np.block([[-a, np.diag(psi2)], [np.zeros((b, b)), a.T]])
+    # [[-a, diag(psi2)], [0, a^T]], filled in place: 2b rows, refused above the cap
+    C = _dense(sp.csr_matrix((2 * b, 2 * b)))
+    np.negative(a, out=C[:b, :b])
+    C[b:, b:] = a.T
+    C[np.arange(b), np.arange(b, 2 * b)] = psi2
     X = sla.expm((t / 2**k) * C)
     Eb = X[b:, b:].T
     Sb = Eb @ X[:b, b:]
@@ -532,37 +538,60 @@ def covariance_distance(Q1: CovarianceOperator, Q2: CovarianceOperator) -> float
 # Export
 # ---------------------------------------------------------------------------
 
-_COV_HEADERS = {"# torusmix covariance v1": 1, "# torusmix covariance v2": 2}
+_COV_HEADERS = {f"# torusmix covariance v{v}".encode(): v for v in (1, 2, 3)}
 
 
 def write_covariance(Q: CovarianceOperator, path_or_file) -> None:
-    """Block text export, covariance v2.
+    """Block export, covariance v3: text header lines, binary blocks.
 
     The header line, the ``N`` and ``provenance`` lines and a line
-    ``blocks <count>``; then, per stored block, one line of its indices and
-    its rows in ``%.17g``, row by row.  Rows no block covers are zero.
+    ``blocks <count>``; then, per stored block of b rows, one text line of
+    its indices followed by its b * b values as little-endian float64,
+    row-major, with no separator.  Rows no block covers are zero.
+    ``path_or_file`` is a path or a binary handle; each block goes out from
+    its own buffer, with no copy and no per-value work.
     """
-    with _open_text(path_or_file, "w") as fh:
-        fh.write(f"# torusmix covariance v2\nN {Q.N}\nprovenance {Q.provenance}\n"
-                 f"blocks {len(Q.blocks.blocks)}\n")
+    with _open(path_or_file, "wb") as fh:
+        fh.write(f"# torusmix covariance v3\nN {Q.N}\nprovenance {Q.provenance}\n"
+                 f"blocks {len(Q.blocks.blocks)}\n".encode())
         for idx, block in Q.blocks.blocks:
-            fh.write(" ".join(map(str, idx.tolist())) + "\n")
-            line = " ".join(["%.17g"] * len(idx)) + "\n"     # one format per block width
-            for row in block:       # one row of Python floats at a time
-                fh.write(line % tuple(row.tolist()))
+            fh.write((" ".join(map(str, idx.tolist())) + "\n").encode())
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+
+
+def _block_indices(line: bytes, b: int, n: int, taken: np.ndarray) -> np.ndarray:
+    """The indices on the line of block ``b``: distinct, in range, in no earlier block."""
+    try:
+        idx = np.array(line.split(), dtype=np.int64)
+    except ValueError:
+        idx = np.empty(0, dtype=np.int64)
+    if not idx.size or idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"block {b}: bad index line")
+    if np.unique(idx).size != idx.size:
+        raise ValueError(f"block {b}: an index repeats within the block")
+    if taken[idx].any():
+        raise ValueError(f"block {b}: index {idx[taken[idx]][0]} is in an earlier block")
+    taken[idx] = True
+    return idx
 
 
 def read_covariance(path_or_file) -> CovarianceOperator:
-    """Read a v2 export into its blocks, or a dense v1 export into one block."""
-    with _open_text(path_or_file) as fh:
+    """Read a v3 or v2 export into its blocks, or a dense v1 export into one block.
+
+    ``path_or_file`` is a path or a binary handle.  The values of a v3
+    block are one ``np.frombuffer`` of exactly 8 b^2 bytes, and the file
+    ends after its last block; v2 blocks are text rows in ``%.17g``.  The
+    blocks of either must have distinct indices in range.
+    """
+    with _open(path_or_file, "rb") as fh:
         version = _COV_HEADERS.get(fh.readline().strip())
         if version is None:
             raise ValueError("not a torusmix covariance file")
         words = fh.readline().split()
-        if len(words) != 2 or words[0] != "N":
+        if len(words) != 2 or words[0] != b"N" or not words[1].isdigit():
             raise ValueError("missing truncation header line 'N <truncation>'")
         N, n = int(words[1]), mode_table(int(words[1])).size
-        tag, _, provenance = fh.readline().strip().partition(" ")
+        tag, _, provenance = fh.readline().decode().strip().partition(" ")
         if tag != "provenance":
             raise ValueError("missing provenance line")
         if version == 1:
@@ -571,21 +600,25 @@ def read_covariance(path_or_file) -> CovarianceOperator:
                 raise ValueError("missing matrix rows")
             return CovarianceOperator(N, np.vstack(rows), provenance=provenance.strip())
         words = fh.readline().split()
-        if len(words) != 2 or words[0] != "blocks":
+        if len(words) != 2 or words[0] != b"blocks" or not words[1].isdigit():
             raise ValueError("missing block count line 'blocks <count>'")
         blocks, taken = [], np.zeros(n, dtype=bool)
         for b in range(int(words[1])):
-            idx = np.array(fh.readline().split(), dtype=int)
-            rows = [fh.readline().split() for _ in idx]
-            if not idx.size or idx.min() < 0 or idx.max() >= n or any(
-                    len(row) != idx.size for row in rows):
-                raise ValueError(f"block {b}: bad index line or rows")
-            if np.unique(idx).size != idx.size:
-                raise ValueError(f"block {b}: an index repeats within the block")
-            if taken[idx].any():
-                raise ValueError(f"block {b}: index {idx[taken[idx]][0]} is in an earlier block")
-            taken[idx] = True
-            blocks.append((idx, np.array(rows, dtype=float)))
+            idx = _block_indices(fh.readline(), b, n, taken)
+            if version == 2:
+                rows = [fh.readline().split() for _ in idx]
+                if any(len(row) != idx.size for row in rows):
+                    raise ValueError(f"block {b}: bad index line or rows")
+                values = np.array(rows, dtype=float)
+            else:
+                size = 8 * idx.size**2
+                data = fh.read(size)
+                if len(data) != size:
+                    raise ValueError(f"block {b}: {len(data)} of its {size} value bytes")
+                values = np.frombuffer(data, dtype="<f8").reshape(idx.size, idx.size)
+            blocks.append((idx, values))
+        if version == 3 and fh.read(1):
+            raise ValueError(f"trailing bytes after block {len(blocks) - 1}")
     return CovarianceOperator(N, BlockDiagonal(n, blocks), provenance=provenance.strip())
 
 

@@ -367,8 +367,9 @@ def field_from_grid(values: np.ndarray, N: int) -> FourierField:
 _FIELD_HEADER = "# torusmix field v1"
 
 
-def _open_text(path_or_file, mode: str = "r"):
-    """Context manager over a path (opened, then closed) or an open handle (kept open)."""
+def _open(path_or_file, mode: str = "r"):
+    """Context manager over a path (opened in ``mode``, text or binary, then
+    closed) or an open handle of that kind (kept open)."""
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         return open(path_or_file, mode)
     return contextlib.nullcontext(path_or_file)
@@ -376,7 +377,7 @@ def _open_text(path_or_file, mode: str = "r"):
 
 def _write_csv(path_or_file, header: list, rows) -> None:
     """A header line, then one line per row: floats as ``%.17g``, other values as ``str``."""
-    with _open_text(path_or_file, "w") as fh:
+    with _open(path_or_file, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
@@ -404,7 +405,7 @@ def format_record(table: ModeTable, i: int, amplitude: float) -> str:
 def write_field(f: FourierField, path_or_file) -> None:
     """Write every coefficient as 'k1 k2 parity amplitude' text records."""
     table = f.table
-    with _open_text(path_or_file, "w") as fh:
+    with _open(path_or_file, "w") as fh:
         fh.write(_FIELD_HEADER + "\n")
         fh.write(f"N {f.N}\n")
         for i in range(table.size):
@@ -412,7 +413,7 @@ def write_field(f: FourierField, path_or_file) -> None:
 
 
 def read_field(path_or_file) -> FourierField:
-    with _open_text(path_or_file) as fh:
+    with _open(path_or_file) as fh:
         header = fh.readline().strip()
         if header != _FIELD_HEADER:
             raise ValueError(f"not a torusmix field file (header {header!r})")

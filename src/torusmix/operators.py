@@ -100,7 +100,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, expm_multiply
 
-from .fields import FourierField, _open_text, mode_table
+from .fields import FourierField, _open, mode_table
 from .flows import Flow
 
 __all__ = [
@@ -704,7 +704,7 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
 def write_operator_triplets(op: OperatorMatrix, path_or_file) -> None:
     """Plain 'i j value' triplet dump (debugging aid)."""
     coo = op.matrix.tocoo()
-    with _open_text(path_or_file, "w") as fh:
+    with _open(path_or_file, "w") as fh:
         fh.write(f"# torusmix operator v1 kind={op.kind} N={op.N} shape={coo.shape[0]}\n")
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{i} {j} {v:.17g}\n")

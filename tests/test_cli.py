@@ -8,7 +8,8 @@ import pytest
 
 from torusmix import cli
 from torusmix import (CovarianceOperator, FourierField, default_cellular_flow, generator,
-                      lyapunov_covariance, mode_table, read_covariance, streamline_projection)
+                      h1_trace, lyapunov_covariance, mode_table, read_covariance,
+                      streamline_projection)
 from torusmix.cli import (ConfigError, _streamline_deviations, _top_eigenspace, main,
                           parse_spec)
 from torusmix.operators import _numpy_blas_pool
@@ -179,7 +180,7 @@ def test_exact_gaussian_above_old_dimension_cap(tmp_path, capsys):
     assert "warning" not in out
     out = tmp_path / "exact40"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    Q = read_covariance(out / "empirical_covariance.txt")
+    Q = read_covariance(out / "empirical_covariance.cov")
     assert [idx.tolist() for idx, _ in Q.blocks.blocks] == [
         [mode_table(40).coefficient_index((0, 1), "cos")]]
 
@@ -231,8 +232,9 @@ def test_validate_growth_reports_the_blocks_f0_touches(tmp_path, capsys):
                         name="auto.ini")
     above = write_config(tmp_path, f"[experiment]\ntype = growth\nN = 32\n{RANDOM_FLOW}"
                          "[growth]\nT = 1.0\nf0 =\n    1 0 cos 1.0\n", name="above.ini")
-    for cfg, largest, mb in ((str(CONFIGS / "growth_cellular.ini"), 156, 156**2 * 8 / 1e6),
-                             (auto, 156, 156**2 * 8 / 1e6),
+    # six doubles per b^2: the complex block, eigh's copy and the eigenvectors
+    for cfg, largest, mb in ((str(CONFIGS / "growth_cellular.ini"), 156, 6 * 156**2 * 8 / 1e6),
+                             (auto, 156, 6 * 156**2 * 8 / 1e6),
                              (str(CONFIGS / "growth_shear.ini"), 0, 0.0),
                              (above, 0, 0.0)):
         assert main(["validate", "--config", cfg]) == 0
@@ -288,7 +290,7 @@ def test_shear_ladder_above_old_dimension_cap(tmp_path):
     assert len(rows) == len(spec.params["nu_ladder"])
     for i, (row, nu) in enumerate(zip(rows, spec.params["nu_ladder"])):
         assert abs(float(row.split(",")[1]) - half) <= 1e-10 * half
-        path = out / f"covariance_{i:02d}.txt"
+        path = out / f"covariance_{i:02d}.cov"
         assert path.stat().st_size < 1e6
         solved = lyapunov_covariance(generator(spec.flow, nu, 64), spec.noise)
         read = read_covariance(path)
@@ -320,7 +322,13 @@ def test_covariance_ladder_outputs(tmp_path, capsys):
     for row in rows:
         assert float(row[1]) == pytest.approx(0.5, abs=1e-9)
         assert float(row[3]) < 1e-9  # pure k1 = 0 forcing: exact limit
-    assert (out / "covariance_00.txt").exists()
+    # one binary v3 export per nu, its H1 trace bit for bit the summary's
+    assert sorted(p.name for p in out.glob("covariance_*")) == ["covariance_00.cov",
+                                                                 "covariance_01.cov"]
+    for i, row in enumerate(rows):
+        assert (out / f"covariance_{i:02d}.cov").read_bytes().startswith(
+            b"# torusmix covariance v3\n")
+        assert h1_trace(read_covariance(out / f"covariance_{i:02d}.cov")) == float(row[1])
     assert (out / "eigenvalues_01.csv").exists()
     assert (out / "manifest.txt").exists()
     assert (out / "timestamps.txt").exists()
@@ -352,7 +360,7 @@ f0 =
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["run", "--config", cfg, "--out", str(out2)]) == 0
-    for name in ("stats.csv", "empirical_covariance.txt", "eigenvalues.csv",
+    for name in ("stats.csv", "empirical_covariance.cov", "eigenvalues.csv",
                  "manifest.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     # timestamps live apart from the payload and may differ
@@ -838,10 +846,15 @@ modes =
 [{experiment}]
 nu = 0.1 0.05
 """)
+    estimate, peak = _estimate_and_traced_peak(tmp_path, capsys, cfg)
+    assert abs(peak - estimate) <= 0.25 * peak
+
+
+def _estimate_and_traced_peak(tmp_path, capsys, cfg) -> tuple:
+    """(validate's memory_estimate_mb, the tracemalloc peak of a run), in bytes."""
     assert main(["validate", "--config", cfg]) == 0
     line = next(line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("memory_estimate_mb = "))
-    estimate = float(line.partition(" = ")[2]) * 1e6
     spec = cli.parse_spec(cfg)
     spec.out = tmp_path / "out"
     cli.run(spec)    # fills the caches
@@ -851,4 +864,49 @@ nu = 0.1 0.05
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(peak - estimate) <= 0.25 * peak
+    return float(line.partition(" = ")[2]) * 1e6, peak
+
+
+_FOUR_MODES = "[noise]\nmodes =\n    0 1 cos 1.0\n    1 0 sin 1.0\n    1 1 cos 1.0\n"
+
+
+# one small run of each experiment that builds dense blocks
+_SMALL_DENSE_RUNS = {
+    # one block of 288 rows: Van Loan's 576 x 576 exponential
+    "simulate": f"N = 8\n{RANDOM_FLOW}{_FOUR_MODES}[simulate]\nnu = 0.1\n"
+                "scheme = ExactGaussian\ndt = 0.5\nhorizon = 1.0\nburn_in = 0.0\n"
+                "ensemble = 2\nseed = 0\nf0 =\n",
+    # one block of 288 rows, complex
+    "spectrum": f"N = 8\n{RANDOM_FLOW}",
+    "growth": f"N = 8\n{RANDOM_FLOW}[growth]\nT = 1.0\nmethod = truncated-exponential\n"
+              "h = 0.1\nf0 =\n    1 0 cos 1.0\n",
+    # sin x sin y at N = 16: sectors of up to 144 rows
+    "dissipation-probe": f"N = 16\n{CELL_FLOW}[dissipation-probe]\ntau = 1.0\nnu = 0.1\n",
+    # forced blocks of 154, 156 and 156 rows; one of 624
+    "covariance-ladder": f"N = 12\n{CELL_FLOW}{_FOUR_MODES}[covariance-ladder]\nnu = 0.1\n",
+    "cellular-support": f"N = 12\n{RANDOM_FLOW}{_FOUR_MODES}[cellular-support]\nnu = 0.1\n",
+}
+
+
+@pytest.mark.parametrize("experiment", _SMALL_DENSE_RUNS)
+def test_validate_memory_estimate_within_twice_the_traced_peak(tmp_path, capsys, experiment):
+    # the blocks a run stores and the working set of its largest one
+    cfg = write_config(tmp_path, f"[experiment]\ntype = {experiment}\n"
+                       f"{_SMALL_DENSE_RUNS[experiment]}")
+    estimate, peak = _estimate_and_traced_peak(tmp_path, capsys, cfg)
+    assert 0.5 * peak <= estimate <= 2.0 * peak
+
+
+def test_exact_gaussian_refuses_a_van_loan_matrix_above_the_cap(tmp_path, capsys):
+    # the random flow's one block of 2208 rows at N = 23 is under the cap,
+    # but its Van Loan matrix has 4416 rows: validate warns, run refuses
+    cfg = simulate_config(tmp_path, "ExactGaussian", N=23, flow=RANDOM_FLOW)
+    assert main(["validate", "--config", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "largest_block = 2208" in out
+    assert ("warning: the Van Loan matrix of a block of 2208 rows has 4416 rows, above the "
+            "dimension cap 4000; the run will be refused") in out
+    out = tmp_path / "refused"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert "dense block of 4416 rows exceeds the dimension cap 4000" in record["message"]

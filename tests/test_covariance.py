@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -601,14 +602,38 @@ def test_top_eigenspace_of_the_default_support_ladder(cellular):
 # ---------------------------------------------------------------------------
 
 
+def _exported(Q) -> bytes:
+    buf = io.BytesIO()
+    write_covariance(Q, buf)
+    return buf.getvalue()
+
+
+def _assert_same_blocks(blocks, read):
+    assert len(read.blocks) == len(blocks.blocks)
+    for (idx, block), (ridx, rblock) in zip(blocks.blocks, read.blocks):
+        assert np.array_equal(idx, ridx)
+        assert np.array_equal(block.view(np.uint64), rblock.view(np.uint64))   # sign bits too
+
+
+def _v2_text(blocks, N, provenance="p") -> bytes:
+    """The block text of covariance v2: index lines, then rows in %.17g."""
+    lines = ["# torusmix covariance v2", f"N {N}", f"provenance {provenance}",
+             f"blocks {len(blocks)}"]
+    for idx, block in blocks:
+        lines.append(" ".join(map(str, idx)))
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in np.asarray(block).tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_covariance_export_round_trip(shear, tmp_path):
     noise = unit_noise(4, [((0, 1), "cos", 1.0), ((1, 0), "sin", 0.3)])
     Q = lyapunov_covariance(generator(shear, 0.1, 4), noise)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_covariance(Q, buf)
     buf.seek(0)
-    path = tmp_path / "Q.txt"
+    path = tmp_path / "Q.cov"
     write_covariance(Q, path)
+    assert path.read_bytes() == buf.getvalue()
     for source in (buf, path):
         R = read_covariance(source)
         assert R.N == Q.N
@@ -616,52 +641,87 @@ def test_covariance_export_round_trip(shear, tmp_path):
         assert R.provenance == Q.provenance
 
 
+@st.composite
+def block_partitions(draw):
+    """A covariance on random disjoint index sets of N = 2 (singletons, unsorted, none)."""
+    n = mode_table(2).size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)[:draw(st.integers(0, n))]
+    cuts = np.sort(rng.choice(np.arange(1, max(perm.size, 1)),
+                              size=min(draw(st.integers(0, 6)), max(perm.size - 1, 0)),
+                              replace=False))
+    specials = np.array([-0.0, 5e-324, -1e308, np.nan, np.inf, 1 / 3])
+    blocks = []
+    for idx in np.split(perm, cuts):
+        if idx.size:
+            values = rng.standard_normal((idx.size, idx.size))
+            values.flat[rng.integers(0, values.size, 2)] = rng.choice(specials, 2)
+            blocks.append((idx, values))
+    return CovarianceOperator(2, BlockDiagonal(n, blocks), provenance=f"random {len(blocks)}")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(Q=block_partitions())
+@example(Q=CovarianceOperator(2, BlockDiagonal(mode_table(2).size, []), provenance="empty"))
+def test_covariance_export_v3_round_trip_is_bit_exact(Q, tmp_path):
+    # through a path and a byte buffer: every value bit for bit, NaN and -0.0 too
+    data = _exported(Q)
+    path = tmp_path / "Q.cov"
+    write_covariance(Q, path)
+    assert path.read_bytes() == data
+    assert data.startswith(f"# torusmix covariance v3\nN 2\nprovenance {Q.provenance}\n"
+                           f"blocks {len(Q.blocks.blocks)}\n".encode())
+    for source in (path, io.BytesIO(data)):
+        R = read_covariance(source)
+        assert R.N == 2 and R.provenance == Q.provenance
+        _assert_same_blocks(Q.blocks, R.blocks)
+
+
+def test_covariance_export_writes_the_same_bytes_twice(shear):
+    Q = lyapunov_covariance(generator(shear, 0.1, 6), unit_noise(6, [((1, 1), "cos", 1.0)]))
+    assert max(len(idx) for idx, _ in Q.blocks.blocks) > 1
+    assert _exported(Q) == _exported(Q)
+    assert _exported(read_covariance(io.BytesIO(_exported(Q)))) == _exported(Q)
+
+
 def test_covariance_export_v2_round_trip_is_bit_exact():
-    # a -0.0 inside a block, a singleton, an unsorted index array, uncovered rows
+    # v2 text of earlier versions: a -0.0 inside a block, a singleton, an
+    # unsorted index array, uncovered rows
     N, n = 2, mode_table(2).size
     blocks = BlockDiagonal(n, [
         (np.array([0, 5, 9]), np.array([[2.0, -0.0, 0.1], [-0.0, 1.5, 1 / 3], [0.1, 1 / 3, 0.7]])),
         (np.array([3]), np.array([[0.25]])),
         (np.array([20, 7]), np.array([[3.0, 1e-300], [1e-300, 2.0]])),
     ])
-    buf = io.StringIO()
-    write_covariance(CovarianceOperator(N, blocks, provenance="p q"), buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[:4] == ["# torusmix covariance v2", "N 2", "provenance p q", "blocks 3"]
+    text = _v2_text(blocks.blocks, N, "p q")
+    lines = text.decode().splitlines()
     assert lines[4] == "0 5 9" and lines[5].split()[1] == "-0"
     assert lines[8:10] == ["3", "0.25"] and lines[10] == "20 7"
-    assert len(lines) == 4 + (1 + 3) + (1 + 1) + (1 + 2)
-    R = read_covariance(io.StringIO(buf.getvalue()))
+    R = read_covariance(io.BytesIO(text))
     assert R.N == N and R.provenance == "p q"
-    assert len(R.blocks.blocks) == 3
-    for (idx, block), (ridx, rblock) in zip(blocks.blocks, R.blocks.blocks):
-        assert np.array_equal(idx, ridx)
-        assert np.array_equal(block.view(np.uint64), rblock.view(np.uint64))   # sign bits too
+    _assert_same_blocks(blocks, R.blocks)
     assert np.array_equal(R.matrix.view(np.uint64), blocks.toarray().view(np.uint64))
-    # a dense covariance is one block over all indices
+    # a dense v2 covariance is one block over all indices; v3 writes it back
+    # bit for bit
     dense = CovarianceOperator(N, blocks.toarray(), provenance="d")
-    buf = io.StringIO()
-    write_covariance(dense, buf)
-    assert buf.getvalue().splitlines()[3:5] == ["blocks 1", " ".join(map(str, range(n)))]
-    R = read_covariance(io.StringIO(buf.getvalue()))
+    R = read_covariance(io.BytesIO(_v2_text(dense.blocks.blocks, N, "d")))
     assert np.array_equal(R.matrix.view(np.uint64), dense.matrix.view(np.uint64))
+    assert _exported(R) == _exported(dense)
 
 
 def test_covariance_export_matches_per_value_format():
-    # one "%.17g ... %.17g" format per block width gives the text of
-    # f"{v:.17g}" per value: -0.0, a subnormal, 1e308 and integral floats
+    # each block's values are the little-endian float64 of each value in
+    # turn, row by row: -0.0, a subnormal, 1e308 and integral floats
     N, n = 2, mode_table(2).size
     values = np.array([[-0.0, 5e-324, 1e308], [3.0, -2.0, 1 / 3], [0.1, 2.5e-310, -1e308]])
     blocks = BlockDiagonal(n, [(np.array([4, 1, 7]), values), (np.array([2]), np.array([[8.0]]))])
-    buf = io.StringIO()
-    write_covariance(CovarianceOperator(N, blocks, provenance="p"), buf)
-    rows = [" ".join(f"{v:.17g}" for v in row) for row in values.tolist()]
-    assert buf.getvalue().splitlines()[4:] == ["4 1 7", *rows, "2", "8"]
-    assert rows[0] == "-0 4.9406564584124654e-324 1e+308" and rows[1].startswith("3 -2 ")
-    R = read_covariance(io.StringIO(buf.getvalue()))
-    for (idx, block), (ridx, rblock) in zip(blocks.blocks, R.blocks.blocks):
-        assert np.array_equal(idx, ridx)
-        assert np.array_equal(block.view(np.uint64), rblock.view(np.uint64))
+    data = _exported(CovarianceOperator(N, blocks, provenance="p"))
+    packed = b"".join(struct.pack("<d", v) for v in values.ravel().tolist())
+    assert data == (b"# torusmix covariance v3\nN 2\nprovenance p\nblocks 2\n"
+                    + b"4 1 7\n" + packed + b"2\n" + struct.pack("<d", 8.0))
+    R = read_covariance(io.BytesIO(data))
+    _assert_same_blocks(blocks, R.blocks)
 
 
 def test_covariance_import_reads_v1():
@@ -671,7 +731,7 @@ def test_covariance_import_reads_v1():
     assert n == 8
     text = "# torusmix covariance v1\nN 1\nprovenance old\n" + "\n".join(
         row + " 0 0 0 0" for row in rows) + "\n" + "\n".join(["0 0 0 0 0 0 0 0"] * 4) + "\n"
-    R = read_covariance(io.StringIO(text))
+    R = read_covariance(io.BytesIO(text.encode()))
     want = np.zeros((n, n))
     want[0, 0], want[1, 1], want[2, 2] = 0.5, 0.25, 0.25
     want[1, 2] = want[2, 1] = -0.125
@@ -680,23 +740,43 @@ def test_covariance_import_reads_v1():
     assert np.array_equal(R.matrix.view(np.uint64), want.view(np.uint64))
 
 
+_TWO_BLOCKS = [(np.array([1]), np.array([[0.5]])), (np.array([2, 4, 6]), np.eye(3))]
+
+
 @pytest.mark.parametrize("cut", ["inside-block", "short-index-line", "index-out-of-range"])
 def test_covariance_import_rejects_broken_v2(cut):
-    N, n = 2, mode_table(2).size
-    blocks = BlockDiagonal(n, [(np.array([1]), np.array([[0.5]])),
-                               (np.array([2, 4, 6]), np.eye(3))])
-    buf = io.StringIO()
-    write_covariance(CovarianceOperator(N, blocks), buf)
-    lines = buf.getvalue().splitlines(keepends=True)
-    assert lines[6] == "2 4 6\n"
+    n = mode_table(2).size
+    lines = _v2_text(_TWO_BLOCKS, 2).splitlines(keepends=True)
+    assert lines[6] == b"2 4 6\n"
     if cut == "inside-block":
         lines = lines[:8]
     elif cut == "short-index-line":
-        lines[6] = "2 4\n"
+        lines[6] = b"2 4\n"
     else:
-        lines[6] = f"2 4 {n}\n"
+        lines[6] = f"2 4 {n}\n".encode()
     with pytest.raises(ValueError, match="block 1"):
-        read_covariance(io.StringIO("".join(lines)))
+        read_covariance(io.BytesIO(b"".join(lines)))
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("truncated-values", "block 1: 64 of its 72 value bytes"),
+    ("trailing-bytes", "trailing bytes after block 1"),
+    ("bad-index-line", "block 1: bad index line"),
+    ("index-out-of-range", "block 1: bad index line"),
+    ("repeated-index", "block 1: an index repeats within the block"),
+    ("shared-index", "block 1: index 1 is in an earlier block"),
+])
+def test_covariance_import_rejects_broken_v3(defect, message):
+    n = mode_table(2).size
+    data = _exported(CovarianceOperator(2, BlockDiagonal(n, _TWO_BLOCKS)))
+    head, line, values = data[:-78], data[-78:-72], data[-72:]    # 72 bytes: 3 x 3 values
+    assert line == b"2 4 6\n"
+    line = {"bad-index-line": b"2 4 x\n", "index-out-of-range": f"2 4 {n}\n".encode(),
+            "repeated-index": b"2 4 4\n", "shared-index": b"2 4 1\n"}.get(defect, line)
+    values = {"truncated-values": values[:-8], "trailing-bytes": values + b"\0"}.get(
+        defect, values)
+    with pytest.raises(ValueError, match=message):
+        read_covariance(io.BytesIO(head + line + values))
 
 
 @pytest.mark.parametrize("second,message", [
@@ -709,16 +789,16 @@ def test_covariance_import_rejects_overlapping_blocks(second, message):
     text = ("# torusmix covariance v2\nN 2\nprovenance p\nblocks 2\n"
             f"0 1\n1 0\n0 1\n{second}\n5 0\n0 5\n")
     with pytest.raises(ValueError, match=message):
-        read_covariance(io.StringIO(text))
+        read_covariance(io.BytesIO(text.encode()))
 
 
 def test_covariance_import_rejects_bad_tag(shear):
     Q = lyapunov_covariance(generator(shear, 0.1, 2), unit_noise(2, [((0, 1), "cos", 1.0)]))
-    buf = io.StringIO()
-    write_covariance(Q, buf)
-    text = buf.getvalue().replace("\nN 2\n", "\nM 2\n")
+    data = _exported(Q).replace(b"\nN 2\n", b"\nM 2\n")
     with pytest.raises(ValueError, match="truncation"):
-        read_covariance(io.StringIO(text))
+        read_covariance(io.BytesIO(data))
+    with pytest.raises(ValueError, match="not a torusmix covariance file"):
+        read_covariance(io.BytesIO(_exported(Q).replace(b"v3", b"v9")))
 
 
 @pytest.mark.parametrize(
@@ -728,11 +808,9 @@ def test_covariance_import_rejects_bad_tag(shear):
 )
 def test_covariance_import_rejects_truncated_file(shear, lines, missing):
     Q = lyapunov_covariance(generator(shear, 0.1, 2), unit_noise(2, [((0, 1), "cos", 1.0)]))
-    buf = io.StringIO()
-    write_covariance(Q, buf)
-    text = "".join(buf.getvalue().splitlines(keepends=True)[:lines])
+    data = b"".join(_exported(Q).splitlines(keepends=True)[:lines])
     with pytest.raises(ValueError, match=missing):
-        read_covariance(io.StringIO(text))
+        read_covariance(io.BytesIO(data))
 
 
 def test_eigenvalue_summary_descending(shear):
