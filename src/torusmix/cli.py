@@ -47,10 +47,10 @@ from .covariance import (NoiseSpec, block_operator_norm, covariance_distance, ei
 from .fields import (FourierField, _write_csv, format_record, make_field, mode_table,
                      parse_record)
 from .flows import Flow, ShearProfile, make_cellular, make_shear
-from .operators import (DENSE_CAP, _one_blas_pool, _sector_bounds, advection_matrix, generator,
+from .operators import (DENSE_CAP, _one_blas_pool, _symmetry_sectors, advection_matrix, generator,
                         invariant_blocks, semigroup_norm)
-from .simulate import RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
-from .spectral import _growth_method, _streamline_projector, h1_growth_average, spectrum
+from .simulate import _WINDOW, RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
+from .spectral import _growth_method, _streamline_projector, _time_grid, h1_growth_average, spectrum
 
 
 class ConfigError(ValueError):
@@ -568,31 +568,43 @@ def run(spec: ExperimentSpec, seed_override=None) -> None:
 def _dense_block_sizes(spec: ExperimentSpec) -> list:
     """Rows of each dense block a run of ``spec`` builds, from the sparsity of B.
 
-    The Lyapunov experiments solve the forced invariant blocks, ExactGaussian
-    steps the blocks that the noise forces or f0 touches, and ``spectrum``
-    takes every invariant block.  ``dissipation-probe`` takes the distinct
-    symmetry sectors of more than one row and at most ``DENSE_CAP`` rows
-    (Lanczos takes a larger one): an upper bound, as the heat bound of
-    ``semigroup_norm`` may skip sectors.  A truncated-exponential ``growth``
-    decomposes the invariant blocks that f0 touches, up to ``DENSE_CAP``
-    rows (``expm_multiply`` takes a larger one).  The other experiments
-    build no dense block.  No solve is run.
+    The Lyapunov experiments solve the forced invariant blocks, and
+    ExactGaussian steps the blocks that the noise forces or f0 touches.
+    ``spectrum``, ``growth`` and ``dissipation-probe`` decompose the
+    distinct symmetry sectors (``operators._symmetry_sectors``): of every
+    block for ``spectrum``; of the blocks f0 touches, up to ``DENSE_CAP``
+    rows (``expm_multiply`` takes a larger block), for a
+    truncated-exponential ``growth``; of more than one row and at most
+    ``DENSE_CAP`` rows (Lanczos takes a larger one) for
+    ``dissipation-probe``, an upper bound, as the heat bound of
+    ``semigroup_norm`` may skip sectors.  A sector with a complex
+    structure counts its real rows, though its dense work is at half of
+    them.  The other experiments build no dense block.  No solve is run.
     """
-    if spec.experiment == "dissipation-probe":
-        sectors = _sector_bounds(advection_matrix(spec.flow, spec.N))
-        return [V.shape[1] for _, _, V in sectors if 1 < V.shape[1] <= DENSE_CAP]
     cap = math.inf      # a larger block is refused: reported, so that validate warns
-    if spec.experiment == "simulate" and spec.params["scheme"] == "ExactGaussian":
-        used = np.abs(spec.noise.amps) + np.abs(spec.params["f0"].coeffs)
-    elif spec.experiment in ("covariance-ladder", "cellular-support", "spectrum"):
-        used = np.ones(spec.dimension) if spec.experiment == "spectrum" else spec.noise.amps
+    if spec.experiment in ("dissipation-probe", "spectrum"):
+        used = np.ones(spec.dimension)
     elif (spec.experiment == "growth"
           and _growth_method(spec.flow, spec.params["method"]) == "truncated-exponential"):
         used, cap = spec.params["f0"].coeffs, DENSE_CAP
+    elif spec.experiment == "simulate" and spec.params["scheme"] == "ExactGaussian":
+        return [len(idx) for idx in _stepped_blocks(spec)]
+    elif spec.experiment in ("covariance-ladder", "cellular-support"):
+        return [len(idx) for idx in invariant_blocks(advection_matrix(spec.flow, spec.N))
+                if spec.noise.amps[idx].any()]
     else:
         return []
-    return [len(idx) for idx in invariant_blocks(advection_matrix(spec.flow, spec.N))
-            if used[idx].any() and len(idx) <= cap]
+    sizes = [V.shape[1] for idx, sectors in _symmetry_sectors(advection_matrix(spec.flow, spec.N))
+             if used[idx].any() and len(idx) <= cap for V, _, _ in sectors]
+    if spec.experiment == "dissipation-probe":
+        sizes = [b for b in sizes if 1 < b <= DENSE_CAP]
+    return sizes
+
+
+def _stepped_blocks(spec: ExperimentSpec) -> list:
+    """The invariant blocks that ``simulate`` steps: those the noise forces or f0 touches."""
+    used = np.abs(spec.noise.amps) + np.abs(spec.params["f0"].coeffs)
+    return [idx for idx in invariant_blocks(advection_matrix(spec.flow, spec.N)) if used[idx].any()]
 
 
 # Doubles per b^2 that a run holds at its peak, measured with tracemalloc:
@@ -601,10 +613,32 @@ _MEMORY_PER_B2 = {
     "covariance-ladder": (1, 2),    # Q; the solve's two further b x b arrays
     "cellular-support": (1, 2),
     "simulate": (2, 35),            # E_b and L_b; expm of Van Loan's 2b x 2b matrix
-    "spectrum": (2, 4),             # complex eigenvectors; the complex block and eigh's copy
-    "growth": (0, 6),               # one complex eigh at a time, as in spectrum
+    "spectrum": (0, 5),             # one sector at a time: s, i s and eigvalsh's workspace
+    "growth": (0, 7),               # one sector at a time: s, i s and its eigenvectors
     "dissipation-probe": (0, 11),   # one sector at a time: exp(tA), E^T E, Lanczos
 }
+
+# Co-moments that ``simulate`` holds per n_a^2 (n_a stepped rows) beside
+# one per member: the ensemble's total and the temporaries of a merge and
+# of the covariance
+_SIMULATE_COMOMENTS = 3
+
+
+def _simulate_doubles(spec: ExperimentSpec) -> int:
+    """Doubles of ``simulate``'s statistics, either scheme: the co-moments and the sample window.
+
+    M + ``_SIMULATE_COMOMENTS`` co-moments of n_a x n_a, and a window of
+    ``simulate._WINDOW`` samples of n_a rows per member, for M members on
+    n_a stepped rows.
+    """
+    M, rows = spec.params["ensemble"], sum(len(idx) for idx in _stepped_blocks(spec))
+    return (M + _SIMULATE_COMOMENTS) * rows * rows + M * _WINDOW * rows
+
+
+# Arrays of (time points) x (sector rows) that a truncated-exponential
+# growth holds per sector: the phases w t, their cosines and sines, the
+# states and their squares
+_GROWTH_GRID_ARRAYS = 5
 
 
 def validate_report(spec: ExperimentSpec) -> str:
@@ -614,12 +648,20 @@ def validate_report(spec: ExperimentSpec) -> str:
     the sum of b^3; a warning if a dense array of the run passes
     ``DENSE_CAP``, then the warnings of ``spec``.  The memory counts the
     blocks a run stores and the working set of its largest block, in
-    doubles per b^2 as measured (``_MEMORY_PER_B2``).
+    doubles per b^2 as measured (``_MEMORY_PER_B2``), with the statistics
+    of ``simulate`` (``_simulate_doubles``) and the time grid of ``growth``.
     """
     sizes = _dense_block_sizes(spec)
     largest, cubes = max(sizes, default=0), sum(b**3 for b in sizes)
     stored, working = _MEMORY_PER_B2[spec.experiment]
-    doubles = stored * sum(b * b for b in sizes) + working * largest * largest
+    # simulate builds E_b and L_b from Van Loan's exponential before it
+    # allocates its statistics, so the peak is the larger of the two
+    peak = max(working * largest * largest,
+               _simulate_doubles(spec) if spec.experiment == "simulate" else 0)
+    if spec.experiment == "growth" and sizes:
+        points = len(_time_grid(max(spec.params["T"]), spec.params["h"], 1000))
+        peak += _GROWTH_GRID_ARRAYS * points * largest
+    doubles = stored * sum(b * b for b in sizes) + peak
     lines = [
         "ok",
         f"experiment = {spec.experiment}",

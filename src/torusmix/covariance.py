@@ -53,10 +53,11 @@ from typing import Iterable
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgees, dtrsyl
+from scipy.linalg.lapack import dtrsyl, get_lapack_funcs
 
 from .fields import PARITIES, _open, mode_table
-from .operators import BlockDiagonal, OperatorMatrix, _dense, _symmetry_sectors, invariant_blocks
+from .operators import (BlockDiagonal, OperatorMatrix, _complex_sector, _dense, _real_columns,
+                        _symmetry_sectors, invariant_blocks)
 
 __all__ = [
     "NoiseSpec",
@@ -253,34 +254,47 @@ def _triangular_lyapunov(T: np.ndarray, Y: np.ndarray) -> None:
 
 
 def _schur(a: np.ndarray) -> tuple:
-    """Real Schur form (T, U) of the Fortran-ordered ``a``, overwritten by T.
+    """Schur form (T, U) of the Fortran-ordered ``a``, overwritten by T.
 
-    LAPACK's dgees with the workspace that ``scipy.linalg.schur`` would
-    query, so the same arithmetic, but neither the query nor the solve
-    copies ``a``.
+    LAPACK's dgees (zgees for a complex ``a``: T upper triangular) with the
+    workspace that ``scipy.linalg.schur`` would query, so the same
+    arithmetic, but neither the query nor the solve copies ``a``.
     """
     def keep(*_):
         return None
-    lwork = int(dgees(keep, a, lwork=-1, overwrite_a=True)[-2][0])
-    T, _, _, _, U, _, info = dgees(keep, a, lwork=lwork, overwrite_a=True)
+    gees, = get_lapack_funcs(("gees",), (a,))
+    lwork = int(gees(keep, a, lwork=-1, overwrite_a=True)[-2][0].real)
+    out = gees(keep, a, lwork=lwork, overwrite_a=True)
+    T, U, info = out[0], out[-3], out[-1]
     if info != 0:
-        raise np.linalg.LinAlgError(f"Schur form not found (dgees info {info})")
+        raise np.linalg.LinAlgError(f"Schur form not found ({gees.typecode}gees info {info})")
     return T, U
 
 
 def _sector_schur(a: sp.spmatrix, sectors: list) -> tuple:
     """(T, W) of a block split in sectors: T = diag(T_1, ...), W = [V_1 U_1, ...].
 
-    V_s^T a V_s = U_s T_s U_s^T is built sparse and decomposed in place, and
-    a twin basis G_s (G_s^T a G_s = V_s^T a V_s) reuses (T_s, U_s): its
-    columns of W are G_s U_s.
+    V_s^T a V_s = U_s T_s U_s^T is built sparse and decomposed in place; on
+    a sector with a complex structure J it is the realification of the
+    complex Schur form of its complex form C at half the rows
+    (``operators._complex_sector`` and ``_real_columns``): T_s is upper
+    quasi-triangular with a 2 x 2 bump [[Re t, -Im t], [Im t, Re t]] per
+    eigenvalue t of C, in LAPACK's standard form.  A twin basis G_s
+    (G_s^T a G_s = V_s^T a V_s) reuses (T_s, U_s): its columns of W are
+    G_s U_s.
     """
     T = _dense(sp.csr_matrix(a.shape))      # zeros, refused above the cap
     W = np.empty_like(T)
     o = 0
-    for V, twins in sectors:
+    for V, twins, J in sectors:
         # V^T a V: the transpose of (V^T (V^T a)^T), read as a Fortran array
-        Ts, U = _schur((V.T @ (V.T @ a).T).toarray().T)
+        s = (V.T @ (V.T @ a).T).toarray().T
+        if J is None:
+            Ts, U = _schur(s)
+        else:
+            Tc, Z = _schur(np.asfortranarray(_complex_sector(s, J)))
+            Ts, U = _real_columns(Tc), _real_columns(Z, J)
+        del s
         for basis in (V, *twins):
             e = o + V.shape[1]
             T[o:e, o:e] = Ts
@@ -295,18 +309,18 @@ def _block_lyapunov(A: sp.csr_matrix, idx: np.ndarray, sectors: Iterable,
 
     The real Schur form of a is the direct sum of those of its symmetry
     sectors (:func:`_sector_schur`); a block that is one sector without
-    twins has V = I, and its Schur form is T and its Schur vectors W.  With
-    Y = W^T Q W the equation is the triangular T Y + Y T^T =
-    -W^T diag(psi2) W; the forcing couples the sectors and their twins,
-    and their cross terms are the off-diagonal Sylvester solves of
-    :func:`_triangular_lyapunov`.  No step holds more than three b x b
+    twins or complex structure has V = I, and its Schur form is T and its
+    Schur vectors W.  With Y = W^T Q W the equation is the triangular
+    T Y + Y T^T = -W^T diag(psi2) W; the forcing couples the sectors and
+    their twins, and their cross terms are the off-diagonal Sylvester
+    solves of :func:`_triangular_lyapunov`.  No step holds more than three b x b
     arrays, beside the forced rows of W and the temporaries of the
     triangular solve: the Schur form and its vectors, with a C-ordered
     copy of one of them; T, W and Y; then W, W Y and Q.
     """
     a = A[np.ix_(idx, idx)]
     sectors = list(sectors)
-    if len(sectors) == 1 and not sectors[0][1]:
+    if len(sectors) == 1 and not sectors[0][1] and sectors[0][2] is None:
         T, W = _schur(_dense(a.T).T)
         # C order, as in a sector split (GEMMs on Fortran-ordered operands
         # can round differently), one copy at a time

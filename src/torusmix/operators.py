@@ -24,14 +24,15 @@ family into four blocks, plus the four corner modes (+-N, +-N), which
 decouple (blocks of 70, 70, 72, 72 and 4 singletons at N = 8; 270, 270, 272,
 272 and 4 at N = 16).
 
-``semigroup_norm`` and the Lyapunov solve of ``covariance`` reduce each
-block further by its symmetries (``_symmetry_sectors``: one detection per
-operator, sectors grouped by block and built only for the blocks a caller
-uses).  The maps f(x) -> f(Mx + tau), with M a reflection of the square
-lattice (x, y, diagonal, antidiagonal) and tau in {0, pi}^2, are signed
-permutations of the basis, and a block is reduced by every one that maps
-it onto itself and commutes with A there (Fassler & Stiefel, *Group
-Theoretical Methods and Their Applications*):
+``semigroup_norm``, the Lyapunov solve of ``covariance`` and the
+eigensolves of ``spectral`` reduce each block further by its symmetries
+(``_symmetry_sectors``, the one iterator of all dense work: one detection
+per operator, sectors grouped by block and built only for the blocks a
+caller uses).  The maps f(x) -> f(Mx + tau), with M a reflection of the
+square lattice (x, y, diagonal, antidiagonal) and tau in {0, pi}^2, are
+signed permutations of the basis, and a block is reduced by every one
+that maps it onto itself and commutes with A there (Fassler & Stiefel,
+*Group Theoretical Methods and Their Applications*):
 
 * commuting involutions split it into their joint eigenspaces (sectors),
   spanned by coordinates and by orbit vectors such as (e_i +- e_j) / sqrt 2;
@@ -39,25 +40,30 @@ Theoretical Methods and Their Applications*):
   another, whose matrix in the basis g V is exactly that of V (g^T A g =
   A): a twin, whose matrix exponential and Schur form are not computed
   again;
-* a map that squares to -I on the sectors is a complex structure, not a
-  split, and is not used.
+* a map that maps a sector onto itself and squares to -I there is a
+  complex structure J, not a split: the sector matrix is then the
+  realification of a complex matrix C of half its size, and every dense
+  step works on C (``_complex_sector``; ``_real_columns`` maps complex
+  vectors and the complex Schur form back).
 
 For sin(x)sin(y), x -> -x halves every block and x <-> y composed with a
 half-period translation acts on the halves: at N = 8 the 70-row blocks
 become 15 + 16 + 19 + 20 and a twin pair 35 + 35, the 72-row blocks a twin
-pair 36 + 36 and 32 + 40, where that map is a complex structure
+pair 36 + 36 and 32 + 40, where that map is a complex structure, so these
+two are complex matrices of 16 and 20 rows
 (1054 -> 255 + 256 + 271 + 272 and 527 + 527, 1056 -> 528 + 528 and
-512 + 544 at N = 32, so the sum of the cubes of the distinct sectors is
-0.563 of its value under x -> -x alone).  cos(x)cos(y) splits alike under
+512 + 544 at N = 32, complex 256 + 272).  cos(x)cos(y) splits alike under
 reflections through pi, and x -> -x, y -> y + pi splits the 17-row blocks
 of the sin(y) shear at N = 8 (9 + 8).  Per distinct sector, the norm is
-the square root of the top eigenvalue of E^T E (Lanczos to machine
+the square root of the top eigenvalue of E^H E (Lanczos to machine
 precision) with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
 iteration on the action of exp(tA) above; the real Schur form
 of a block is the direct sum of the Schur forms of its sectors, a twin
-repeating the Schur form of its sector.  ``semigroup_apply`` uses
-``expm_multiply``, and so does ``spectral`` on a block above ``DENSE_CAP``
-(``_orbit``); below it ``spectral`` evolves in the block's eigenbasis.
+repeating the Schur form of its sector; the eigenvectors of i B on a
+block are those of its sectors, one Hermitian eigensolve per distinct
+sector.  ``semigroup_apply`` uses ``expm_multiply``, and so does
+``spectral`` on a block above ``DENSE_CAP`` (``_orbit``); below it
+``spectral`` evolves in the eigenbasis of each sector.
 
 ``semigroup_norm`` computes only the sectors that can hold the maximum.
 By the logarithmic norm, ||exp(t V^T A V)|| <= exp(t mu) for t >= 0 with
@@ -69,13 +75,15 @@ of a + a^T on its block, plus a round-off margin (``_sector_bounds``).
 Sectors go in descending order of that heat bound, and one whose bound is
 strictly below the largest norm found so far is not exponentiated: for
 sin(x)sin(y) at nu t = 1 only the two sectors with a |k|^2 = 1 mode (bound
-e^-1) are, of twelve distinct ones.
+e^-1) are, of twelve distinct ones.  On a complex sector the norm is that
+of exp(tC) at half the rows: the realification is an isometry.
 
 Results that are dense inside each invariant block are stored per block, as
 a :class:`BlockDiagonal` of (index array, dense block) pairs that is zero
 off its blocks: the Lyapunov covariance (forced blocks only), the pair
 (E, S) of the finite-time covariance shared by the quadrature oracle and the
-exact Gaussian sampler, and the eigenvectors of ``spectral.spectrum``.
+exact Gaussian sampler, and the eigenvectors of ``spectral.spectrum``
+(computed on first access).
 ``DENSE_CAP`` caps the block, not n: every dense block of an operator, and
 the dense form of every block-diagonal result, comes from ``_dense``, which
 refuses more than ``DENSE_CAP`` rows (``semigroup_norm`` takes a larger
@@ -471,7 +479,7 @@ def _relation(g, h):
 
 
 def _sector_bases(idx: np.ndarray, maps: list):
-    """Yield (V, twins) per distinct symmetry sector of one block (internal).
+    """Yield (V, twins, J) per distinct symmetry sector of one block (internal).
 
     ``maps`` are the lattice maps (p, s) that map the block onto itself and
     commute with A there, as signed permutations g of its positions (p is
@@ -489,9 +497,15 @@ def _sector_bases(idx: np.ndarray, maps: list):
     is not used.  It carries the chi sector onto the chi eps sector, and as
     g^T a g = a, the basis g V gives that sector exactly the matrix V^T a V
     of the basis V of the chi sector: the two are twins.  Each class of
-    twins is yielded once, as V and the twin bases (g V, ...).  A map that
-    commutes with H (eps = +1) but squares to -I is a complex structure on
-    each sector, and is not used.
+    twins is yielded once, as V and the twin bases (g V, ...).
+
+    A map g that squares to -I on the rows of a sector and carries each of
+    its columns to +-1 times another (as one that commutes with H does) is
+    a complex structure there: G = V^T g V is orthogonal, G^2 = -I and
+    G s = s G for the sector matrix s = V^T a V.  J is the column pairing
+    (R, R', sigma) of the first such map (``_column_pairing``), or None;
+    with it s is the realification of a complex matrix of half its size
+    (``_complex_sector``).  The twins of a sector share its J.
     """
     b = len(idx)
     # on one row every map is +-1: nothing to split or pair
@@ -511,6 +525,10 @@ def _sector_bases(idx: np.ndarray, maps: list):
         if None not in eps:
             for e, G in list(shifts.items()):
                 shifts.setdefault(tuple(np.multiply(e, eps)), _compose(g, G))
+    # the maps that square to -I somewhere on the block, with the signs of
+    # their squares (p is an involution: g^2 is diagonal)
+    squares = [(g, _compose(g, g)[1]) for g in local]
+    squares = [(g, d) for g, d in squares if np.any(d < 0)]
     first = np.min([e[0] for e in group], axis=0)
     reps = np.flatnonzero(first == np.arange(b))        # one position per orbit
     # the images h e_i of each orbit's first position, keyed (orbit, position)
@@ -544,24 +562,93 @@ def _sector_bases(idx: np.ndarray, maps: list):
             twin = sp.csc_matrix((s[V.indices] * V.data, p[V.indices], V.indptr), shape=V.shape)
             twin.sort_indices()
             twins.append(twin)
-        yield V, tuple(twins)
+        pairings = (_column_pairing(V, g) for g, d in squares if np.all(d[V.indices] == -1.0))
+        yield V, tuple(twins), next((J for J in pairings if J is not None), None)
+
+
+def _column_pairing(V: sp.csc_matrix, g):
+    """(R, R', sigma) with g V e_R = sigma V e_R', or None (internal).
+
+    g is a signed permutation that squares to -I on the rows of the sector
+    V.  If it maps each column of V to +-1 times another column (each
+    column lies on one orbit of H, and a map that commutes with H carries
+    orbits to orbits), G = V^T g V is a signed permutation of the columns
+    with G^2 = -I: the columns pair up, each pair (r, r') with
+    G e_r = sigma e_r' and G e_r' = -sigma e_r, and R holds the first
+    column of each pair, ascending.  Otherwise g is not a complex structure
+    of the sector, and the result is None.
+    """
+    p, s = g
+    G = (V.T @ sp.csc_matrix((s[V.indices] * V.data, p[V.indices], V.indptr),
+                             shape=V.shape)).tocsc()
+    G.eliminate_zeros()
+    if not (np.array_equal(np.diff(G.indptr), np.ones(V.shape[1], dtype=int))
+            and np.all(np.abs(np.abs(G.data) - 1.0) <= 1e-12)):
+        return None
+    partner = G.indices
+    R = np.flatnonzero(np.arange(V.shape[1]) < partner)
+    return R, partner[R], np.sign(G.data[R])
+
+
+def _complex_sector(s: np.ndarray, J) -> np.ndarray:
+    """The sector matrix s as the complex m x m matrix C = s[R, R] + i sigma s[R', R] (internal).
+
+    With the column pairing J = (R, R', sigma) of a complex structure G
+    that commutes with s, the real coordinates x of the sector are the
+    complex ones z = x_R + i sigma x_R' (G acts as i), and s acts on them
+    as C: s is the realification of C, and its spectrum is that of C with
+    its complex conjugate.  ``_real_columns`` maps complex vectors back.
+    """
+    R, Rp, sigma = J
+    return s[np.ix_(R, R)] + 1j * (sigma[:, None] * s[np.ix_(Rp, R)])
+
+
+def _real_columns(Z: np.ndarray, J=None) -> np.ndarray:
+    """Realification of the complex m x k matrix Z: 2m x 2k real (internal).
+
+    Entry z becomes the 2 x 2 block [[Re z, -Im z], [Im z, Re z]], so
+    columns 2j and 2j + 1 are the real coordinates of Z e_j and i Z e_j.  A
+    complex matrix M maps to the real matrix of the same linear map, and an
+    upper triangular one to an upper quasi-triangular one with the 2 x 2
+    bumps of LAPACK's standard form.  With the column pairing J of
+    ``_complex_sector``, row pair (2r, 2r + 1) goes to the sector's columns
+    (R_r, R'_r), times (1, sigma_r): unitary columns of C's coordinates
+    become orthonormal columns of the sector's.
+    """
+    out = np.empty((2 * Z.shape[0], 2 * Z.shape[1]))
+    out[0::2, 0::2] = out[1::2, 1::2] = Z.real
+    out[1::2, 0::2] = Z.imag
+    out[0::2, 1::2] = -Z.imag
+    if J is None:
+        return out
+    R, Rp, sigma = J
+    rows = np.empty_like(out)
+    rows[R], rows[Rp] = out[0::2], sigma[:, None] * out[1::2]
+    return rows
 
 
 def _symmetry_sectors(op: OperatorMatrix) -> list:
     """Invariant blocks of ``op`` with the symmetry sectors of each (internal).
 
-    One (idx, sectors) per invariant block, in ``invariant_blocks`` order.
-    ``sectors`` is an iterator over (V, twins), built as it is consumed, so
-    a caller that skips a block pays nothing for it: the columns of the
+    The one iterator of every dense computation on ``op``: the semigroup
+    norm, the Schur forms of the Lyapunov solve, and the eigensolves of
+    ``spectral``.  One (idx, sectors) per invariant block, in
+    ``invariant_blocks`` order.
+    ``sectors`` is an iterator over (V, twins, J), built as it is consumed,
+    so a caller that skips a block pays nothing for it: the columns of the
     sparse V (len(idx) x b) are an orthonormal basis of a subspace of the
     block's coordinates that reduces ``op``, its rows indexing positions in
     ``idx``, and ``twins`` holds the bases (len(idx) x b) of the sectors in
     which the block matrix a has exactly the matrix V^T a V.  The sectors
     and their twins together span the block, and V^T a V' = 0 across any
-    two of them.  The block is reduced by every lattice map (p, s) of
-    ``_lattice_maps`` that maps it onto itself and commutes with A on it
-    to 1e-14 of max|A| (see ``_sector_bases``); a block with no such map is
-    one sector, V = I, without twins.
+    two of them.  J is None, or the column pairing (R, R', sigma) of a
+    complex structure of the sector (``_sector_bases``): then V^T a V is
+    the realification of the complex b/2 x b/2 matrix ``_complex_sector``
+    builds, and ``_real_columns`` maps complex vectors back.  The block is
+    reduced by every lattice map (p, s) of ``_lattice_maps`` that maps it
+    onto itself and commutes with A on it to 1e-14 of max|A| (see
+    ``_sector_bases``); a block with no such map is one sector, V = I,
+    without twins or J.
     """
     A = op.matrix.tocoo()
     n = A.shape[0]
@@ -598,12 +685,14 @@ def _symmetry_sectors(op: OperatorMatrix) -> list:
 
 
 def _dense_norm(A: np.ndarray, t: float) -> float:
-    """Largest singular value of exp(tA): top eigenvalue of E^T E.
+    """Largest singular value of exp(tA): top eigenvalue of E^H E.
 
-    The eigenvalue comes from Lanczos (ARPACK) on the dense E^T E, run to
+    A is real, or the complex form of a sector (``_complex_sector``), whose
+    realification has the same norm at half the rows.  The eigenvalue
+    comes from Lanczos (ARPACK) on the dense E^H E, run to
     machine precision (tol = 0) from a fixed start, so reruns agree bit for
-    bit; unlike a dense ``eigh`` it never tridiagonalises E^T E.  E is first
-    scaled by the power of two that brings max|E| into [1/2, 1), so E^T E
+    bit; unlike a dense ``eigh`` it never tridiagonalises E^H E.  E is first
+    scaled by the power of two that brings max|E| into [1/2, 1), so E^H E
     neither underflows (max|E| below about 1e-154 would make it zero) nor
     overflows; the scaling is exact and is undone on the result.
     """
@@ -612,10 +701,14 @@ def _dense_norm(A: np.ndarray, t: float) -> float:
     if top == 0.0:
         return 0.0
     scale = math.frexp(top)[1]
-    E = np.ldexp(E, -scale)
-    start = np.random.default_rng(0).standard_normal(E.shape[0])
-    lam = eigsh(E.T @ E, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
-    return math.ldexp(math.sqrt(max(lam[0], 0.0)), scale)
+    E *= math.ldexp(1.0, -scale)
+    gram = E.conj().T @ E
+    if np.iscomplexobj(gram) and len(gram) <= 2:
+        lam = sla.eigvalsh(gram)[-1:]       # ARPACK's complex path needs more than k + 1 rows
+    else:
+        start = np.random.default_rng(0).standard_normal(E.shape[0])
+        lam = eigsh(gram, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
+    return math.ldexp(math.sqrt(max(lam[0].real, 0.0)), scale)
 
 
 def _krylov_norm(A: sp.csr_matrix, t: float, tol: float = 1e-8) -> float:
@@ -642,16 +735,17 @@ _BOUND_ROUNDOFF = 2.0**-40
 
 
 def _sector_bounds(op: OperatorMatrix) -> list:
-    """(mu, a, V) per distinct symmetry sector of ``op`` (internal).
+    """(mu, a, V, J) per distinct symmetry sector of ``op`` (internal).
 
     In ``_symmetry_sectors`` order: ``a`` is the block of A the sector
-    lies in and ``V`` its basis.  ||exp(t V^T a V)|| <= exp(t mu) for
-    t >= 0, by the logarithmic norm: mu bounds the top eigenvalue of the
-    symmetric part of V^T a V.  As B is skew with a zero diagonal, the
-    symmetric part of a is its diagonal up to the round-off of B + B^T, so
-    mu is the largest diagonal entry of a on the rows where V is nonzero,
-    plus delta = half the largest off-diagonal absolute row sum of a + a^T
-    (which bounds the norm of the rest), plus ``_BOUND_ROUNDOFF`` ||a||_inf.
+    lies in, ``V`` its basis and ``J`` its complex structure or None.
+    ||exp(t V^T a V)|| <= exp(t mu) for t >= 0, by the logarithmic norm:
+    mu bounds the top eigenvalue of the symmetric part of V^T a V.  As B
+    is skew with a zero diagonal, the symmetric part of a is its diagonal
+    up to the round-off of B + B^T, so mu is the largest diagonal entry of
+    a on the rows where V is nonzero, plus delta = half the largest
+    off-diagonal absolute row sum of a + a^T (which bounds the norm of the
+    rest), plus ``_BOUND_ROUNDOFF`` ||a||_inf.
     """
     A = op.matrix
     d = A.diagonal()
@@ -660,8 +754,8 @@ def _sector_bounds(op: OperatorMatrix) -> list:
         a = A[np.ix_(idx, idx)]
         delta = 0.5 * abs(a + a.T - sp.diags(2.0 * d[idx])).sum(axis=1).max()
         slack = delta + _BOUND_ROUNDOFF * abs(a).sum(axis=1).max()
-        for V, _ in sectors:        # a twin has the same matrix, so the same norm
-            bounds.append((d[idx][V.indices].max() + slack, a, V))
+        for V, _, J in sectors:     # a twin has the same matrix, so the same norm
+            bounds.append((d[idx][V.indices].max() + slack, a, V, J))
     return bounds
 
 
@@ -671,7 +765,8 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     Splits A into symmetry sectors first (``_symmetry_sectors``: invariant
     blocks, reduced by the lattice reflections that commute with A).  Each
     distinct sector matrix V^T A V uses a dense exp and the top eigenvalue
-    of E^T E when it fits under DENSE_CAP, and a Lanczos iteration on
+    of E^H E when it fits under DENSE_CAP, of its complex form at half the
+    rows on a sector with a complex structure, and a Lanczos iteration on
     exp(tA) exp(tA)^T otherwise; a twin sector has the same matrix, so the
     same norm, and is skipped.
 
@@ -687,7 +782,7 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     if t == 0.0:
         return 1.0
     best = 0.0
-    for mu, a, V in sorted(_sector_bounds(op), key=lambda bound: -bound[0]):
+    for mu, a, V, J in sorted(_sector_bounds(op), key=lambda bound: -bound[0]):
         if math.exp(t * mu) < best:
             break       # the bounds descend: no later sector can beat best either
         sub = (V.T @ a @ V).tocsr()
@@ -695,7 +790,10 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
         if b == 1:
             best = max(best, math.exp(t * sub[0, 0]))
         elif b <= DENSE_CAP:
-            best = max(best, _dense_norm(sub.toarray(), t))
+            sub = sub.toarray()
+            if J is not None:
+                sub = _complex_sector(sub, J)
+            best = max(best, _dense_norm(sub, t))
         else:
             best = max(best, _krylov_norm(sub, t))
     return best

@@ -17,12 +17,16 @@ orthogonal.  On top of the eigendecomposition this module provides
   fixed band of Laplacian eigenvalues, which decays for data carried by the
   continuous spectrum.
 
-The Galerkin evolution exp(-tB) f0 of both probes runs in the eigenbasis of
-each invariant block of B that f0 touches: one Hermitian ``eigh`` of i B_b,
-the helper that ``spectrum`` uses too, gives exp(-tB) f0 on the block as
-V (exp(i w t) * (V^H f0_b)) at every point of every time grid.  A block
-above ``operators.DENSE_CAP`` rows stays sparse and is evolved by
-``expm_multiply`` instead.
+Every eigensolve here goes through ``operators._symmetry_sectors``: one
+Hermitian eigensolve per distinct symmetry sector of an invariant block,
+which its twins reuse (``_sector_eigh``), of i C at half the rows on a
+sector with a complex structure, whose frequencies are then eig(i C) and
+-eig(i C).  ``spectrum`` takes eigenvalues only; its eigenvectors are
+computed on first access.  The Galerkin evolution exp(-tB) f0 of both
+probes runs in the eigenbasis of each sector that f0 touches, as
+U (exp(i w t) * (U^H c)) on the sector's coordinates c at every point of
+every time grid.  A block above ``operators.DENSE_CAP`` rows stays sparse
+and is evolved by ``expm_multiply`` instead.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from .fields import (
     sample_grid,
 )
 from .flows import Flow
-from .operators import (DENSE_CAP, BlockDiagonal, OperatorMatrix, _dense, _orbit, advection_matrix,
-                        invariant_blocks)
+from .operators import (DENSE_CAP, BlockDiagonal, OperatorMatrix, _complex_sector, _dense, _orbit,
+                        _real_columns, _symmetry_sectors, advection_matrix)
 
 __all__ = [
     "SpectrumReport",
@@ -65,17 +69,25 @@ __all__ = [
 class SpectrumReport:
     """Eigenstructure of a truncated advection matrix.
 
-    ``eigenvectors`` keeps the eigenvectors per invariant block, and
-    ``order[k]`` is the column of its dense form that belongs to
-    ``frequencies[k]``.  ``vectors``, built on first use, is that dense form
-    with its columns in the order of ``frequencies``.
+    ``frequencies`` and ``kernel_dim`` come from eigenvalues alone.
+    ``eigenvectors``, computed from ``B`` on first access, keeps the
+    eigenvectors per invariant block, and ``order[k]`` is the column of its
+    dense form that belongs to ``frequencies[k]``.  ``vectors``, built on
+    first use, is that dense form with its columns in the order of
+    ``frequencies``.
     """
 
     N: int
     frequencies: np.ndarray = field(repr=False)     # real lambda, ascending
-    eigenvectors: BlockDiagonal = field(repr=False)  # complex, per invariant block
     order: np.ndarray = field(repr=False)           # column of each frequency
+    B: OperatorMatrix = field(repr=False)           # the advection matrix, for the vectors
     kernel_dim: int = 0
+
+    @cached_property
+    def eigenvectors(self) -> BlockDiagonal:
+        """Complex orthonormal eigenvectors, per invariant block."""
+        return BlockDiagonal(self.B.shape[0], [(idx, _block_eigh(self.B, idx, sectors)[1])
+                                               for idx, sectors in _symmetry_sectors(self.B)])
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -103,37 +115,69 @@ class GrowthCurve:
 
 
 def spectrum(B: OperatorMatrix) -> SpectrumReport:
-    """Full eigendecomposition of a skew-symmetric advection matrix.
+    """Eigenfrequencies of a skew-symmetric advection matrix.
 
     Returns the real eigenfrequencies of the self-adjoint i B (ascending)
-    with orthonormal complex eigenvectors, and the dimension of the kernel.
-    One Hermitian ``eigh`` per invariant block of B, each block at most
-    ``operators.DENSE_CAP`` rows; the per-block frequencies are merged by a
-    stable sort.
+    and the dimension of the kernel; the orthonormal complex eigenvectors
+    are computed on first access to ``eigenvectors`` or ``vectors``.  The
+    frequencies take one values-only Hermitian eigensolve per distinct
+    symmetry sector of each invariant block (``_block_eigh``), each sector
+    at most ``operators.DENSE_CAP`` rows; the per-block frequencies are
+    merged by a stable sort.
     """
     if B.kind != "advection":
         raise ValueError("spectrum expects an advection matrix")
-    n = B.shape[0]
-    freqs = np.empty(n)
-    blocks = []
-    for idx in invariant_blocks(B):
-        freqs[idx], vecs = _block_eigh(B, idx)
-        blocks.append((idx, vecs))
+    freqs = np.empty(B.shape[0])
+    for idx, sectors in _symmetry_sectors(B):
+        freqs[idx] = _block_eigh(B, idx, sectors, vectors=False)
     order = np.argsort(freqs, kind="stable")
     freqs = freqs[order]
     scale = max(1.0, float(np.max(np.abs(freqs))) if freqs.size else 1.0)
     kernel_dim = int(np.count_nonzero(np.abs(freqs) <= 1e-10 * scale))
-    return SpectrumReport(N=B.N, frequencies=freqs, eigenvectors=BlockDiagonal(n, blocks),
-                          order=order, kernel_dim=kernel_dim)
+    return SpectrumReport(N=B.N, frequencies=freqs, order=order, kernel_dim=kernel_dim, B=B)
 
 
-def _block_eigh(B: OperatorMatrix, idx: np.ndarray) -> tuple:
-    """(w, V) with i B = V diag(w) V^H on the invariant block ``idx`` of B (internal).
+def _sector_eigh(s: np.ndarray, J, vectors: bool = True):
+    """(w, U) with i s = U diag(w) U^H on one sector, or w alone (internal).
 
-    One Hermitian ``eigh`` of the dense block, at most ``DENSE_CAP`` rows:
-    w real ascending, V unitary.
+    One Hermitian eigensolve: of i s, or, with a complex structure J, of
+    i C at half the rows (C = ``operators._complex_sector(s, J)``; w and U
+    are then in C's coordinates, and the sector's frequencies are w and -w).
+    w is ascending.
     """
-    return sla.eigh(1j * _dense(B.matrix, idx).astype(complex))
+    h = 1j * (s if J is None else _complex_sector(s, J))
+    return sla.eigh(h, overwrite_a=True) if vectors else sla.eigvalsh(h, overwrite_a=True)
+
+
+def _block_eigh(B: OperatorMatrix, idx: np.ndarray, sectors, vectors: bool = True):
+    """(w, X) with i B = X diag(w) X^H on the invariant block ``idx`` of B, or w alone (internal).
+
+    One ``_sector_eigh`` per distinct symmetry sector (``sectors``, from
+    ``operators._symmetry_sectors``), which its twins reuse.  The columns
+    of X go sector by sector, each twin after its sector, and w holds
+    their frequencies in that order.  On a sector with a complex structure
+    J, an eigenvector u of i C with frequency w gives the sector's
+    eigenvector (x - i G x) / sqrt 2, with x and G x the real columns of u
+    and i u (``operators._real_columns``), and its conjugate has frequency
+    -w.
+    """
+    a = B.matrix[np.ix_(idx, idx)]
+    ws, cols = [], []
+    for V, twins, J in sectors:
+        s = _dense(V.T @ a @ V)
+        if not vectors:
+            w = _sector_eigh(s, J, False)
+            ws += [w if J is None else np.concatenate([w, -w])] * (1 + len(twins))
+            continue
+        w, U = _sector_eigh(s, J)
+        if J is not None:
+            X = _real_columns(U, J) / math.sqrt(2.0)
+            U = X[:, 0::2] - 1j * X[:, 1::2]
+            w, U = np.concatenate([w, -w]), np.hstack([U, U.conj()])
+        for basis in (V, *twins):
+            ws.append(w)
+            cols.append(basis @ U)
+    return (np.concatenate(ws), np.hstack(cols)) if vectors else np.concatenate(ws)
 
 
 def shear_E_projection(f: FourierField) -> FourierField:
@@ -298,19 +342,26 @@ def _inviscid_series(B: OperatorMatrix, f0: np.ndarray, weights: np.ndarray,
                      grids: list) -> list:
     """sum_j weights_j (exp(-tB) f0)_j^2 along each equispaced time grid of ``grids`` (internal).
 
-    Block by block, over the invariant blocks of B on which both f0 and the
-    weights are nonzero.  A block of at most ``DENSE_CAP`` rows is
-    decomposed once (``_block_eigh``), and every grid reuses it:
-    exp(-tB) f0 = V (exp(i w t) * (V^H f0)) = U exp(i w t) there, with
-    U = V diag(V^H f0).  The state is real, and it is computed in real
-    products only: V^H f0 from Re V and Im V, and the states along a grid
-    as cos(w t) Re U^T - sin(w t) Im U^T, two real GEMMs on arrays of
-    len(grid) x b doubles.  That is half the flops of the complex product,
-    and numpy's complex BLAS raised the peak RSS of a run by 0.3 to 0.6 MB.
-    A larger block is evolved sparse, by ``expm_multiply`` per grid.
+    ``weights`` must be a function of |k|^2 (the H1 weights, a low-mode
+    indicator), so that it commutes with every lattice map and is constant
+    on the support of each column of a sector basis: the sum then splits
+    into one sum per symmetry sector and twin, over their coordinates
+    c = V^T f0 with the weights on their columns.  Block by block, over the
+    invariant blocks of B on which both f0 and the weights are nonzero, a
+    block of at most ``DENSE_CAP`` rows is decomposed per distinct sector
+    that f0 and the weights touch (``_sector_eigh``), and every grid and
+    every twin reuses it: exp(-tB) c = U (exp(i w t) * (U^H c)) = P exp(i w t)
+    there, with P = U diag(U^H c).  On a sector with a complex structure J,
+    U and c are in the complex coordinates z = c_R + i sigma c_R' of
+    ``operators._complex_sector``, at half the rows, and the sum is
+    sum_r weights_r |z_r|^2.  The states are computed in real products
+    only, as cos(w t) Re P^T - sin(w t) Im P^T (the real part; with J also
+    the imaginary part, the real part of -i P), two real GEMMs on arrays
+    of len(grid) rows per sector.  A larger block is evolved sparse, by
+    ``expm_multiply`` per grid.
     """
     out = [np.zeros(len(times)) for times in grids]
-    for idx in invariant_blocks(B):
+    for idx, sectors in _symmetry_sectors(B):
         v, wt = f0[idx], weights[idx]
         if not v.any() or not wt.any():
             continue
@@ -319,14 +370,32 @@ def _inviscid_series(B: OperatorMatrix, f0: np.ndarray, weights: np.ndarray,
             for series, times in zip(out, grids):
                 series += _orbit(a, v, times) ** 2 @ wt
             continue
-        w, U = _block_eigh(B, idx)
-        U *= U.real.T @ v - 1j * (U.imag.T @ v)     # V diag(V^H f0), in place of V
-        Ur, Ui = np.ascontiguousarray(U.real.T), np.ascontiguousarray(U.imag.T)
-        for series, times in zip(out, grids):
-            theta = np.outer(times, w)
-            states = np.cos(theta) @ Ur
-            states -= np.sin(theta) @ Ui
-            series += states ** 2 @ wt
+        a = B.matrix[np.ix_(idx, idx)]
+        for V, twins, J in sectors:
+            parts = []      # (coordinates, weights) of each basis that f0 and the weights touch
+            for basis in (V, *twins):
+                c, cw = basis.T @ v, basis.multiply(basis).T @ wt
+                if J is not None:
+                    R, Rp, sigma = J
+                    c, cw = c[R] + 1j * sigma * c[Rp], cw[R]
+                if c.any() and cw.any():
+                    parts.append((c, cw))
+            if not parts:
+                continue
+            w, U = _sector_eigh(_dense(V.T @ a @ V), J)
+            Pr, Pi, pw = [], [], []
+            for c, cw in parts:
+                P = (U * (U.conj().T @ c)).T
+                for Q in (P,) if J is None else (P, -1j * P):     # Re z, and Im z = Re(-i z)
+                    Pr.append(Q.real)
+                    Pi.append(Q.imag)
+                    pw.append(cw)
+            Pr, Pi, pw = np.hstack(Pr), np.hstack(Pi), np.concatenate(pw)
+            for series, times in zip(out, grids):
+                theta = np.outer(times, w)
+                states = np.cos(theta) @ Pr
+                states -= np.sin(theta) @ Pi
+                series += states ** 2 @ pw
     return out
 
 
@@ -374,10 +443,10 @@ def h1_growth_average(
 
     Inviscid dynamics only.  ``method`` is 'shear-exact' (shear flows: exact
     slice evolution), 'truncated-exponential' (any flow: Galerkin exp(-tB),
-    from one eigendecomposition per invariant block that f0 touches, shared
-    by every T), or 'auto' (``_growth_method``).  Each requested T gets a
-    trapezoidal quadrature with step <= h (default T/1000), recorded in
-    ``h_effective``.
+    from one eigendecomposition per distinct symmetry sector that f0
+    touches, shared by its twins and every T), or 'auto'
+    (``_growth_method``).  Each requested T gets a trapezoidal quadrature
+    with step <= h (default T/1000), recorded in ``h_effective``.
     """
     if not np.any(f0.coeffs):
         raise ValueError("zero initial datum rejected")

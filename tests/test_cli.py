@@ -222,8 +222,9 @@ def test_validate_reports_block_sizes_not_dimension(tmp_path, capsys):
 
 def test_validate_growth_reports_the_blocks_f0_touches(tmp_path, capsys):
     # a truncated-exponential growth (and auto on a cellular flow) decomposes
-    # the invariant blocks that f0 touches: in configs/growth_cellular.ini,
-    # cos x lies in one 156-row block of sin x sin y at N = 12.  shear-exact
+    # the symmetry sectors of the invariant blocks that f0 touches: in
+    # configs/growth_cellular.ini, cos x lies in one 156-row block of
+    # sin x sin y at N = 12, whose sectors have 84 and 72 rows.  shear-exact
     # builds none, and a block above DENSE_CAP stays sparse (the random flow's
     # one block of 4224 rows at N = 32), so it is not reported and not refused
     text = (CONFIGS / "growth_cellular.ini").read_text()
@@ -232,9 +233,11 @@ def test_validate_growth_reports_the_blocks_f0_touches(tmp_path, capsys):
                         name="auto.ini")
     above = write_config(tmp_path, f"[experiment]\ntype = growth\nN = 32\n{RANDOM_FLOW}"
                          "[growth]\nT = 1.0\nf0 =\n    1 0 cos 1.0\n", name="above.ini")
-    # six doubles per b^2: the complex block, eigh's copy and the eigenvectors
-    for cfg, largest, mb in ((str(CONFIGS / "growth_cellular.ini"), 156, 6 * 156**2 * 8 / 1e6),
-                             (auto, 156, 6 * 156**2 * 8 / 1e6),
+    # seven doubles per b^2 (the sector, i s and its eigenvectors) and five
+    # arrays of 401 time points per sector row (T = 4, h = 0.01)
+    mb = (7 * 84**2 + 5 * 401 * 84) * 8 / 1e6
+    for cfg, largest, mb in ((str(CONFIGS / "growth_cellular.ini"), 84, mb),
+                             (auto, 84, mb),
                              (str(CONFIGS / "growth_shear.ini"), 0, 0.0),
                              (above, 0, 0.0)):
         assert main(["validate", "--config", cfg]) == 0
@@ -878,6 +881,10 @@ _SMALL_DENSE_RUNS = {
                 "ensemble = 2\nseed = 0\nf0 =\n",
     # one block of 288 rows, complex
     "spectrum": f"N = 8\n{RANDOM_FLOW}",
+    # 64 members on one block of 288 rows: the co-moments and sample windows
+    "simulate-64": f"N = 8\n{RANDOM_FLOW}{_FOUR_MODES}[simulate]\nnu = 0.1\n"
+                   "scheme = SemiImplicitEM\ndt = 0.5\nhorizon = 1.0\nburn_in = 0.0\n"
+                   "ensemble = 64\nseed = 0\nf0 =\n",
     "growth": f"N = 8\n{RANDOM_FLOW}[growth]\nT = 1.0\nmethod = truncated-exponential\n"
               "h = 0.1\nf0 =\n    1 0 cos 1.0\n",
     # sin x sin y at N = 16: sectors of up to 144 rows
@@ -891,7 +898,7 @@ _SMALL_DENSE_RUNS = {
 @pytest.mark.parametrize("experiment", _SMALL_DENSE_RUNS)
 def test_validate_memory_estimate_within_twice_the_traced_peak(tmp_path, capsys, experiment):
     # the blocks a run stores and the working set of its largest one
-    cfg = write_config(tmp_path, f"[experiment]\ntype = {experiment}\n"
+    cfg = write_config(tmp_path, f"[experiment]\ntype = {experiment.removesuffix('-64')}\n"
                        f"{_SMALL_DENSE_RUNS[experiment]}")
     estimate, peak = _estimate_and_traced_peak(tmp_path, capsys, cfg)
     assert 0.5 * peak <= estimate <= 2.0 * peak

@@ -217,12 +217,48 @@ def test_lyapunov_above_leaf_size_matches_dense_solve(case, N, nu, forcing_seed)
     noise = NoiseSpec(N, amps)
     op = generator(flow, nu, N)
     if symmetric:
-        assert any(sum(1 + len(twins) for _, twins in sectors) > 1
+        assert any(sum(1 + len(twins) for _, twins, _ in sectors) > 1
                    for _, sectors in _symmetry_sectors(op))
     Q = lyapunov_covariance(op, noise)
     Qd = sla.solve_continuous_lyapunov(op.dense(), -nu * np.diag(noise.amps**2))
     want = 0.5 * (Qd + Qd.T)
     assert np.max(np.abs(Q.matrix - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _check_complex_sector_blocks(op, noise):
+    """Q per forced block with a complex-structure sector against the dense
+    solve of its block; returns the number of such blocks."""
+    Q = lyapunov_covariance(op, noise)
+    stored = {tuple(idx): block for idx, block in Q.blocks.blocks}
+    A, psi2 = op.dense(), op.nu * noise.amps**2
+    checked = 0
+    for idx, sectors in _symmetry_sectors(op):
+        if psi2[idx].any() and any(J is not None for _, _, J in sectors):
+            want = sla.solve_continuous_lyapunov(A[np.ix_(idx, idx)], -np.diag(psi2[idx]))
+            want = 0.5 * (want + want.T)
+            assert np.abs(stored[tuple(idx)] - want).max() <= 1e-12 * np.abs(want).max()
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_lyapunov_on_complex_sectors_of_sin_x_sin_y(cellular, N):
+    # the 272-row block at N = 16 (72 at N = 8) is two sectors with a complex
+    # structure, each solved from the complex Schur form at half its rows
+    noise = unit_noise(N, [((k1, k2), parity, 1.0) for k1, k2 in ((0, 1), (1, 0), (1, 1))
+                           for parity in ("cos", "sin")])
+    assert _check_complex_sector_blocks(generator(cellular, 0.05, N), noise) == 1
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=dihedral_flows(), N=st.integers(2, 6), nu=st.floats(0.05, 1.0),
+       forcing_seed=st.integers(0, 2**32 - 1))
+def test_lyapunov_on_complex_sectors_of_dihedral_flows(flow, N, nu, forcing_seed):
+    rng = np.random.default_rng(forcing_seed)
+    n = mode_table(N).size
+    amps = np.where(rng.random(n) < 0.3, rng.uniform(0.1, 2.0, n), 0.0)
+    amps[rng.integers(n)] = 1.0
+    _check_complex_sector_blocks(generator(flow, nu, N), NoiseSpec(N, amps))
 
 
 def test_increment_covariance_without_step_bound(shear):

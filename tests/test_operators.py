@@ -226,7 +226,7 @@ def test_krylov_norm_matches_dense(cellular):
     dense = sla.svdvals(sla.expm(t * sub.toarray()))[0]
     assert _krylov_norm(sub, t) == pytest.approx(dense, rel=1e-6)
     # and on a symmetry sector, the matrix semigroup_norm hands to Lanczos
-    idx, V = max(((idx, V) for idx, sectors in _symmetry_sectors(A) for V, _ in sectors),
+    idx, V = max(((idx, V) for idx, sectors in _symmetry_sectors(A) for V, _, _ in sectors),
                  key=lambda pair: pair[1].shape[1])
     sub = (V.T @ A.matrix[np.ix_(idx, idx)] @ V).tocsr()
     assert V.shape[1] < len(big)
@@ -301,13 +301,13 @@ def _sector_splits(op):
     # a twin basis gives its sector the matrix of the sector it twins
     for idx, sectors in split:
         a = A[np.ix_(idx, idx)]
-        for V, twins in sectors:
+        for V, twins, _ in sectors:
             sub = (V.T @ a @ V).toarray()
             for G in twins:
                 assert np.max(np.abs((G.T @ a @ G).toarray() - sub), initial=0.0) <= tol
     # the sectors and twins, lifted to the whole space, are orthonormal and reduce A
     lifted = [sp.csc_matrix((V.data, idx[V.indices], V.indptr), shape=(n, V.shape[1]))
-              for idx, sectors in split for V0, twins in sectors for V in (V0, *twins)]
+              for idx, sectors in split for V0, twins, _ in sectors for V in (V0, *twins)]
     assert sum(V.shape[1] for V in lifted) == n
     W = sp.hstack(lifted).toarray()
     assert np.allclose(W.T @ W, np.eye(n), rtol=0, atol=1e-15)
@@ -317,7 +317,7 @@ def _sector_splits(op):
             if i != j:
                 assert np.all((Vi_A @ Vj).data == 0.0)
     return sorted((len(idx), tuple(sorted((V.shape[1],) + tuple(G.shape[1] for G in twins)
-                                          for V, twins in sectors)))
+                                          for V, twins, _ in sectors)))
                   for idx, sectors in split)
 
 
@@ -349,6 +349,93 @@ def test_symmetry_sectors_random_flow_unsplit(rng):
     assert all(sizes == ((size,),) for size, sizes in splits)
 
 
+def _complex_structure_maps(op, idx, V):
+    """The lattice maps g that commute with A on the block ``idx`` and map
+    the sector V onto itself with (V^T g V)^2 = -I, as dense G = V^T g V."""
+    A = op.dense()[np.ix_(idx, idx)]
+    tol = 1e-14 * np.abs(op.matrix.data).max()
+    Vd = V.toarray()
+    found = []
+    for p, s in operators._lattice_maps(op.N):
+        if not np.array_equal(np.sort(p[idx]), idx):
+            continue
+        g = np.zeros((len(idx), len(idx)))
+        g[np.searchsorted(idx, p[idx]), np.arange(len(idx))] = s[idx]
+        if np.abs(g @ A - A @ g).max() > tol:
+            continue
+        G = Vd.T @ g @ Vd
+        if (np.allclose(g @ Vd, Vd @ G, rtol=0, atol=1e-14)
+                and np.allclose(G @ G, -np.eye(len(G)), rtol=0, atol=1e-14)):
+            found.append(G)
+    return found
+
+
+def _check_complex_structures(op):
+    """Every sector has a J exactly where a commuting map squares to -I on
+    it; G of J is orthogonal, G^2 = -I and G s = s G.  Returns the number
+    of sectors with a J."""
+    A = op.matrix
+    tol = 1e-14 * np.abs(A.data).max()
+    count = 0
+    for idx, sectors in _symmetry_sectors(op):
+        a = A[np.ix_(idx, idx)]
+        for V, _, J in sectors:
+            assert (J is not None) == bool(_complex_structure_maps(op, idx, V))
+            if J is None:
+                continue
+            count += 1
+            R, Rp, sigma = J
+            b = V.shape[1]
+            assert 2 * len(R) == b and np.all(np.abs(sigma) == 1.0)
+            assert np.array_equal(np.sort(np.concatenate([R, Rp])), np.arange(b))
+            G = np.zeros((b, b))
+            G[Rp, R], G[R, Rp] = sigma, -sigma
+            s = (V.T @ a @ V).toarray()
+            assert np.array_equal(G.T @ G, np.eye(b)) and np.array_equal(G @ G, -np.eye(b))
+            assert np.abs(G @ s - s @ G).max() <= tol
+    return count
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_complex_structures_of_sin_x_sin_y(cellular, N):
+    # the two sectors of one 272-row block at N = 16 (144 + 128; 40 + 32 at
+    # N = 8) carry a complex structure, and semigroup_norm takes them at
+    # half their rows: the norm of the whole blocks
+    op = generator(cellular, 0.1, N)
+    assert _check_complex_structures(op) == 2
+    A = op.dense()
+    for t in (1.0, 10.0):
+        reference = max(sla.svdvals(sla.expm(t * A[np.ix_(idx, idx)]))[0]
+                        for idx in invariant_blocks(op))
+        assert semigroup_norm(op, t) == pytest.approx(reference, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=dihedral_flows(), N=st.integers(2, 6), nu=st.floats(0.01, 1.0))
+def test_complex_structures_of_dihedral_flows(flow, N, nu):
+    _check_complex_structures(generator(flow, nu, N))
+
+
+def test_complex_sector_realifies_to_the_sector(cellular):
+    # s is the realification of C: the real columns of a unitary Z are
+    # orthonormal, and those of C Z are s times those of Z; an upper
+    # triangular matrix realifies to an upper quasi-triangular one
+    op = generator(cellular, 0.1, 8)
+    for idx, sectors in _symmetry_sectors(op):
+        a = op.matrix[np.ix_(idx, idx)]
+        for V, _, J in sectors:
+            if J is not None:
+                s = (V.T @ a @ V).toarray()
+                C = operators._complex_sector(s, J)
+                Z = sla.qr(C + 1j * np.eye(len(C)))[0]
+                W = operators._real_columns(Z, J)
+                assert np.allclose(W.T @ W, np.eye(len(W)), rtol=0, atol=1e-14)
+                assert np.allclose(operators._real_columns(C @ Z, J), s @ W, rtol=0,
+                                   atol=1e-13 * np.abs(s).max())
+                T = operators._real_columns(np.triu(C))
+                assert not np.tril(T, -2).any() and not T[2::2, 1::2].diagonal().any()
+
+
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(flow=st.one_of(symmetric_flows(), dihedral_flows()), N=st.integers(2, 6),
        nu=st.floats(0.01, 1.0), t=st.floats(0.1, 10.0))
@@ -364,7 +451,7 @@ def test_semigroup_norm_matches_block_svd_on_symmetric_flows(flow, N, nu, t):
     split = False
     for idx, sectors in _symmetry_sectors(op):
         a = A[np.ix_(idx, idx)]
-        for V, twins in sectors:
+        for V, twins, _ in sectors:
             split = split or V.shape[1] < len(idx)
             sub = V.T @ a @ V
             for G in twins:
@@ -387,7 +474,7 @@ def test_semigroup_norm_skips_only_sectors_below_the_maximum(flow, N, nu, heat):
     t = heat / nu
     op = generator(flow, nu, N)
     norms = []
-    for mu, a, V in _sector_bounds(op):
+    for mu, a, V, _ in _sector_bounds(op):
         norm = sla.svdvals(sla.expm(t * (V.T @ a @ V).toarray()))[0]
         assert norm <= math.exp(t * mu)
         norms.append(norm)
@@ -397,11 +484,13 @@ def test_semigroup_norm_skips_only_sectors_below_the_maximum(flow, N, nu, heat):
 def test_semigroup_norm_exponentiates_only_sectors_with_a_unit_mode(cellular, monkeypatch):
     # sin x sin y at nu t = 1: the sectors holding (1, 0) and (0, 1) have the
     # heat bound e^-1 and reach 0.24; every other sector is bounded by
-    # e^-2 = 0.135 and is never exponentiated
+    # e^-2 = 0.135 and is never exponentiated.  One of them (40 rows) has a
+    # complex structure and is exponentiated at half its rows
     nu, N, t = 0.1, 8, 10.0
     op = generator(cellular, nu, N)
     lam = mode_table(N).lam
-    unit = sorted(V.shape[1] for idx, sectors in _symmetry_sectors(op) for V, _ in sectors
+    unit = sorted(V.shape[1] // (1 if J is None else 2)
+                  for idx, sectors in _symmetry_sectors(op) for V, _, J in sectors
                   if np.any(lam[idx[V.indices]] == 1))
     calls = []
 
@@ -411,8 +500,8 @@ def test_semigroup_norm_exponentiates_only_sectors_with_a_unit_mode(cellular, mo
 
     monkeypatch.setattr("torusmix.operators._dense_norm", counted)
     norm = semigroup_norm(op, t)
-    assert sorted(len(A) for A in calls) == unit and len(unit) == 2
-    assert all(np.diag(A).max() == pytest.approx(-nu, rel=1e-12) for A in calls)
+    assert sorted(len(A) for A in calls) == unit == [20, 36]
+    assert all(np.diag(A).real.max() == pytest.approx(-nu, rel=1e-12) for A in calls)
     assert 0.24 < norm < math.exp(-1)
 
 
@@ -424,7 +513,7 @@ def test_dense_norm_without_underflow(shear):
     tiny = 0
     for idx, sectors in _symmetry_sectors(op):
         a = op.matrix[np.ix_(idx, idx)]
-        for V, _ in sectors:
+        for V, _, _ in sectors:
             if V.shape[1] > 1:
                 sub = (V.T @ a @ V).toarray()
                 E = sla.expm(10.0 * sub)
@@ -432,6 +521,15 @@ def test_dense_norm_without_underflow(shear):
                 assert _dense_norm(sub, 10.0) == pytest.approx(sla.svdvals(E)[0], rel=1e-12)
     assert tiny >= 4
     assert _dense_norm(np.diag([-1e3, -2e3]), 10.0) == 0.0     # exp(tA) is exactly zero
+
+
+def test_dense_norm_of_small_complex_sectors(rng):
+    # ARPACK's complex Hermitian path needs more than two rows: the complex
+    # form of a sector of two or four rows takes a dense eigvalsh
+    for m in (1, 2, 3):
+        C = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) - 2.0 * np.eye(m)
+        want = sla.svdvals(sla.expm(0.5 * C))[0]
+        assert _dense_norm(C, 0.5) == pytest.approx(want, rel=1e-12)
 
 
 def test_semigroup_norm_shear_at_large_heat_time(shear):

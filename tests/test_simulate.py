@@ -422,6 +422,24 @@ def _whole_space_run(cfg, f0):
     return np.stack(states, axis=1), np.array(l2).T, np.array(h1).T
 
 
+def _assert_norm_series_match(stats, l2, h1, exact):
+    """``simulate``'s norm series against the whole-space run's, bit for bit if ``exact``.
+
+    numpy sums the rows of an n x M state one after another, so zero rows
+    change nothing; a single column (M = 1) it sums pairwise, and there the
+    zero rows regroup the sum.  Else each series (one per member for the L2
+    norms, the mean for the H1 norms) agrees to 1e-13 of its largest value,
+    the measure of the state check: a value far below its series' maximum
+    carries the round-off of that maximum.
+    """
+    for value, expected in ((stats.member_l2_sq, l2), (stats.mean_h1_sq, h1.mean(axis=0))):
+        if exact:
+            assert np.array_equal(value, expected)
+        else:
+            scale = np.abs(expected).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(value - expected) <= 1e-13 * scale)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(flow=st.one_of(st.just(sin_shear()), random_flows()), N=st.integers(2, 4),
        scheme=st.sampled_from(["SemiImplicitEM", "ExactGaussian"]),
@@ -461,17 +479,35 @@ def test_active_blocks_match_whole_space_stepping(flow, N, scheme, M, steps, dat
     else:
         scale = max(np.abs(want).max(initial=0.0), 1e-300)
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
-    # numpy sums the rows of an n x M state one after another, so zero rows
-    # change nothing; a single column (M = 1) it sums pairwise, and there the
-    # zero rows regroup the sum
-    for value, expected in ((stats.member_l2_sq, l2), (stats.mean_h1_sq, h1.mean(axis=0))):
-        if exact and M > 1:
-            assert np.array_equal(value, expected)
-        else:
-            assert np.allclose(value, expected, rtol=1e-13, atol=0)
+    _assert_norm_series_match(stats, l2, h1, exact and M > 1)
     for cov, states in zip(stats.member_covariances, ref[:, 1:]):
         expected = np.cov(states.T) if active.size else np.zeros((table.size,) * 2)
         assert np.allclose(cov, expected, rtol=0, atol=1e-12 * max(np.abs(expected).max(), 1.0))
+
+
+def test_active_blocks_norm_series_measured_against_their_scale():
+    # a case of test_active_blocks_match_whole_space_stepping: ExactGaussian,
+    # one member, a random cellular flow at N = 3 forced on one mode.  The
+    # last L2 norm, 6.8e-6, is 3500 times below the series' maximum, 2.4e-2,
+    # and its round-off is 1.2e-13 of itself: far inside 1e-13 of the
+    # series' scale, but not of the value alone
+    psi = [0.2739233746429086, -0.4604265724722594, -0.9180529521276106, -0.9669447289429418,
+           0.6265404784005448, 0.8255111545554434, 0.21327155153435973, 0.4589931219679968,
+           0.08724998293084574, 0.8701448475755365, 0.6317071082430643, -0.9945229996597038,
+           0.7148085531751387, -0.9328288493890713, 0.45931089285988813, -0.648688758794882,
+           0.7263578446997732, 0.08292244049818343, -0.40057621892523043, -0.1546255576046831,
+           -0.9433606577090741, -0.7514334470008721, 0.34124882938726064, 0.2943790231485002]
+    N, dt = 3, 0.05
+    amps = np.zeros(mode_table(N).size)
+    amps[5] = 1.1875
+    cfg = SimConfig(flow=make_cellular(FourierField(2, np.array(psi))), nu=0.3,
+                    noise=NoiseSpec(N, amps), scheme="ExactGaussian", dt=dt, horizon=3 * dt,
+                    burn_in=dt, ensemble=1, seed=3)
+    f0 = FourierField(N, np.zeros(amps.size))
+    stats = simulate(cfg, f0)
+    _, l2, h1 = _whole_space_run(cfg, f0)
+    assert l2[0, -1] < 1e-3 * l2.max()
+    _assert_norm_series_match(stats, l2, h1, exact=False)
 
 
 def test_exact_gaussian_on_an_unforced_block_is_the_semigroup():

@@ -24,6 +24,7 @@ from torusmix import (
 from torusmix import spectral
 from torusmix.fields import field_from_grid, random_field, sample_grid
 from torusmix.flows import ShearProfile, make_shear
+from torusmix.operators import _symmetry_sectors
 from torusmix.spectral import (_inviscid_series, _streamline_projector, invariant_projection,
                                shear_h1sq_series)
 
@@ -388,7 +389,7 @@ def test_blocks_above_dense_cap_evolve_by_expm_multiply(cellular, monkeypatch):
     low = low_mode_time_average(cellular, rng_f0, lam_max=4, T=3.0, h=0.01,
                                 projection_kwargs={"bins": 32, "grid": 128})
     monkeypatch.setattr(spectral, "DENSE_CAP", 0)
-    monkeypatch.setattr(spectral, "_block_eigh", None)
+    monkeypatch.setattr(spectral, "_sector_eigh", None)
     sparse = h1_growth_average(cellular, f0, [1.0, 3.0], method="truncated-exponential",
                                h=0.01)
     assert np.allclose(sparse.values, growth.values, rtol=1e-12, atol=0)
@@ -398,14 +399,23 @@ def test_blocks_above_dense_cap_evolve_by_expm_multiply(cellular, monkeypatch):
         low, rel=1e-12)
 
 
-def test_growth_decomposes_each_touched_block_once(cellular, monkeypatch):
-    # one B per call and one eigh per block f0 touches, shared by every T
+def _touched_sectors(B, f0):
+    """The distinct sectors of B on which f0 has a coordinate, in its sector or a twin."""
+    return [V for idx, sectors in _symmetry_sectors(B) if f0[idx].any() for V, twins, _ in sectors
+            if any((G.T @ f0[idx]).any() for G in (V, *twins))]
+
+
+def test_growth_decomposes_each_touched_sector_once(cellular, monkeypatch):
+    # one B per call and one eigh per distinct sector that f0 touches,
+    # shared by its twins and by every T: cos x and sin y lie in two
+    # 72-row blocks, in the 40-row sector of one (not in its 32-row one)
+    # and in a twin pair of 36-row sectors of the other
     N = 8
     f0 = make_field(N, [((1, 0), "cos", 1.0), ((0, 1), "sin", 0.5)])
     B = advection_matrix(cellular, N)
-    touched = [idx for idx in invariant_blocks(B) if f0.coeffs[idx].any()]
-    assert 1 <= len(touched) < len(invariant_blocks(B))
-    calls = {"advection_matrix": 0, "_block_eigh": 0}
+    touched = _touched_sectors(B, f0.coeffs)
+    assert sorted(V.shape[1] for V in touched) == [36, 40]
+    calls = {"advection_matrix": 0, "_sector_eigh": 0}
     for name in calls:
         original = getattr(spectral, name)
 
@@ -415,13 +425,58 @@ def test_growth_decomposes_each_touched_block_once(cellular, monkeypatch):
 
         monkeypatch.setattr(spectral, name, counted)
     h1_growth_average(cellular, f0, [1.0, 2.0, 4.0], method="truncated-exponential", h=0.05)
-    assert calls == {"advection_matrix": 1, "_block_eigh": len(touched)}
+    assert calls == {"advection_matrix": 1, "_sector_eigh": len(touched)}
     assert not hasattr(spectral, "expm_multiply")
 
 
-def test_spectrum_frequencies_come_from_the_shared_block_eigh(cellular):
+def test_spectrum_frequencies_come_from_the_shared_sector_eigh(cellular, monkeypatch):
+    # one values-only eigh per distinct sector, which its twins reuse, and
+    # the lazy eigenvectors from the same sectors
     B = advection_matrix(cellular, 6)
+    distinct = sum(1 for _, sectors in _symmetry_sectors(B) for _ in sectors)
+    calls = []
+    original = spectral._sector_eigh
+
+    def counted(s, J, vectors=True):
+        calls.append(vectors)
+        return original(s, J, vectors)
+
+    monkeypatch.setattr(spectral, "_sector_eigh", counted)
     rep = spectrum(B)
-    for idx in invariant_blocks(B):
-        w, _ = spectral._block_eigh(B, idx)
+    assert calls == [False] * distinct < [False] * len(rep.frequencies)
+    for idx, sectors in _symmetry_sectors(B):
+        w = spectral._block_eigh(B, idx, sectors, vectors=False)
         assert np.array_equal(np.sort(w), np.sort(rep.frequencies[np.isin(rep.order, idx)]))
+    rep.vectors
+    assert calls[distinct:] == [False] * distinct + [True] * distinct
+
+
+def _check_spectrum(B):
+    """Frequencies against eigvalsh(i B_b) per invariant block, the +- pairing
+    of each block, and the lazy eigenvectors."""
+    rep = spectrum(B)
+    Bd = B.dense()
+    assert "vectors" not in vars(rep) and "eigenvectors" not in vars(rep)
+    for idx in invariant_blocks(B):
+        want = np.linalg.eigvalsh(1j * Bd[np.ix_(idx, idx)])
+        scale = max(np.abs(want).max(), 1.0)
+        got = np.sort(rep.frequencies[np.isin(rep.order, idx)])
+        assert np.abs(got - want).max() <= 1e-13 * scale
+        assert np.abs(got + got[::-1]).max() <= 1e-13 * scale
+    V, w = rep.vectors, rep.frequencies
+    scale = max(np.abs(w).max(), 1.0)
+    assert np.abs(1j * Bd @ V - V * w).max() <= 1e-12 * scale
+    assert np.abs(V.conj().T @ V - np.eye(len(w))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_spectrum_per_sector_sin_x_sin_y(cellular, N):
+    B = advection_matrix(cellular, N)
+    assert any(J is not None for _, sectors in _symmetry_sectors(B) for _, _, J in sectors)
+    _check_spectrum(B)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=dihedral_flows(), N=st.integers(2, 6))
+def test_spectrum_per_sector_dihedral_flows(flow, N):
+    _check_spectrum(advection_matrix(flow, N))
