@@ -49,7 +49,8 @@ from .fields import (FourierField, _write_csv, format_record, make_field, mode_t
 from .flows import Flow, ShearProfile, make_cellular, make_shear
 from .operators import (DENSE_CAP, _one_blas_pool, _symmetry_sectors, advection_matrix, generator,
                         invariant_blocks, semigroup_norm)
-from .simulate import _WINDOW, RNG_ALGORITHM, SimConfig, empirical_covariance, simulate
+from .simulate import (_WINDOW, RNG_ALGORITHM, SimConfig, _kept_blocks, empirical_covariance,
+                       simulate)
 from .spectral import _growth_method, _streamline_projector, _time_grid, h1_growth_average, spectrum
 
 
@@ -286,6 +287,9 @@ def parse_spec(path) -> ExperimentSpec:
                         f"psi^2/(2 j^2), not to the limit of this {flow.kind} flow")
     if experiment == "cellular-support" and flow is not None and flow.streamfunction is None:
         problems.append("flow: cellular-support requires a cellular flow")
+    psi = flow.streamfunction if flow is not None else None
+    if grid is not None and psi is not None and grid < 2 * psi.N + 2:
+        problems.append(f"{experiment}.grid: need grid >= 2 streamfunction_N + 2 = {2 * psi.N + 2}")
     if params.get("method") == "shear-exact" and flow is not None and flow.kind != "shear":
         problems.append(f"{experiment}.method: shear-exact requires a shear flow")
     if flow is not None and flow.max_wavenumber > 2 * N:
@@ -565,11 +569,11 @@ def run(spec: ExperimentSpec, seed_override=None) -> None:
     )
 
 
-def _dense_block_sizes(spec: ExperimentSpec) -> list:
+def _dense_block_sizes(spec: ExperimentSpec, stepped: list) -> list:
     """Rows of each dense block a run of ``spec`` builds, from the sparsity of B.
 
     The Lyapunov experiments solve the forced invariant blocks, and
-    ExactGaussian steps the blocks that the noise forces or f0 touches.
+    ExactGaussian steps the blocks of ``stepped`` rows (``_stepped_blocks``).
     ``spectrum``, ``growth`` and ``dissipation-probe`` decompose the
     distinct symmetry sectors (``operators._symmetry_sectors``): of every
     block for ``spectrum``; of the blocks f0 touches, up to ``DENSE_CAP``
@@ -588,7 +592,7 @@ def _dense_block_sizes(spec: ExperimentSpec) -> list:
           and _growth_method(spec.flow, spec.params["method"]) == "truncated-exponential"):
         used, cap = spec.params["f0"].coeffs, DENSE_CAP
     elif spec.experiment == "simulate" and spec.params["scheme"] == "ExactGaussian":
-        return [len(idx) for idx in _stepped_blocks(spec)]
+        return stepped
     elif spec.experiment in ("covariance-ladder", "cellular-support"):
         return [len(idx) for idx in invariant_blocks(advection_matrix(spec.flow, spec.N))
                 if spec.noise.amps[idx].any()]
@@ -602,9 +606,8 @@ def _dense_block_sizes(spec: ExperimentSpec) -> list:
 
 
 def _stepped_blocks(spec: ExperimentSpec) -> list:
-    """The invariant blocks that ``simulate`` steps: those the noise forces or f0 touches."""
-    used = np.abs(spec.noise.amps) + np.abs(spec.params["f0"].coeffs)
-    return [idx for idx in invariant_blocks(advection_matrix(spec.flow, spec.N)) if used[idx].any()]
+    """The invariant blocks that ``simulate`` steps (``simulate._kept_blocks``)."""
+    return _kept_blocks(advection_matrix(spec.flow, spec.N), spec.noise, spec.params["f0"])
 
 
 # Doubles per b^2 that a run holds at its peak, measured with tracemalloc:
@@ -624,14 +627,14 @@ _MEMORY_PER_B2 = {
 _SIMULATE_COMOMENTS = 3
 
 
-def _simulate_doubles(spec: ExperimentSpec) -> int:
+def _simulate_doubles(spec: ExperimentSpec, rows: int) -> int:
     """Doubles of ``simulate``'s statistics, either scheme: the co-moments and the sample window.
 
     M + ``_SIMULATE_COMOMENTS`` co-moments of n_a x n_a, and a window of
     ``simulate._WINDOW`` samples of n_a rows per member, for M members on
     n_a stepped rows.
     """
-    M, rows = spec.params["ensemble"], sum(len(idx) for idx in _stepped_blocks(spec))
+    M = spec.params["ensemble"]
     return (M + _SIMULATE_COMOMENTS) * rows * rows + M * _WINDOW * rows
 
 
@@ -651,13 +654,14 @@ def validate_report(spec: ExperimentSpec) -> str:
     doubles per b^2 as measured (``_MEMORY_PER_B2``), with the statistics
     of ``simulate`` (``_simulate_doubles``) and the time grid of ``growth``.
     """
-    sizes = _dense_block_sizes(spec)
+    stepped = [len(idx) for idx in _stepped_blocks(spec)] if spec.experiment == "simulate" else []
+    sizes = _dense_block_sizes(spec, stepped)
     largest, cubes = max(sizes, default=0), sum(b**3 for b in sizes)
     stored, working = _MEMORY_PER_B2[spec.experiment]
     # simulate builds E_b and L_b from Van Loan's exponential before it
     # allocates its statistics, so the peak is the larger of the two
     peak = max(working * largest * largest,
-               _simulate_doubles(spec) if spec.experiment == "simulate" else 0)
+               _simulate_doubles(spec, sum(stepped)) if stepped else 0)
     if spec.experiment == "growth" and sizes:
         points = len(_time_grid(max(spec.params["T"]), spec.params["h"], 1000))
         peak += _GROWTH_GRID_ARRAYS * points * largest

@@ -130,7 +130,6 @@ class Flow:
     lipschitz_bound: float = 0.0
     profile: ShearProfile | None = None      # shear only
     streamfunction: FourierField | None = None   # cellular only
-    nondegenerate: bool = True
     profile_critical_points: int = 0         # zeros of u' found by sampling
 
     def velocity_on_grid(self, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +163,7 @@ def make_shear(profile: ShearProfile) -> Flow:
         raise ValueError("zero shear profile rejected")
     velocity = {m: (c, 0.0) for m, c in profile.complex_coefficients().items()}
     zeros = _count_derivative_zeros(profile)
-    return _finalize("shear", velocity, profile=profile,
-                     nondegenerate=True, profile_critical_points=zeros)
+    return _finalize("shear", velocity, profile=profile, profile_critical_points=zeros)
 
 
 def _perp_gradient_velocity(psi: FourierField) -> dict:

@@ -40,11 +40,16 @@ that maps it onto itself and commutes with A there (Fassler & Stiefel,
   another, whose matrix in the basis g V is exactly that of V (g^T A g =
   A): a twin, whose matrix exponential and Schur form are not computed
   again;
-* a map that maps a sector onto itself and squares to -I there is a
-  complex structure J, not a split: the sector matrix is then the
-  realification of a complex matrix C of half its size, and every dense
-  step works on C (``_complex_sector``; ``_real_columns`` maps complex
-  vectors and the complex Schur form back).
+* a map g that maps a sector onto itself and squares to -I there is a
+  complex structure, not a split: the sector's basis then pairs its
+  columns as x and g x, so the sector matrix s is the realification of
+  the complex matrix C = s[0::2, 0::2] + i s[1::2, 0::2] of half its size,
+  and every dense step works on C (``_real_columns`` maps complex vectors
+  and the complex Schur form back).  The pairing stays inside the basis:
+  the iterator says only whether a sector is complex.
+
+``_sector_matrix`` forms every dense sector matrix, V^T a V or C, and
+refuses one above ``DENSE_CAP`` rows.
 
 For sin(x)sin(y), x -> -x halves every block and x <-> y composed with a
 half-period translation acts on the halves: at N = 8 the 70-row blocks
@@ -479,7 +484,7 @@ def _relation(g, h):
 
 
 def _sector_bases(idx: np.ndarray, maps: list):
-    """Yield (V, twins, J) per distinct symmetry sector of one block (internal).
+    """Yield (V, twins, complex_form) per distinct symmetry sector of one block (internal).
 
     ``maps`` are the lattice maps (p, s) that map the block onto itself and
     commute with A there, as signed permutations g of its positions (p is
@@ -501,11 +506,14 @@ def _sector_bases(idx: np.ndarray, maps: list):
 
     A map g that squares to -I on the rows of a sector and carries each of
     its columns to +-1 times another (as one that commutes with H does) is
-    a complex structure there: G = V^T g V is orthogonal, G^2 = -I and
-    G s = s G for the sector matrix s = V^T a V.  J is the column pairing
-    (R, R', sigma) of the first such map (``_column_pairing``), or None;
-    with it s is the realification of a complex matrix of half its size
-    (``_complex_sector``).  The twins of a sector share its J.
+    a complex structure there, and the first such map pairs the columns
+    (``_column_pairing``): the sector is then ``complex_form``, and its
+    columns go pair by pair, in the order of each pair's first column, as
+    x and g x, so that G = V^T g V is the direct sum of [[0, -1], [1, 0]]
+    (orthogonal, G^2 = -I, and G s = s G for the sector matrix
+    s = V^T a V).  s is then the realification of the complex matrix
+    C = s[0::2, 0::2] + i s[1::2, 0::2] of half its size
+    (``_sector_matrix``).  The twins g V inherit the column order.
     """
     b = len(idx)
     # on one row every map is +-1: nothing to split or pair
@@ -544,87 +552,99 @@ def _sector_bases(idx: np.ndarray, maps: list):
         done.update(tuple(np.multiply(chi, e)) for e in shifts)
         weight = np.prod(np.where(bits == 1, chi, 1.0), axis=1)       # chi(h)
         value = np.bincount(where.ravel(), (signs * weight[:, None]).ravel(), len(key))
-        nonzero = value != 0.0
-        size = np.bincount(col[nonzero], minlength=len(reps))
+        entries = np.flatnonzero(value)         # sorted as key: by orbit, then position
+        rows = row[entries]
+        size = np.bincount(col[entries], minlength=len(reps))
+        if not size.any():
+            continue
+        data = np.sign(value[entries]) / np.sqrt(size[col[entries]])
         order = np.lexsort((reps, size))
         order = order[size[order] > 0]
-        if order.size == 0:
-            continue
+        pairings = (_column_pairing(data, rows, size, g) for g, d in squares
+                    if np.all(d[rows] == -1.0))
+        pairing = next((found for found in pairings if found is not None), None)
+        if pairing is not None:     # each pair's first orbit, then its partner times sigma
+            partner, sign = pairing
+            first = order[order < partner[order]]
+            order = np.stack([first, partner[first]], axis=1).ravel()
+            data = data * sign[col[entries]]
         rank = np.empty(len(reps), dtype=int)
         rank[order] = np.arange(order.size)
-        entries = np.flatnonzero(nonzero)
-        entries = entries[np.argsort(rank[col[entries]], kind="stable")]
+        by_rank = np.argsort(rank[col[entries]], kind="stable")
         indptr = np.concatenate([[0], np.cumsum(size[order])])
-        data = np.sign(value[entries]) / np.sqrt(size[col[entries]])
-        V = sp.csc_matrix((data, row[entries], indptr), shape=(b, order.size))
+        V = sp.csc_matrix((data[by_rank], rows[by_rank], indptr), shape=(b, order.size))
         twins = []
         for p, s in list(shifts.values())[1:]:      # g V: row i of V moves to p(i), times s_i
             twin = sp.csc_matrix((s[V.indices] * V.data, p[V.indices], V.indptr), shape=V.shape)
             twin.sort_indices()
             twins.append(twin)
-        pairings = (_column_pairing(V, g) for g, d in squares if np.all(d[V.indices] == -1.0))
-        yield V, tuple(twins), next((J for J in pairings if J is not None), None)
+        yield V, tuple(twins), pairing is not None
 
 
-def _column_pairing(V: sp.csc_matrix, g):
-    """(R, R', sigma) with g V e_R = sigma V e_R', or None (internal).
+def _column_pairing(data: np.ndarray, rows: np.ndarray, size: np.ndarray, g):
+    """(partner, sign) per orbit of a sector if g pairs its columns, else None (internal).
 
-    g is a signed permutation that squares to -I on the rows of the sector
-    V.  If it maps each column of V to +-1 times another column (each
-    column lies on one orbit of H, and a map that commutes with H carries
-    orbits to orbits), G = V^T g V is a signed permutation of the columns
-    with G^2 = -I: the columns pair up, each pair (r, r') with
-    G e_r = sigma e_r' and G e_r' = -sigma e_r, and R holds the first
-    column of each pair, ascending.  Otherwise g is not a complex structure
-    of the sector, and the result is None.
+    The sector's orthonormal orbit columns, one per orbit of H and empty
+    where the orbit's sum vanishes, hold ``size`` entries each, ``data`` at
+    ``rows``, orbit by orbit.  g is a signed permutation that squares to
+    -I on those rows.  If g maps each nonempty column to +-1 times another
+    (each lies on one orbit of H, and a map that commutes with H carries
+    orbits to orbits), G = orbits^T g orbits is a signed permutation of them with
+    G^2 = -I: the columns pair up, each pair (r, r') with r < r',
+    G e_r = sigma e_r' and G e_r' = -sigma e_r.  ``partner`` maps r to r'
+    and r' to r, and ``sign`` is sigma at r' and 1 at r: column r and
+    sigma times column r' are x and g x.  Otherwise g is not a complex
+    structure of the sector, and the result is None.
     """
     p, s = g
-    G = (V.T @ sp.csc_matrix((s[V.indices] * V.data, p[V.indices], V.indptr),
-                             shape=V.shape)).tocsc()
+    indptr, shape = np.concatenate([[0], np.cumsum(size)]), (len(p), len(size))
+    orbits = sp.csc_matrix((data, rows, indptr), shape=shape)
+    G = (orbits.T @ sp.csc_matrix((s[rows] * data, p[rows], indptr), shape=shape)).tocoo()
     G.eliminate_zeros()
-    if not (np.array_equal(np.diff(G.indptr), np.ones(V.shape[1], dtype=int))
+    if not (np.array_equal(np.sort(G.col), np.flatnonzero(size))
             and np.all(np.abs(np.abs(G.data) - 1.0) <= 1e-12)):
         return None
-    partner = G.indices
-    R = np.flatnonzero(np.arange(V.shape[1]) < partner)
-    return R, partner[R], np.sign(G.data[R])
+    partner, sign = np.zeros(len(size), dtype=int), np.ones(len(size))
+    partner[G.col] = G.row
+    sign[G.row] = np.where(G.col < G.row, np.sign(G.data), 1.0)
+    return partner, sign
 
 
-def _complex_sector(s: np.ndarray, J) -> np.ndarray:
-    """The sector matrix s as the complex m x m matrix C = s[R, R] + i sigma s[R', R] (internal).
-
-    With the column pairing J = (R, R', sigma) of a complex structure G
-    that commutes with s, the real coordinates x of the sector are the
-    complex ones z = x_R + i sigma x_R' (G acts as i), and s acts on them
-    as C: s is the realification of C, and its spectrum is that of C with
-    its complex conjugate.  ``_real_columns`` maps complex vectors back.
-    """
-    R, Rp, sigma = J
-    return s[np.ix_(R, R)] + 1j * (sigma[:, None] * s[np.ix_(Rp, R)])
-
-
-def _real_columns(Z: np.ndarray, J=None) -> np.ndarray:
+def _real_columns(Z: np.ndarray) -> np.ndarray:
     """Realification of the complex m x k matrix Z: 2m x 2k real (internal).
 
     Entry z becomes the 2 x 2 block [[Re z, -Im z], [Im z, Re z]], so
-    columns 2j and 2j + 1 are the real coordinates of Z e_j and i Z e_j.  A
-    complex matrix M maps to the real matrix of the same linear map, and an
-    upper triangular one to an upper quasi-triangular one with the 2 x 2
-    bumps of LAPACK's standard form.  With the column pairing J of
-    ``_complex_sector``, row pair (2r, 2r + 1) goes to the sector's columns
-    (R_r, R'_r), times (1, sigma_r): unitary columns of C's coordinates
-    become orthonormal columns of the sector's.
+    columns 2j and 2j + 1 are the real coordinates of Z e_j and i Z e_j
+    in a complex sector's basis, where z_r = x_2r + i x_2r+1
+    (``_sector_bases``): unitary columns of the complex form's coordinates
+    become orthonormal columns of the sector's.  A complex matrix M maps
+    to the real matrix of the same linear map, and an upper triangular one
+    to an upper quasi-triangular one with the 2 x 2 bumps of LAPACK's
+    standard form.
     """
     out = np.empty((2 * Z.shape[0], 2 * Z.shape[1]))
     out[0::2, 0::2] = out[1::2, 1::2] = Z.real
     out[1::2, 0::2] = Z.imag
     out[0::2, 1::2] = -Z.imag
-    if J is None:
-        return out
-    R, Rp, sigma = J
-    rows = np.empty_like(out)
-    rows[R], rows[Rp] = out[0::2], sigma[:, None] * out[1::2]
-    return rows
+    return out
+
+
+def _sector_matrix(a: sp.spmatrix, V: sp.csc_matrix, complex_form: bool) -> np.ndarray:
+    """The dense working matrix of one sector: s = V^T a V, or C on a complex sector (internal).
+
+    ``a`` is the sparse block matrix and V a sector basis of
+    ``_symmetry_sectors``.  The one place that forms a sector matrix
+    dense: s is Fortran-ordered, as LAPACK takes it (the transpose of
+    V^T (V^T a)^T), and refused above ``DENSE_CAP`` rows by ``_dense``.
+    With ``complex_form`` the basis pairs its columns as x and G x for a
+    complex structure G that commutes with s, G acting as i on
+    z = x_2r + i x_2r+1, so s is the realification of the complex b/2 x b/2
+    matrix C = s[0::2, 0::2] + i s[1::2, 0::2], also Fortran-ordered, and
+    its spectrum is that of C with its complex conjugate; ``_real_columns``
+    maps complex vectors back.
+    """
+    s = _dense(V.T @ (V.T @ a).T).T
+    return np.asfortranarray(s[0::2, 0::2] + 1j * s[1::2, 0::2]) if complex_form else s
 
 
 def _symmetry_sectors(op: OperatorMatrix) -> list:
@@ -634,21 +654,23 @@ def _symmetry_sectors(op: OperatorMatrix) -> list:
     norm, the Schur forms of the Lyapunov solve, and the eigensolves of
     ``spectral``.  One (idx, sectors) per invariant block, in
     ``invariant_blocks`` order.
-    ``sectors`` is an iterator over (V, twins, J), built as it is consumed,
-    so a caller that skips a block pays nothing for it: the columns of the
-    sparse V (len(idx) x b) are an orthonormal basis of a subspace of the
-    block's coordinates that reduces ``op``, its rows indexing positions in
-    ``idx``, and ``twins`` holds the bases (len(idx) x b) of the sectors in
-    which the block matrix a has exactly the matrix V^T a V.  The sectors
+    ``sectors`` is an iterator over (V, twins, complex_form), built as it
+    is consumed, so a caller that skips a block pays nothing for it: the
+    columns of the sparse V (len(idx) x b) are an orthonormal basis of a
+    subspace of the block's coordinates that reduces ``op``, its rows
+    indexing positions in ``idx``, and ``twins`` holds the bases
+    (len(idx) x b) of the sectors in which the block matrix a has exactly
+    the matrix V^T a V.  The sectors
     and their twins together span the block, and V^T a V' = 0 across any
-    two of them.  J is None, or the column pairing (R, R', sigma) of a
-    complex structure of the sector (``_sector_bases``): then V^T a V is
-    the realification of the complex b/2 x b/2 matrix ``_complex_sector``
-    builds, and ``_real_columns`` maps complex vectors back.  The block is
+    two of them.  ``complex_form`` is True on a sector with a complex
+    structure, whose basis pairs its columns (``_sector_bases``): then
+    V^T a V is the realification of a complex b/2 x b/2 matrix, which
+    ``_sector_matrix`` forms, and ``_real_columns`` maps complex vectors
+    back.  ``_sector_matrix`` forms every dense sector matrix.  The block is
     reduced by every lattice map (p, s) of ``_lattice_maps`` that maps it
     onto itself and commutes with A on it to 1e-14 of max|A| (see
     ``_sector_bases``); a block with no such map is one sector, V = I,
-    without twins or J.
+    without twins, not complex.
     """
     A = op.matrix.tocoo()
     n = A.shape[0]
@@ -687,14 +709,15 @@ def _symmetry_sectors(op: OperatorMatrix) -> list:
 def _dense_norm(A: np.ndarray, t: float) -> float:
     """Largest singular value of exp(tA): top eigenvalue of E^H E.
 
-    A is real, or the complex form of a sector (``_complex_sector``), whose
-    realification has the same norm at half the rows.  The eigenvalue
-    comes from Lanczos (ARPACK) on the dense E^H E, run to
-    machine precision (tol = 0) from a fixed start, so reruns agree bit for
-    bit; unlike a dense ``eigh`` it never tridiagonalises E^H E.  E is first
-    scaled by the power of two that brings max|E| into [1/2, 1), so E^H E
-    neither underflows (max|E| below about 1e-154 would make it zero) nor
-    overflows; the scaling is exact and is undone on the result.
+    A is a real sector matrix, or the complex form C of a sector
+    (``_sector_matrix``), whose realification has the same norm at twice
+    the rows.  The eigenvalue comes from Lanczos (ARPACK) on the dense
+    E^H E, run to machine precision (tol = 0) from a fixed start, so
+    reruns agree bit for bit; unlike a dense ``eigh`` it never
+    tridiagonalises E^H E.  E is first scaled by the power of two that
+    brings max|E| into [1/2, 1), so E^H E neither underflows (max|E| below
+    about 1e-154 would make it zero) nor overflows; the scaling is exact
+    and is undone on the result.
     """
     E = sla.expm(t * A)
     top = np.abs(E).max()
@@ -735,10 +758,11 @@ _BOUND_ROUNDOFF = 2.0**-40
 
 
 def _sector_bounds(op: OperatorMatrix) -> list:
-    """(mu, a, V, J) per distinct symmetry sector of ``op`` (internal).
+    """(mu, a, V, complex_form) per distinct symmetry sector of ``op`` (internal).
 
     In ``_symmetry_sectors`` order: ``a`` is the block of A the sector
-    lies in, ``V`` its basis and ``J`` its complex structure or None.
+    lies in, ``V`` its basis and ``complex_form`` whether it has a complex
+    structure.
     ||exp(t V^T a V)|| <= exp(t mu) for t >= 0, by the logarithmic norm:
     mu bounds the top eigenvalue of the symmetric part of V^T a V.  As B
     is skew with a zero diagonal, the symmetric part of a is its diagonal
@@ -754,8 +778,8 @@ def _sector_bounds(op: OperatorMatrix) -> list:
         a = A[np.ix_(idx, idx)]
         delta = 0.5 * abs(a + a.T - sp.diags(2.0 * d[idx])).sum(axis=1).max()
         slack = delta + _BOUND_ROUNDOFF * abs(a).sum(axis=1).max()
-        for V, _, J in sectors:     # a twin has the same matrix, so the same norm
-            bounds.append((d[idx][V.indices].max() + slack, a, V, J))
+        for V, _, complex_form in sectors:  # a twin has the same matrix, so the same norm
+            bounds.append((d[idx][V.indices].max() + slack, a, V, complex_form))
     return bounds
 
 
@@ -765,8 +789,9 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     Splits A into symmetry sectors first (``_symmetry_sectors``: invariant
     blocks, reduced by the lattice reflections that commute with A).  Each
     distinct sector matrix V^T A V uses a dense exp and the top eigenvalue
-    of E^H E when it fits under DENSE_CAP, of its complex form at half the
-    rows on a sector with a complex structure, and a Lanczos iteration on
+    of E^H E when it fits under DENSE_CAP (``_sector_matrix``), of its
+    complex form at half the rows on a sector with a complex structure,
+    and a Lanczos iteration on
     exp(tA) exp(tA)^T otherwise; a twin sector has the same matrix, so the
     same norm, and is skipped.
 
@@ -782,20 +807,14 @@ def semigroup_norm(op: OperatorMatrix, t: float) -> float:
     if t == 0.0:
         return 1.0
     best = 0.0
-    for mu, a, V, J in sorted(_sector_bounds(op), key=lambda bound: -bound[0]):
+    for mu, a, V, complex_form in sorted(_sector_bounds(op), key=lambda bound: -bound[0]):
         if math.exp(t * mu) < best:
             break       # the bounds descend: no later sector can beat best either
-        sub = (V.T @ a @ V).tocsr()
-        b = sub.shape[0]
-        if b == 1:
-            best = max(best, math.exp(t * sub[0, 0]))
-        elif b <= DENSE_CAP:
-            sub = sub.toarray()
-            if J is not None:
-                sub = _complex_sector(sub, J)
-            best = max(best, _dense_norm(sub, t))
-        else:
-            best = max(best, _krylov_norm(sub, t))
+        if V.shape[1] > DENSE_CAP:
+            best = max(best, _krylov_norm((V.T @ a @ V).tocsr(), t))
+            continue
+        s = _sector_matrix(a, V, complex_form)
+        best = max(best, math.exp(t * s[0, 0]) if V.shape[1] == 1 else _dense_norm(s, t))
     return best
 
 

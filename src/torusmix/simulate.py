@@ -47,8 +47,8 @@ import scipy.linalg as sla
 from .covariance import CovarianceOperator, NoiseSpec, _increment_block
 from .fields import FourierField, _write_csv, mode_table
 from .flows import Flow
-from .operators import (BlockDiagonal, _dense, advection_matrix, dissipation_matrix, generator,
-                        invariant_blocks)
+from .operators import (BlockDiagonal, OperatorMatrix, _dense, advection_matrix, dissipation_matrix,
+                        generator, invariant_blocks)
 
 __all__ = [
     "SimConfig",
@@ -225,6 +225,17 @@ def _union(blocks) -> np.ndarray:
     return np.sort(np.concatenate([*blocks, np.empty(0, dtype=np.intp)]))
 
 
+def _kept_blocks(B: OperatorMatrix, noise: NoiseSpec, f0: FourierField, tracked=()) -> list:
+    """The invariant blocks of the advection matrix B that ``simulate`` steps (internal).
+
+    Those the noise forces, f0 touches or that hold a coefficient of the
+    canonical indices ``tracked``: every other block stays zero.
+    """
+    used = (noise.amps != 0.0) | (f0.coeffs != 0.0)
+    used[list(tracked)] = True
+    return [idx for idx in invariant_blocks(B) if used[idx].any()]
+
+
 def _member_rng(seed: int, member: int) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(member)],
                    dtype=np.uint64)
@@ -257,10 +268,8 @@ def simulate(
                       math.sqrt(0.5 * noise.total_intensity), 1e-12)
 
     tracked_idx = [table.coefficient_index(m, p) for m, p in track_coefficients]
-    used = (noise.amps != 0.0) | (f0.coeffs != 0.0)
-    used[tracked_idx] = True
     B = advection_matrix(config.flow, N)
-    kept = [idx for idx in invariant_blocks(B) if used[idx].any()]
+    kept = _kept_blocks(B, noise, f0, tracked_idx)
     active = _union(kept)
     lam = table.lam.astype(float)[active, None]
 

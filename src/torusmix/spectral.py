@@ -19,7 +19,8 @@ orthogonal.  On top of the eigendecomposition this module provides
 
 Every eigensolve here goes through ``operators._symmetry_sectors``: one
 Hermitian eigensolve per distinct symmetry sector of an invariant block,
-which its twins reuse (``_sector_eigh``), of i C at half the rows on a
+which its twins reuse (``_sector_eigh``), of i s for the sector matrix s
+that ``operators._sector_matrix`` forms: of i C at half the rows on a
 sector with a complex structure, whose frequencies are then eig(i C) and
 -eig(i C).  ``spectrum`` takes eigenvalues only; its eigenvectors are
 computed on first access.  The Galerkin evolution exp(-tB) f0 of both
@@ -49,8 +50,8 @@ from .fields import (
     sample_grid,
 )
 from .flows import Flow
-from .operators import (DENSE_CAP, BlockDiagonal, OperatorMatrix, _complex_sector, _dense, _orbit,
-                        _real_columns, _symmetry_sectors, advection_matrix)
+from .operators import (DENSE_CAP, BlockDiagonal, OperatorMatrix, _dense, _orbit, _real_columns,
+                        _sector_matrix, _symmetry_sectors, advection_matrix)
 
 __all__ = [
     "SpectrumReport",
@@ -137,15 +138,16 @@ def spectrum(B: OperatorMatrix) -> SpectrumReport:
     return SpectrumReport(N=B.N, frequencies=freqs, order=order, kernel_dim=kernel_dim, B=B)
 
 
-def _sector_eigh(s: np.ndarray, J, vectors: bool = True):
+def _sector_eigh(s: np.ndarray, vectors: bool = True):
     """(w, U) with i s = U diag(w) U^H on one sector, or w alone (internal).
 
-    One Hermitian eigensolve: of i s, or, with a complex structure J, of
-    i C at half the rows (C = ``operators._complex_sector(s, J)``; w and U
-    are then in C's coordinates, and the sector's frequencies are w and -w).
-    w is ascending.
+    One Hermitian eigensolve of i s, for the working matrix s of a sector
+    (``operators._sector_matrix``): V^T a V, or on a sector with a complex
+    structure its complex form C at half the rows, where w and U are in
+    C's coordinates and the sector's frequencies are w and -w.  w is
+    ascending.
     """
-    h = 1j * (s if J is None else _complex_sector(s, J))
+    h = 1j * s
     return sla.eigh(h, overwrite_a=True) if vectors else sla.eigvalsh(h, overwrite_a=True)
 
 
@@ -155,23 +157,23 @@ def _block_eigh(B: OperatorMatrix, idx: np.ndarray, sectors, vectors: bool = Tru
     One ``_sector_eigh`` per distinct symmetry sector (``sectors``, from
     ``operators._symmetry_sectors``), which its twins reuse.  The columns
     of X go sector by sector, each twin after its sector, and w holds
-    their frequencies in that order.  On a sector with a complex structure
-    J, an eigenvector u of i C with frequency w gives the sector's
-    eigenvector (x - i G x) / sqrt 2, with x and G x the real columns of u
-    and i u (``operators._real_columns``), and its conjugate has frequency
-    -w.
+    their frequencies in that order.  On a sector with a complex
+    structure G, an eigenvector u of i C with frequency w gives the
+    sector's eigenvector (x - i G x) / sqrt 2, with x and G x the real
+    columns of u and i u (``operators._real_columns``), and its conjugate
+    has frequency -w.
     """
     a = B.matrix[np.ix_(idx, idx)]
     ws, cols = [], []
-    for V, twins, J in sectors:
-        s = _dense(V.T @ a @ V)
+    for V, twins, complex_form in sectors:
+        s = _sector_matrix(a, V, complex_form)
         if not vectors:
-            w = _sector_eigh(s, J, False)
-            ws += [w if J is None else np.concatenate([w, -w])] * (1 + len(twins))
+            w = _sector_eigh(s, False)
+            ws += [np.concatenate([w, -w]) if complex_form else w] * (1 + len(twins))
             continue
-        w, U = _sector_eigh(s, J)
-        if J is not None:
-            X = _real_columns(U, J) / math.sqrt(2.0)
+        w, U = _sector_eigh(s)
+        if complex_form:
+            X = _real_columns(U) / math.sqrt(2.0)
             U = X[:, 0::2] - 1j * X[:, 1::2]
             w, U = np.concatenate([w, -w]), np.hstack([U, U.conj()])
         for basis in (V, *twins):
@@ -351,14 +353,14 @@ def _inviscid_series(B: OperatorMatrix, f0: np.ndarray, weights: np.ndarray,
     block of at most ``DENSE_CAP`` rows is decomposed per distinct sector
     that f0 and the weights touch (``_sector_eigh``), and every grid and
     every twin reuses it: exp(-tB) c = U (exp(i w t) * (U^H c)) = P exp(i w t)
-    there, with P = U diag(U^H c).  On a sector with a complex structure J,
-    U and c are in the complex coordinates z = c_R + i sigma c_R' of
-    ``operators._complex_sector``, at half the rows, and the sum is
-    sum_r weights_r |z_r|^2.  The states are computed in real products
-    only, as cos(w t) Re P^T - sin(w t) Im P^T (the real part; with J also
-    the imaginary part, the real part of -i P), two real GEMMs on arrays
-    of len(grid) rows per sector.  A larger block is evolved sparse, by
-    ``expm_multiply`` per grid.
+    there, with P = U diag(U^H c).  On a sector with a complex structure,
+    U and c are in the complex coordinates z_r = c_2r + i c_2r+1 of its
+    complex form (``operators._sector_matrix``), at half the rows, and the
+    sum is sum_r weights_2r |z_r|^2.  The states are computed in real
+    products only, as cos(w t) Re P^T - sin(w t) Im P^T (the real part; on
+    a complex sector also the imaginary part, the real part of -i P), two
+    real GEMMs on arrays of len(grid) rows per sector.  A larger block is
+    evolved sparse, by ``expm_multiply`` per grid.
     """
     out = [np.zeros(len(times)) for times in grids]
     for idx, sectors in _symmetry_sectors(B):
@@ -371,22 +373,21 @@ def _inviscid_series(B: OperatorMatrix, f0: np.ndarray, weights: np.ndarray,
                 series += _orbit(a, v, times) ** 2 @ wt
             continue
         a = B.matrix[np.ix_(idx, idx)]
-        for V, twins, J in sectors:
+        for V, twins, complex_form in sectors:
             parts = []      # (coordinates, weights) of each basis that f0 and the weights touch
             for basis in (V, *twins):
                 c, cw = basis.T @ v, basis.multiply(basis).T @ wt
-                if J is not None:
-                    R, Rp, sigma = J
-                    c, cw = c[R] + 1j * sigma * c[Rp], cw[R]
+                if complex_form:
+                    c, cw = c[0::2] + 1j * c[1::2], cw[0::2]
                 if c.any() and cw.any():
                     parts.append((c, cw))
             if not parts:
                 continue
-            w, U = _sector_eigh(_dense(V.T @ a @ V), J)
+            w, U = _sector_eigh(_sector_matrix(a, V, complex_form))
             Pr, Pi, pw = [], [], []
             for c, cw in parts:
                 P = (U * (U.conj().T @ c)).T
-                for Q in (P,) if J is None else (P, -1j * P):     # Re z, and Im z = Re(-i z)
+                for Q in (P, -1j * P) if complex_form else (P,):     # Re z, and Im z = Re(-i z)
                     Pr.append(Q.real)
                     Pi.append(Q.imag)
                     pw.append(cw)

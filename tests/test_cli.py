@@ -742,6 +742,9 @@ BAD_SCALARS = {
     "covariance-ladder.nu": _forced_config("covariance-ladder", "nu = 0.2\nnu = 0.1"),
     "cellular-support.bins": _forced_config("cellular-support", "nu = 0.1\nbins = many"),
     "cellular-support.grid": _forced_config("cellular-support", "nu = 0.1\ngrid = 12.5"),
+    # the default grid 256 cannot resolve a streamfunction of order 200
+    "cellular-support.grid = 256": _forced_config("cellular-support", "nu = 0.1").replace(
+        "streamfunction_N = 2", "streamfunction_N = 200"),
 }
 
 

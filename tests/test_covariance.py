@@ -233,7 +233,7 @@ def _check_complex_sector_blocks(op, noise):
     A, psi2 = op.dense(), op.nu * noise.amps**2
     checked = 0
     for idx, sectors in _symmetry_sectors(op):
-        if psi2[idx].any() and any(J is not None for _, _, J in sectors):
+        if psi2[idx].any() and any(complex_form for _, _, complex_form in sectors):
             want = sla.solve_continuous_lyapunov(A[np.ix_(idx, idx)], -np.diag(psi2[idx]))
             want = 0.5 * (want + want.T)
             assert np.abs(stored[tuple(idx)] - want).max() <= 1e-12 * np.abs(want).max()

@@ -34,7 +34,6 @@ def test_shear_rejects_zero_profile():
 def test_shear_derivative_zero_count():
     # u' of cos y + cos 2y has finitely many sign changes on [0, 2 pi)
     flow = make_shear(ShearProfile(cos_amps=(1.0, 1.0)))
-    assert flow.nondegenerate
     assert 1 <= flow.profile_critical_points <= 10
     # independent oracle: count sign changes on a fresh dense grid
     y = np.linspace(0, 2 * math.pi, 10_000, endpoint=False)

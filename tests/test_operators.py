@@ -371,28 +371,28 @@ def _complex_structure_maps(op, idx, V):
 
 
 def _check_complex_structures(op):
-    """Every sector has a J exactly where a commuting map squares to -I on
-    it; G of J is orthogonal, G^2 = -I and G s = s G.  Returns the number
-    of sectors with a J."""
+    """Every sector is complex exactly where a commuting map squares to -I
+    on it.  On a complex sector of b rows, G0 = diag([[0, -1], [1, 0]], ...)
+    is orthogonal, G0^2 = -I, G0 s = s G0 and V G0 = g V for a commuting
+    lattice map g.  Returns the number of complex sectors."""
     A = op.matrix
     tol = 1e-14 * np.abs(A.data).max()
     count = 0
     for idx, sectors in _symmetry_sectors(op):
         a = A[np.ix_(idx, idx)]
-        for V, _, J in sectors:
-            assert (J is not None) == bool(_complex_structure_maps(op, idx, V))
-            if J is None:
+        for V, _, complex_form in sectors:
+            maps = _complex_structure_maps(op, idx, V)
+            assert complex_form == bool(maps)
+            if not complex_form:
                 continue
             count += 1
-            R, Rp, sigma = J
             b = V.shape[1]
-            assert 2 * len(R) == b and np.all(np.abs(sigma) == 1.0)
-            assert np.array_equal(np.sort(np.concatenate([R, Rp])), np.arange(b))
-            G = np.zeros((b, b))
-            G[Rp, R], G[R, Rp] = sigma, -sigma
+            assert b % 2 == 0
+            G0 = np.kron(np.eye(b // 2), [[0.0, -1.0], [1.0, 0.0]])
             s = (V.T @ a @ V).toarray()
-            assert np.array_equal(G.T @ G, np.eye(b)) and np.array_equal(G @ G, -np.eye(b))
-            assert np.abs(G @ s - s @ G).max() <= tol
+            assert np.array_equal(G0.T @ G0, np.eye(b)) and np.array_equal(G0 @ G0, -np.eye(b))
+            assert np.abs(G0 @ s - s @ G0).max() <= tol
+            assert any(np.allclose(G, G0, rtol=0, atol=1e-14) for G in maps)
     return count
 
 
@@ -419,21 +419,31 @@ def test_complex_structures_of_dihedral_flows(flow, N, nu):
 def test_complex_sector_realifies_to_the_sector(cellular):
     # s is the realification of C: the real columns of a unitary Z are
     # orthonormal, and those of C Z are s times those of Z; an upper
-    # triangular matrix realifies to an upper quasi-triangular one
+    # triangular matrix realifies to an upper quasi-triangular one.  The
+    # real sector matrix is V^T a V itself, and both are Fortran-ordered
+    # for LAPACK
     op = generator(cellular, 0.1, 8)
+    complex_sectors = 0
     for idx, sectors in _symmetry_sectors(op):
         a = op.matrix[np.ix_(idx, idx)]
-        for V, _, J in sectors:
-            if J is not None:
-                s = (V.T @ a @ V).toarray()
-                C = operators._complex_sector(s, J)
-                Z = sla.qr(C + 1j * np.eye(len(C)))[0]
-                W = operators._real_columns(Z, J)
-                assert np.allclose(W.T @ W, np.eye(len(W)), rtol=0, atol=1e-14)
-                assert np.allclose(operators._real_columns(C @ Z, J), s @ W, rtol=0,
-                                   atol=1e-13 * np.abs(s).max())
-                T = operators._real_columns(np.triu(C))
-                assert not np.tril(T, -2).any() and not T[2::2, 1::2].diagonal().any()
+        for V, _, complex_form in sectors:
+            s = (V.T @ a @ V).toarray()
+            C = operators._sector_matrix(a, V, complex_form)    # s itself on a real sector
+            assert C.flags.f_contiguous
+            if not complex_form:
+                assert np.array_equal(C, s)
+                continue
+            complex_sectors += 1
+            assert 2 * len(C) == len(s)
+            assert np.allclose(operators._real_columns(C), s, rtol=0, atol=1e-14 * np.abs(s).max())
+            Z = sla.qr(C + 1j * np.eye(len(C)))[0]
+            W = operators._real_columns(Z)
+            assert np.allclose(W.T @ W, np.eye(len(W)), rtol=0, atol=1e-14)
+            assert np.allclose(operators._real_columns(C @ Z), s @ W, rtol=0,
+                               atol=1e-13 * np.abs(s).max())
+            T = operators._real_columns(np.triu(C))
+            assert not np.tril(T, -2).any() and not T[2::2, 1::2].diagonal().any()
+    assert complex_sectors == 2
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -489,8 +499,8 @@ def test_semigroup_norm_exponentiates_only_sectors_with_a_unit_mode(cellular, mo
     nu, N, t = 0.1, 8, 10.0
     op = generator(cellular, nu, N)
     lam = mode_table(N).lam
-    unit = sorted(V.shape[1] // (1 if J is None else 2)
-                  for idx, sectors in _symmetry_sectors(op) for V, _, J in sectors
+    unit = sorted(V.shape[1] // (2 if complex_form else 1)
+                  for idx, sectors in _symmetry_sectors(op) for V, _, complex_form in sectors
                   if np.any(lam[idx[V.indices]] == 1))
     calls = []
 
