@@ -276,6 +276,8 @@ def parse_spec(path) -> ExperimentSpec:
         if cfg.has_section(section):
             warnings += [f"{section}.{key}: unknown key, ignored"
                          for key in cfg.options(section) if key not in keys]
+    warnings += [f"{section}: unknown section, ignored" for section in cfg.sections()
+                 if section != "experiment" and section not in known]
 
     grid, bins = params.get("grid"), params.get("bins")
     if grid is not None and grid < 4 * N:
@@ -621,21 +623,20 @@ _MEMORY_PER_B2 = {
     "dissipation-probe": (0, 11),   # one sector at a time: exp(tA), E^T E, Lanczos
 }
 
-# Co-moments that ``simulate`` holds per n_a^2 (n_a stepped rows) beside
-# one per member: the ensemble's total and the temporaries of a merge and
-# of the covariance
+# n_a x n_a arrays (n_a stepped rows) that ``simulate`` holds as a window
+# folds in, measured with tracemalloc: the run's one co-moment, the
+# window's co-moment and the outer product of the merge
 _SIMULATE_COMOMENTS = 3
 
 
 def _simulate_doubles(spec: ExperimentSpec, rows: int) -> int:
     """Doubles of ``simulate``'s statistics, either scheme: the co-moments and the sample window.
 
-    M + ``_SIMULATE_COMOMENTS`` co-moments of n_a x n_a, and a window of
-    ``simulate._WINDOW`` samples of n_a rows per member, for M members on
-    n_a stepped rows.
+    ``_SIMULATE_COMOMENTS`` arrays of n_a x n_a, and the window of
+    ``simulate._WINDOW`` samples of n_a rows per member with its centred
+    copy, for M members on n_a stepped rows.
     """
-    M = spec.params["ensemble"]
-    return (M + _SIMULATE_COMOMENTS) * rows * rows + M * _WINDOW * rows
+    return _SIMULATE_COMOMENTS * rows * rows + 2 * spec.params["ensemble"] * _WINDOW * rows
 
 
 # Arrays of (time points) x (sector rows) that a truncated-exponential

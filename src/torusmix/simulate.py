@@ -31,9 +31,10 @@ Randomness comes from counter-based Philox streams keyed by (seed,
 member); each member draws a window of steps at a time, the same numbers
 in the same order as one draw per step, so a member's trajectory does not
 depend on the ensemble size.
-Post-burn-in states are gathered per window and reduced with one centred
-GEMM per member into per-member n_a-dimensional accumulators, which the
-ensemble reduction merges in member order.
+Post-burn-in states of all members are gathered per window, one
+(window steps x M) x n_a batch, and folded with one centred GEMM into the
+single n_a-dimensional accumulator of the run: one n_a x n_a co-moment
+whatever M is.  A member's own path is in ``tracked_samples``.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class SimConfig:
 class CovarianceAccumulator:
     """Streaming (count, mean, co-moment) triple with pairwise merging.
 
-    ``merge`` is commutative and associative up to roundoff; the ensemble
-    reduction applies it in fixed member order for reproducibility.
+    ``merge`` is commutative and associative up to roundoff; ``simulate``
+    adds its batches in a fixed order for reproducibility.
     """
 
     def __init__(self, dim: int):
@@ -140,25 +141,22 @@ class CovarianceAccumulator:
     def add(self, x: np.ndarray) -> None:
         """Add one sample or a batch of samples, one per row."""
         X = np.atleast_2d(x)
-        batch = CovarianceAccumulator(X.shape[1])
-        batch.count = len(X)
-        batch.mean = X.mean(axis=0)
-        C = X - batch.mean
-        batch.m2 = C.T @ C
-        self.merge(batch)
+        mean = X.mean(axis=0)
+        C = X - mean
+        self._fold(len(X), mean, C.T @ C)
 
     def merge(self, other: "CovarianceAccumulator") -> None:
-        if other.count == 0:
+        self._fold(other.count, other.mean, other.m2)
+
+    def _fold(self, count: int, mean: np.ndarray, m2: np.ndarray) -> None:
+        """Merge the triple (count, mean, m2) in place: one n x n temporary."""
+        if count == 0:
             return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean.copy()
-            self.m2 = other.m2.copy()
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.m2 += other.m2 + np.outer(delta, delta) * (self.count * other.count / total)
-        self.mean += delta * (other.count / total)
+        total = self.count + count
+        delta = mean - self.mean
+        self.m2 += m2
+        self.m2 += np.outer(delta * (self.count * count / total), delta)
+        self.mean += delta * (count / total)
         self.count = total
 
     def covariance(self) -> np.ndarray:
@@ -172,8 +170,10 @@ class CovarianceAccumulator:
 class TrajectoryStats:
     """Ensemble statistics of one simulation run.
 
-    The accumulators hold the coefficients ``active`` (sorted canonical
-    indices), the rows the run steps; every other coefficient is zero.
+    ``accumulator`` pools every post-burn-in state of every member on the
+    coefficients ``active`` (sorted canonical indices), the rows the run
+    steps; every other coefficient is zero.  Per-member statistics are the
+    norm series and ``tracked_samples``.
     """
 
     config: SimConfig
@@ -186,23 +186,12 @@ class TrajectoryStats:
     member_l2_sq: np.ndarray = field(repr=False)          # (M, steps+1)
     member_residuals: np.ndarray = field(repr=False)      # balance over (burn_in, horizon)
     member_h1_means: np.ndarray = field(repr=False)       # post-burn-in time averages
-    member_accumulators: list = field(repr=False)
     tracked_samples: dict | None = field(default=None, repr=False)  # coeff -> samples
     rng_algorithm: str = RNG_ALGORITHM
 
     @property
     def sample_count(self) -> int:
         return self.accumulator.count
-
-    @property
-    def member_covariances(self) -> list:
-        """Unbiased post-burn-in covariance of each member, in member order.
-
-        Each is n x n in the canonical ordering, zero off ``active``.
-        """
-        n = self.config.noise.amps.size
-        return [BlockDiagonal(n, [(self.active, acc.covariance())]).toarray()
-                for acc in self.member_accumulators]
 
     def write_csv(self, path_or_file) -> None:
         _write_csv(path_or_file, ["t", "mean_l2_sq", "mean_h1_sq", "energy_residual"],
@@ -299,9 +288,9 @@ def simulate(
     F = np.repeat(f0.coeffs[active, None], M, axis=1)
     l2 = np.empty((M, steps + 1))
     h1 = np.empty((M, steps + 1))
-    accs = [CovarianceAccumulator(active.size) for _ in range(M)]
+    acc = CovarianceAccumulator(active.size)
     tracked = np.empty((len(tracked_idx), M, steps + 1 - burn_steps))
-    window = np.empty((M, _WINDOW, active.size))
+    window = np.empty((_WINDOW * M, active.size))    # row t M + m: member m at step t
     filled = 0
     for j in range(steps + 1):
         if j:
@@ -330,18 +319,12 @@ def simulate(
             )
         if j >= burn_steps:
             tracked[:, :, j - burn_steps] = F[tracked_rows]
-            window[:, filled] = F.T
+            window[filled * M : (filled + 1) * M] = F.T
             filled += 1
             if filled == _WINDOW or j == steps:
-                # one centred GEMM per member and window: a stacked GEMM
-                # would hold another M n_a^2 floats next to the accumulators
-                for acc, X in zip(accs, window[:, :filled]):
-                    acc.add(X)
+                acc.add(window[: filled * M])
                 filled = 0
 
-    total = CovarianceAccumulator(active.size)
-    for acc in accs:
-        total.merge(acc)
     intensity = noise.total_intensity
     mean_l2 = l2.mean(axis=0)
     mean_h1 = h1.mean(axis=0)
@@ -355,13 +338,12 @@ def simulate(
         mean_l2_sq=mean_l2,
         mean_h1_sq=mean_h1,
         residual_series=residual_series,
-        accumulator=total,
+        accumulator=acc,
         member_l2_sq=l2,
         member_residuals=_balance_residual(times, l2, h1, config.nu, intensity,
                                            burn_steps, steps),
         member_h1_means=(np.trapezoid(h1[:, burn_steps:], dx=config.dt, axis=1)
                          / (config.dt * (steps - burn_steps))),
-        member_accumulators=accs,
         tracked_samples={key: tracked[i].ravel()
                          for i, key in enumerate(track_coefficients)} or None,
     )

@@ -831,6 +831,16 @@ def test_unused_noise_section_warns(tmp_path, capsys):
     assert "noise.modes = 0 1 cos 1" in (out / "manifest.txt").read_text()
 
 
+def test_unknown_section_warns(tmp_path, capsys):
+    # a misspelt section is not read: validate says so instead of a bare ok
+    text = (CONFIGS / "spectrum_cellular.ini").read_text() + "\n[grwoth]\nT = 1.0\n"
+    cfg = write_config(tmp_path, text, name="spectrum.ini")
+    assert main(["validate", "--config", cfg]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: grwoth: unknown section, ignored"]
+
+
 @pytest.mark.parametrize("experiment, N, flow", [
     ("cellular-support", 12, RANDOM_FLOW),       # one block of 624 rows
     ("covariance-ladder", 12, CELL_FLOW),        # four blocks of 154 and 156 rows

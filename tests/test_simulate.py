@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from torusmix.flows import make_cellular, sin_shear
 from torusmix.operators import (advection_matrix, dissipation_matrix, generator,
                                 invariant_blocks, semigroup_apply)
 from torusmix.covariance import gaussian_increment_covariance
-from torusmix.simulate import _WINDOW, CovarianceAccumulator, _factor_psd, _member_rng
+from torusmix.simulate import (_WINDOW, CovarianceAccumulator, _factor_psd, _kept_blocks,
+                                _member_rng, _union)
 
 from strategies import random_flows
 
@@ -32,6 +34,25 @@ def single_mode_noise(N, amp=1.0):
 
 def zero_noise(N):
     return NoiseSpec(N, np.zeros(mode_table(N).size))
+
+
+def coefficient_keys(N, indices):
+    """The (mode, parity) pair of each canonical index, for ``track_coefficients``."""
+    table = mode_table(N)
+    return tuple(((int(table.k1[i]), int(table.k2[i])), "cos" if table.parity[i] == 0 else "sin")
+                 for i in indices)
+
+
+def member_paths(stats, keys):
+    """Tracked post-burn-in paths as (coefficient, member, step)."""
+    cfg = stats.config
+    shape = (len(keys), cfg.ensemble, cfg.steps + 1 - cfg.burn_steps)
+    return np.array([stats.tracked_samples[key] for key in keys]).reshape(shape)
+
+
+def member_variances(stats, key):
+    """Unbiased post-burn-in variance of the coefficient ``key`` in each member."""
+    return member_paths(stats, [key])[0].var(axis=1, ddof=1)
 
 
 def test_config_validation():
@@ -89,18 +110,22 @@ def test_seed_reproducibility(shear):
 @pytest.mark.parametrize("scheme", ["SemiImplicitEM", "ExactGaussian"])
 def test_members_do_not_depend_on_ensemble_size(shear, scheme):
     # each member steps on its own (seed, member) stream, so the first three
-    # members of an ensemble of six repeat an ensemble of three
+    # members of an ensemble of six repeat an ensemble of three, on every
+    # coefficient the run steps
     N = 4
     noise = NoiseSpec.from_modes(N, [((0, 1), "cos", 1.0), ((1, 1), "sin", 0.5)])
-    runs = [
+    f0 = make_field(N, [((1, 0), "cos", 0.3)])
+    active = _union(_kept_blocks(advection_matrix(shear, N), noise, f0))
+    keys = coefficient_keys(N, active)
+    small, large = (
         simulate(SimConfig(flow=shear, nu=0.1, noise=noise, scheme=scheme, dt=0.25,
-                           horizon=40.0, burn_in=2.0, ensemble=M, seed=5),
-                 make_field(N, [((1, 0), "cos", 0.3)]))
+                           horizon=40.0, burn_in=2.0, ensemble=M, seed=5), f0,
+                 track_coefficients=keys)
         for M in (3, 6)
-    ]
-    small, large = runs
-    pairs = [(small.member_l2_sq, large.member_l2_sq[:3])]
-    pairs += zip(small.member_covariances, large.member_covariances[:3])
+    )
+    assert np.array_equal(small.active, active) and np.array_equal(large.active, active)
+    pairs = [(small.member_l2_sq, large.member_l2_sq[:3]),
+             (member_paths(small, keys), member_paths(large, keys)[:, :3])]
     for a, b in pairs:
         if scheme == "SemiImplicitEM":
             assert np.array_equal(a, b)
@@ -115,11 +140,12 @@ def test_exact_gaussian_ou_variance():
     cfg = SimConfig(flow=None, nu=0.1, noise=single_mode_noise(N),
                     scheme="ExactGaussian", dt=0.5, horizon=300.0, burn_in=25.0,
                     ensemble=32, seed=42)
-    stats = simulate(cfg, make_field(N, []))
+    key = ((0, 1), "cos")
+    stats = simulate(cfg, make_field(N, []), track_coefficients=(key,))
     assert stats.sample_count >= 10_000
     Q = empirical_covariance(stats)
-    i = mode_table(N).coefficient_index((0, 1), "cos")
-    entries = np.array([c[i, i] for c in stats.member_covariances])
+    i = mode_table(N).coefficient_index(*key)
+    entries = member_variances(stats, key)
     se = entries.std(ddof=1) / math.sqrt(len(entries))
     assert abs(Q.matrix[i, i] - 0.5) <= 3.0 * se
     # everything off the forced coefficient stays at noise level
@@ -229,21 +255,22 @@ def test_scheme_agreement_as_dt_shrinks(shear):
     N = 4
     nu = 0.1
     noise = single_mode_noise(N)
-    i = mode_table(N).coefficient_index((0, 1), "cos")
+    key = ((0, 1), "cos")
+    i = mode_table(N).coefficient_index(*key)
 
     eg = SimConfig(flow=shear, nu=nu, noise=noise, scheme="ExactGaussian",
                    dt=0.5, horizon=550.0, burn_in=50.0, ensemble=32, seed=17)
-    stats_eg = simulate(eg, make_field(N, []))
+    stats_eg = simulate(eg, make_field(N, []), track_coefficients=(key,))
     v_eg = empirical_covariance(stats_eg).matrix[i, i]
-    ent = np.array([c[i, i] for c in stats_eg.member_covariances])
+    ent = member_variances(stats_eg, key)
     se_eg = ent.std(ddof=1) / math.sqrt(len(ent))
 
     for dt in (0.1, 0.05, 0.025):
         em = SimConfig(flow=shear, nu=nu, noise=noise, scheme="SemiImplicitEM",
                        dt=dt, horizon=550.0, burn_in=50.0, ensemble=32, seed=18)
-        stats_em = simulate(em, make_field(N, []))
+        stats_em = simulate(em, make_field(N, []), track_coefficients=(key,))
         v_em = empirical_covariance(stats_em).matrix[i, i]
-        ent_em = np.array([c[i, i] for c in stats_em.member_covariances])
+        ent_em = member_variances(stats_em, key)
         se_em = ent_em.std(ddof=1) / math.sqrt(len(ent_em))
         # scalar semi-implicit bias bound: (psi^2/(2 lam)) * dt nu lam / 2, doubled
         bias = 0.5 * dt * nu * 1.0
@@ -342,11 +369,10 @@ def test_exact_gaussian_draws_one_normal_per_forced_row():
     N, nu, dt = 6, 0.1, 0.5
     noise = NoiseSpec.from_modes(N, [((0, 1), "cos", 1.0), ((1, 1), "cos", 1.0)])
     table = mode_table(N)
-    keys = [((int(k1), int(k2)), "cos" if q == 0 else "sin")
-            for k1, k2, q in zip(table.k1, table.k2, table.parity)]
+    keys = coefficient_keys(N, range(table.size))
     cfg = SimConfig(flow=sin_shear(), nu=nu, noise=noise, scheme="ExactGaussian",
                     dt=dt, horizon=dt, burn_in=0.0, ensemble=1, seed=5)
-    stats = simulate(cfg, make_field(N, []), track_coefficients=tuple(keys))
+    stats = simulate(cfg, make_field(N, []), track_coefficients=keys)
     f1 = np.array([stats.tracked_samples[key][1] for key in keys])
     _, sigma = gaussian_increment_covariance(generator(sin_shear(), nu, N), noise, dt)
     forced = [(idx, Sb) for idx, Sb in sigma.blocks if noise.amps[idx].any()]
@@ -463,15 +489,13 @@ def test_active_blocks_match_whole_space_stepping(flow, N, scheme, M, steps, dat
     active = np.sort(np.concatenate(
         [idx for idx in invariant_blocks(advection_matrix(flow, N)) if used[idx].any()]
         + [np.empty(0, int)]))
-    keys = [((int(table.k1[i]), int(table.k2[i])), "cos" if table.parity[i] == 0 else "sin")
-            for i in active]
-    stats = simulate(cfg, f0, track_coefficients=tuple(keys))
+    keys = coefficient_keys(N, active)
+    stats = simulate(cfg, f0, track_coefficients=keys)
     assert np.array_equal(stats.active, active)
     ref, l2, h1 = _whole_space_run(cfg, f0)
     off = np.setdiff1d(np.arange(table.size), active)
     assert not ref[:, :, off].any()
-    got = np.array([stats.tracked_samples[key] for key in keys]).reshape(len(keys), M, steps)
-    got = got.transpose(1, 2, 0)
+    got = member_paths(stats, keys).transpose(1, 2, 0)
     want = ref[:, 1:, active]
     exact = scheme == "SemiImplicitEM"
     if exact:
@@ -480,9 +504,10 @@ def test_active_blocks_match_whole_space_stepping(flow, N, scheme, M, steps, dat
         scale = max(np.abs(want).max(initial=0.0), 1e-300)
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
     _assert_norm_series_match(stats, l2, h1, exact and M > 1)
-    for cov, states in zip(stats.member_covariances, ref[:, 1:]):
-        expected = np.cov(states.T) if active.size else np.zeros((table.size,) * 2)
-        assert np.allclose(cov, expected, rtol=0, atol=1e-12 * max(np.abs(expected).max(), 1.0))
+    # the pooled covariance is that of every member's post-burn-in states
+    expected = np.cov(ref[:, 1:].reshape(-1, table.size).T)
+    assert np.allclose(empirical_covariance(stats).matrix, expected, rtol=0,
+                       atol=1e-12 * max(np.abs(expected).max(), 1.0))
 
 
 def test_active_blocks_norm_series_measured_against_their_scale():
@@ -519,34 +544,78 @@ def test_exact_gaussian_on_an_unforced_block_is_the_semigroup():
     A = generator(flow, nu, N)
     block = next(idx for idx in invariant_blocks(A) if f0.coeffs[idx].any())
     assert not noise.amps[block].any()
-    table = mode_table(N)
-    keys = [((int(table.k1[i]), int(table.k2[i])), "cos" if table.parity[i] == 0 else "sin")
-            for i in block]
+    keys = coefficient_keys(N, block)
     cfg = SimConfig(flow=flow, nu=nu, noise=noise, scheme="ExactGaussian", dt=dt,
                     horizon=20 * dt, burn_in=0.0, ensemble=2, seed=1)
-    stats = simulate(cfg, f0, track_coefficients=tuple(keys))
-    paths = np.array([stats.tracked_samples[key].reshape(2, -1) for key in keys])
+    stats = simulate(cfg, f0, track_coefficients=keys)
+    paths = member_paths(stats, keys)
     for j, t in enumerate(stats.times):
         want = semigroup_apply(A, t, f0).coeffs[block]
         for m in range(2):
             assert np.abs(paths[:, m, j] - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_member_covariances_are_canonically_indexed():
-    # u = 0 forced on sin(x + y) only: the one active row is not row 0, and
-    # the member covariances hold its variance psi^2 / (2 |k|^2) there
+def test_pooled_covariance_is_canonically_indexed():
+    # u = 0 forced on sin(x + y) only: the one active row is not row 0, the
+    # pooled covariance holds the variance of its samples there and nothing
+    # else, and the members' variances scatter about psi^2 / (2 |k|^2)
     N = 3
-    noise = NoiseSpec.from_modes(N, [((1, 1), "sin", 1.0)])
-    i = mode_table(N).coefficient_index((1, 1), "sin")
+    key = ((1, 1), "sin")
+    noise = NoiseSpec.from_modes(N, [(*key, 1.0)])
+    i = mode_table(N).coefficient_index(*key)
     assert i != 0
     cfg = SimConfig(flow=None, nu=0.2, noise=noise, scheme="ExactGaussian", dt=0.5,
                     horizon=200.0, burn_in=20.0, ensemble=8, seed=4)
-    stats = simulate(cfg, make_field(N, []))
+    stats = simulate(cfg, make_field(N, []), track_coefficients=(key,))
     assert stats.active.tolist() == [i]
-    covs = stats.member_covariances
-    for cov in covs:
-        assert cov.shape == (mode_table(N).size,) * 2
-        assert np.flatnonzero(cov).tolist() == [i * cov.shape[0] + i]
-    entries = np.array([cov[i, i] for cov in covs])
+    cov = empirical_covariance(stats).matrix
+    assert cov.shape == (mode_table(N).size,) * 2
+    assert np.flatnonzero(cov).tolist() == [i * cov.shape[0] + i]
+    assert cov[i, i] == pytest.approx(stats.tracked_samples[key].var(ddof=1), rel=1e-12)
+    entries = member_variances(stats, key)
     assert abs(entries.mean() - 0.25) <= 3.0 * entries.std(ddof=1) / math.sqrt(len(entries))
-    assert np.array_equal(empirical_covariance(stats).matrix != 0, covs[0] != 0)
+
+
+# couples every row into one invariant block (84 rows at N = 6, 288 at N = 8)
+RANDOM_CELLULAR = make_cellular(make_field(2, [((1, -1), "cos", 1.1), ((1, 1), "cos", -1.1),
+                                               ((2, 1), "sin", 0.37), ((0, 1), "cos", -0.52)]))
+
+
+@pytest.mark.parametrize("scheme", ["SemiImplicitEM", "ExactGaussian"])
+def test_pooled_covariance_is_that_of_every_member_state(scheme):
+    # five members over three windows of samples, the last one partly filled
+    N, M = 6, 5
+    cfg = SimConfig(flow=RANDOM_CELLULAR, nu=0.2, noise=_increment_noise(N), scheme=scheme,
+                    dt=0.1, horizon=15.0, burn_in=1.0, ensemble=M, seed=8)
+    keys = coefficient_keys(N, range(mode_table(N).size))
+    stats = simulate(cfg, make_field(N, []), track_coefficients=keys)
+    assert stats.active.size == len(keys)
+    assert stats.sample_count == M * (cfg.steps - cfg.burn_steps + 1) > 2 * M * _WINDOW
+    states = member_paths(stats, keys).reshape(len(keys), -1)
+    expected = np.cov(states)
+    Q = empirical_covariance(stats).matrix
+    assert np.abs(Q - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_ensemble_statistics_hold_one_co_moment():
+    # 8 -> 64 members on the one 288-row block at N = 8: the traced peak of
+    # simulate grows per member by the rows of the sample window (64 steps)
+    # and of its centred copy, a few state vectors, the normals of a window
+    # and the norm series, not by an n_a x n_a co-moment (37 MB more over
+    # 56 members, against a bound of 18 MB)
+    N = 8
+    peaks = []
+    for M in (8, 64):
+        cfg = SimConfig(flow=RANDOM_CELLULAR, nu=0.1, noise=_increment_noise(N), dt=0.5,
+                        horizon=40.0, burn_in=0.0, ensemble=M, seed=0)
+        simulate(cfg, make_field(N, []))    # fills the caches
+        tracemalloc.start()
+        try:
+            stats = simulate(cfg, make_field(N, []))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    n_a, draws = stats.active.size, cfg.noise.support.size
+    assert n_a == mode_table(N).size == 288
+    per_member = (2 * _WINDOW + 8) * n_a + _WINDOW * draws + 2 * (cfg.steps + 1)
+    assert peaks[1] - peaks[0] <= (64 - 8) * per_member * 8
