@@ -49,8 +49,8 @@ from .fields import (FourierField, _write_csv, format_record, make_field, mode_t
 from .flows import Flow, ShearProfile, make_cellular, make_shear
 from .operators import (DENSE_CAP, _one_blas_pool, _symmetry_sectors, advection_matrix, generator,
                         invariant_blocks, semigroup_norm)
-from .simulate import (_WINDOW, RNG_ALGORITHM, SimConfig, _kept_blocks, empirical_covariance,
-                       simulate)
+from .simulate import (RNG_ALGORITHM, SimConfig, _kept_blocks, _window_steps,
+                       empirical_covariance, simulate)
 from .spectral import _growth_method, _streamline_projector, _time_grid, h1_growth_average, spectrum
 
 
@@ -629,14 +629,14 @@ _MEMORY_PER_B2 = {
 _SIMULATE_COMOMENTS = 3
 
 
-def _simulate_doubles(spec: ExperimentSpec, rows: int) -> int:
+def _simulate_doubles(cfg: SimConfig, rows: int) -> int:
     """Doubles of ``simulate``'s statistics, either scheme: the co-moments and the sample window.
 
     ``_SIMULATE_COMOMENTS`` arrays of n_a x n_a, and the window of
-    ``simulate._WINDOW`` samples of n_a rows per member with its centred
-    copy, for M members on n_a stepped rows.
+    ``simulate._window_steps`` samples of n_a rows per member, centred in
+    place, for M members on n_a stepped rows.
     """
-    return _SIMULATE_COMOMENTS * rows * rows + 2 * spec.params["ensemble"] * _WINDOW * rows
+    return _SIMULATE_COMOMENTS * rows * rows + cfg.ensemble * _window_steps(cfg) * rows
 
 
 # Arrays of (time points) x (sector rows) that a truncated-exponential
@@ -662,7 +662,7 @@ def validate_report(spec: ExperimentSpec) -> str:
     # simulate builds E_b and L_b from Van Loan's exponential before it
     # allocates its statistics, so the peak is the larger of the two
     peak = max(working * largest * largest,
-               _simulate_doubles(spec, sum(stepped)) if stepped else 0)
+               _simulate_doubles(spec.sim_config, sum(stepped)) if stepped else 0)
     if spec.experiment == "growth" and sizes:
         points = len(_time_grid(max(spec.params["T"]), spec.params["h"], 1000))
         peak += _GROWTH_GRID_ARRAYS * points * largest

@@ -11,12 +11,13 @@ is the unique solution of the Lyapunov equation
 
 equivalent to the time integral  nu * int_0^inf exp(tA) Psi Psi^T exp(tA)^T dt.
 :func:`lyapunov_covariance` solves it by Bartels-Stewart per forced
-invariant block, on the real Schur forms of the block's symmetry sectors,
-with a recursive blocked (level-3) solve of the triangular equation.  For
-a block of b rows no step of the solve, its residual certificate included,
-holds more than three dense b x b arrays and a temporary of a quarter of
-one, and the stored Q is one of them at the end: a block of
-``operators.DENSE_CAP`` rows needs about 0.4 GB.
+invariant block, on the real Schur forms of the block's symmetry sectors:
+the triangular equation splits into one Lyapunov equation per sector and
+one Sylvester equation per pair of sectors, each by a recursive blocked
+(level-3) solve.  For a block of b rows no step of the solve, its residual
+certificate included, holds more than three dense b x b arrays and a
+temporary of a quarter of one, and the stored Q is one of them at the
+end: a block of ``operators.DENSE_CAP`` rows needs about 0.4 GB.
 Its finite-time part has one routine, :func:`gaussian_increment_covariance`
 (Van Loan's block exponential plus doubling, per invariant block): the exact
 Gaussian sampler takes its increment from the same per-block step, on the
@@ -56,8 +57,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dtrsyl, get_lapack_funcs
 
 from .fields import PARITIES, _open, mode_table
-from .operators import (BlockDiagonal, OperatorMatrix, _dense, _real_columns, _sector_matrix,
-                        _symmetry_sectors, invariant_blocks)
+from .operators import (BlockDiagonal, OperatorMatrix, _dense, _real_columns, _refuse_above_cap,
+                        _sector_matrix, _symmetry_sectors, invariant_blocks)
 
 __all__ = [
     "NoiseSpec",
@@ -271,67 +272,63 @@ def _schur(a: np.ndarray) -> tuple:
     return T, U
 
 
-def _sector_schur(a: sp.spmatrix, sectors: list) -> tuple:
-    """(T, W) of a block split in sectors: T = diag(T_1, ...), W = [V_1 U_1, ...].
-
-    V_s^T a V_s = U_s T_s U_s^T, formed by ``operators._sector_matrix``, is
-    decomposed in place; on a sector with a complex structure it is the
-    realification of the complex Schur form of its complex form C at half
-    the rows (``operators._real_columns``): T_s is upper quasi-triangular
-    with a 2 x 2 bump [[Re t, -Im t], [Im t, Re t]] per eigenvalue t of C,
-    in LAPACK's standard form.  A twin basis G_s
-    (G_s^T a G_s = V_s^T a V_s) reuses (T_s, U_s): its columns of W are
-    G_s U_s.
-    """
-    T = _dense(sp.csr_matrix(a.shape))      # zeros, refused above the cap
-    W = np.empty_like(T)
-    o = 0
-    for V, twins, complex_form in sectors:
-        Ts, U = _schur(_sector_matrix(a, V, complex_form))
-        if complex_form:
-            Ts, U = _real_columns(Ts), _real_columns(U)
-        for basis in (V, *twins):
-            e = o + V.shape[1]
-            T[o:e, o:e] = Ts
-            W[:, o:e] = basis @ U
-            o = e
-    return T, W
-
-
 def _block_lyapunov(A: sp.csr_matrix, idx: np.ndarray, sectors: Iterable,
                     psi2: np.ndarray) -> np.ndarray:
     """Q of a Q + Q a^T + diag(psi2) = 0 on the invariant block a = A[idx, idx].
 
-    The real Schur form of a is the direct sum of those of its symmetry
-    sectors (:func:`_sector_schur`); a block that is one sector without
-    twins, not complex, has V = I, and its Schur form is T and its
-    Schur vectors W.  With Y = W^T Q W the equation is the triangular
-    T Y + Y T^T = -W^T diag(psi2) W; the forcing couples the sectors and
-    their twins, and their cross terms are the off-diagonal Sylvester
-    solves of :func:`_triangular_lyapunov`.  No step holds more than three b x b
+    Each distinct symmetry sector has the real Schur form
+    V_s^T a V_s = U_s T_s U_s^T: its ``operators._sector_matrix``,
+    decomposed in place, or on a sector with a complex structure the
+    realification of the complex Schur form of its complex form C at half
+    the rows (``operators._real_columns``), T_s upper quasi-triangular with
+    a 2 x 2 bump [[Re t, -Im t], [Im t, Re t]] per eigenvalue t of C, in
+    LAPACK's standard form.  A twin basis G_s (G_s^T a G_s = V_s^T a V_s)
+    reuses (T_s, U_s).  A block without symmetry is one sector, V = I.  So
+    a = W T W^T with W = [V_1 U_1, G_1 U_1, ...] and T block-diagonal,
+    twins repeating T_s, and Y = W^T Q W solves T Y + Y T^T = F with
+    F = -W^T diag(psi2) W, which the forcing makes dense.  The equation
+    splits over the pairs of sectors, twins counted on their own:
+    T_i Y_ii + Y_ii T_i^T = F_ii (:func:`_triangular_lyapunov`), and
+    T_i Y_ij + Y_ij T_j^T = F_ij for i < j (:func:`_triangular_sylvester`)
+    with Y_ji = Y_ij^T.  No array of b x b holds a Schur form.
+
+    The block is refused above ``DENSE_CAP`` rows, however small its
+    sectors: W, Y and Q are b x b.  No step holds more than three b x b
     arrays, beside the forced rows of W and the temporaries of the
-    triangular solve: the Schur form and its vectors, with a C-ordered
-    copy of one of them; T, W and Y; then W, W Y and Q.  The sparse block
-    a is dropped before the triangular solve, and the caller slices it
-    again for the residual: held through the solve, its nonzeros would
-    raise the peak (the tracemalloc peak from 10.2 to 10.5 MB for the
-    624-row block of a random flow at N = 12).
+    triangular solves; on a block of one sector: its Schur form and
+    vectors with a C-ordered copy of one of them; T_s, U_s and W = V U_s;
+    T_s, W and Y; then W, W Y and Q.  T_s and U_s are copied to C order
+    one at a time (GEMMs on Fortran-ordered operands can round
+    differently, and a sparse product would copy a Fortran U_s), and no
+    name holds T_s or a view of Y past the solve.  The sparse block a is
+    dropped before the triangular solve, and the caller slices it again
+    for the residual: held through the solve, its nonzeros would raise the
+    peak (the tracemalloc peak from 10.2 to 10.5 MB for the 624-row block
+    of a random flow at N = 12).
     """
+    _refuse_above_cap(len(idx))
     a = A[np.ix_(idx, idx)]
-    sectors = list(sectors)
-    if len(sectors) == 1 and not sectors[0][1] and not sectors[0][2]:
-        T, W = _schur(_dense(a.T).T)
-        # C order, as in a sector split (GEMMs on Fortran-ordered operands
-        # can round differently), one copy at a time
-        T = np.ascontiguousarray(T)
-        W = np.ascontiguousarray(W)
-    else:
-        T, W = _sector_schur(a, sectors)
-    del a
+    T, W = [], []
+    for V, twins, complex_form in sectors:
+        Ts, U = _schur(_sector_matrix(a, V, complex_form))
+        if complex_form:
+            Ts, U = _real_columns(Ts), _real_columns(U)
+        Ts = np.ascontiguousarray(Ts)
+        U = np.ascontiguousarray(U)
+        T += [Ts] * (1 + len(twins))
+        W += [basis @ U for basis in (V, *twins)]
+    del a, Ts, U
+    W = W[0] if len(W) == 1 else np.hstack(W)      # one sector: no copy
     forced = np.flatnonzero(psi2)
     Y = (W[forced].T * -psi2[forced]) @ W[forced]
-    _triangular_lyapunov(T, Y)
-    del T
+    o = np.cumsum([0] + [len(t) for t in T])
+    for i, Ti in enumerate(T):
+        rows = Y[o[i]:o[i + 1]]
+        _triangular_lyapunov(Ti, rows[:, o[i]:o[i + 1]])
+        for j in range(i + 1, len(T)):
+            _triangular_sylvester(Ti, T[j], rows[:, o[j]:o[j + 1]])
+            Y[o[j]:o[j + 1], o[i]:o[i + 1]] = rows[:, o[j]:o[j + 1]].T
+    del T, Ti, rows
     Q = W @ Y
     del Y
     Q = Q @ W.T
@@ -357,8 +354,9 @@ def lyapunov_covariance(A: OperatorMatrix, noise: NoiseSpec) -> CovarianceOperat
     forced blocks are stored.  Each forced block, a singleton too, is a
     Bartels-Stewart solve on the real Schur forms of its symmetry sectors
     (``operators._symmetry_sectors``; one Schur form per distinct sector,
-    shared by its twins) with a recursive blocked triangular solve.  The
-    cap ``operators.DENSE_CAP`` applies to each forced block, not to n.
+    shared by its twins), one triangular equation per pair of sectors
+    (:func:`_block_lyapunov`).  The cap ``operators.DENSE_CAP`` applies to
+    each forced block, not to n.
     The solve carries the
     residual certificate
 

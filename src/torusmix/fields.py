@@ -71,11 +71,6 @@ class Mode(NamedTuple):
     k1: int
     k2: int
 
-    @property
-    def lam(self) -> int:
-        """Laplacian eigenvalue |k|^2 of the associated basis pair."""
-        return self.k1 * self.k1 + self.k2 * self.k2
-
     def is_representative(self) -> bool:
         return self.k1 > 0 or (self.k1 == 0 and self.k2 > 0)
 

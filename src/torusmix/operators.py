@@ -62,9 +62,9 @@ reflections through pi, and x -> -x, y -> y + pi splits the 17-row blocks
 of the sin(y) shear at N = 8 (9 + 8).  Per distinct sector, the norm is
 the square root of the top eigenvalue of E^H E (Lanczos to machine
 precision) with E = exp(tA) dense up to ``DENSE_CAP`` rows, and a Lanczos
-iteration on the action of exp(tA) above; the real Schur form
-of a block is the direct sum of the Schur forms of its sectors, a twin
-repeating the Schur form of its sector; the eigenvectors of i B on a
+iteration on the action of exp(tA) above; the Lyapunov solve takes one
+real Schur form per distinct sector, a twin repeating the Schur form of
+its sector, and solves per pair of sectors; the eigenvectors of i B on a
 block are those of its sectors, one Hermitian eigensolve per distinct
 sector.  ``semigroup_apply`` uses ``expm_multiply``, and so does
 ``spectral`` on a block above ``DENSE_CAP`` (``_orbit``); below it
@@ -91,9 +91,11 @@ exact Gaussian sampler, and the eigenvectors of ``spectral.spectrum``
 (computed on first access).
 ``DENSE_CAP`` caps the block, not n: every dense block of an operator, and
 the dense form of every block-diagonal result, comes from ``_dense``, which
-refuses more than ``DENSE_CAP`` rows (``semigroup_norm`` takes a larger
-sector by Lanczos instead).  So an operator of any size is solved as long
-as the blocks a computation makes dense fit under the cap.
+refuses more than ``DENSE_CAP`` rows (``_refuse_above_cap``, which the
+Lyapunov solve calls for the b x b arrays it assembles from its sectors;
+``semigroup_norm`` takes a larger sector by Lanczos instead).  So an
+operator of any size is solved as long as the blocks a computation makes
+dense fit under the cap.
 """
 
 from __future__ import annotations
@@ -252,15 +254,19 @@ def generator(flow: Flow | OperatorMatrix | None, nu: float, N: int,
     return OperatorMatrix(N, "generator", A, nu=float(nu), s=float(s))
 
 
+def _refuse_above_cap(rows: int) -> None:
+    """The one place that refuses on ``DENSE_CAP``: a dense array of more rows raises ValueError."""
+    if rows > DENSE_CAP:
+        raise ValueError(f"dense block of {rows} rows exceeds the dimension cap {DENSE_CAP}")
+
+
 def _dense(matrix, idx=None) -> np.ndarray:
     """Dense copy of ``matrix``, or of its block on the indices ``idx`` (internal).
 
-    ``matrix`` is sparse or a :class:`BlockDiagonal`.  The one place that
-    refuses on ``DENSE_CAP``: a dense array of more rows raises ValueError.
+    ``matrix`` is sparse or a :class:`BlockDiagonal`; refused above
+    ``DENSE_CAP`` rows (``_refuse_above_cap``).
     """
-    rows = matrix.shape[0] if idx is None else len(idx)
-    if rows > DENSE_CAP:
-        raise ValueError(f"dense block of {rows} rows exceeds the dimension cap {DENSE_CAP}")
+    _refuse_above_cap(matrix.shape[0] if idx is None else len(idx))
     return (matrix if idx is None else matrix[np.ix_(idx, idx)]).toarray()
 
 

@@ -31,10 +31,11 @@ Randomness comes from counter-based Philox streams keyed by (seed,
 member); each member draws a window of steps at a time, the same numbers
 in the same order as one draw per step, so a member's trajectory does not
 depend on the ensemble size.
-Post-burn-in states of all members are gathered per window, one
-(window steps x M) x n_a batch, and folded with one centred GEMM into the
-single n_a-dimensional accumulator of the run: one n_a x n_a co-moment
-whatever M is.  A member's own path is in ``tracked_samples``.
+Post-burn-in states of all members are gathered per window of at most
+as many steps as there are post-burn-in states, one (window steps x M) x
+n_a batch, centred in place and folded with one GEMM into the single
+n_a-dimensional accumulator of the run: one n_a x n_a co-moment whatever
+M is.  A member's own path is in ``tracked_samples``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ RNG_ALGORITHM = "philox4x64 (numpy Philox, key = (seed, member))"
 # steps per noise draw and per covariance reduction; the noise does not depend
 # on it, the covariance only through the round-off of the merge order
 _WINDOW = 64
+
+
+def _window_steps(config: "SimConfig") -> int:
+    """Steps of the sample window: ``_WINDOW``, or fewer if fewer states follow the burn-in."""
+    return min(_WINDOW, config.steps + 1 - config.burn_steps)
 
 
 class SimulationUnstable(RuntimeError):
@@ -290,7 +296,8 @@ def simulate(
     h1 = np.empty((M, steps + 1))
     acc = CovarianceAccumulator(active.size)
     tracked = np.empty((len(tracked_idx), M, steps + 1 - burn_steps))
-    window = np.empty((_WINDOW * M, active.size))    # row t M + m: member m at step t
+    span = _window_steps(config)
+    window = np.empty((span * M, active.size))      # row t M + m: member m at step t
     filled = 0
     for j in range(steps + 1):
         if j:
@@ -321,8 +328,12 @@ def simulate(
             tracked[:, :, j - burn_steps] = F[tracked_rows]
             window[filled * M : (filled + 1) * M] = F.T
             filled += 1
-            if filled == _WINDOW or j == steps:
-                acc.add(window[: filled * M])
+            if filled == span or j == steps:
+                # the window is scratch: centred in place, not copied as by add
+                X = window[: filled * M]
+                mean = X.mean(axis=0)
+                X -= mean
+                acc._fold(len(X), mean, X.T @ X)
                 filled = 0
 
     intensity = noise.total_intensity

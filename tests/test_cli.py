@@ -745,6 +745,12 @@ BAD_SCALARS = {
     # the default grid 256 cannot resolve a streamfunction of order 200
     "cellular-support.grid = 256": _forced_config("cellular-support", "nu = 0.1").replace(
         "streamfunction_N = 2", "streamfunction_N = 200"),
+    "cellular-support.grid = 16": _forced_config("cellular-support", "nu = 0.1\ngrid = 16"),
+    # velocity support 13 above 2 N = 12
+    "flow = support 13": _growth_config("T = 1.0").replace("0 1 sin 1.0", "0 13 sin 1.0"),
+    "flow = kind none": "[experiment]\ntype = spectrum\nN = 4\n[flow]\nkind = none\n",
+    "noise = no section": _forced_config("covariance-ladder", "nu = 0.1").replace(
+        "[noise]\nmodes =\n    0 1 cos 1.0\n", ""),
 }
 
 
@@ -829,6 +835,14 @@ def test_unused_noise_section_warns(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert warning in capsys.readouterr().err.splitlines()
     assert "noise.modes = 0 1 cos 1" in (out / "manifest.txt").read_text()
+
+
+def test_zero_intensity_noise_warns(tmp_path, capsys):
+    cfg = ladder_config(tmp_path, noise="0 1 cos 0.0")
+    assert main(["validate", "--config", cfg]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: noise: zero total intensity (degenerate experiment)"]
 
 
 def test_unknown_section_warns(tmp_path, capsys):

@@ -14,7 +14,7 @@ from scipy.linalg.lapack import dtrsyl
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from torusmix import cli, covariance
+from torusmix import cli, covariance, operators
 from torusmix import (
     CovarianceOperator,
     FourierField,
@@ -96,6 +96,15 @@ def test_singleton_blocks_match_closed_form_bit_for_bit():
     assert len(Q.blocks.blocks) == a.size
     want = -(nu * amps**2) / (2.0 * a)
     assert np.array_equal(Q.blocks.diagonal().view(np.uint64), want.view(np.uint64))
+
+
+def test_lyapunov_refuses_a_block_above_the_cap_whose_sectors_fit(cellular, monkeypatch):
+    # sin x sin y at N = 8: blocks of 70 and 72 rows, sectors of at most 40
+    # rows; W, Y and Q are dense over the whole block
+    monkeypatch.setattr(operators, "DENSE_CAP", 50)
+    noise = unit_noise(8, [((1, 0), "cos", 1.0)])
+    with pytest.raises(ValueError, match="dense block of 7[02] rows exceeds the dimension cap 50"):
+        lyapunov_covariance(generator(cellular, 0.1, 8), noise)
 
 
 def test_lyapunov_rejects_inviscid(shear):
@@ -631,6 +640,18 @@ def test_top_eigenspace_of_the_default_support_ladder(cellular):
     dims = [_check_top_eigenspace(lyapunov_covariance(generator(B, nu, 16), noise))
             for nu in (0.2, 0.1, 0.05, 0.025, 0.0125)]
     assert dims == [2, 2, 2, 2, 1]
+
+
+def test_top_eigenspace_wider_than_the_first_pairs(rng):
+    # six equal top eigenvalues in one 10-row block: the first _TOP_PAIRS
+    # (4) all lie in the cluster, so the block is asked for twice as many
+    assert cli._TOP_PAIRS < 6
+    O = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    block = (O * ([5.0] * 6 + [1.0, 2.0, 3.0, 4.0])) @ O.T
+    block = 0.5 * (block + block.T)
+    n = mode_table(2).size
+    Q = CovarianceOperator(2, BlockDiagonal(n, [(np.arange(3, 13), block)]))
+    assert _check_top_eigenspace(Q) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,25 @@ def test_semigroup_norm_exponentiates_only_sectors_with_a_unit_mode(cellular, mo
     assert 0.24 < norm < math.exp(-1)
 
 
+@pytest.mark.parametrize("flow, cap", [("cellular", 10), ("shear", 4)])
+def test_semigroup_norm_takes_lanczos_above_the_cap(flow, cap, request, monkeypatch):
+    # with DENSE_CAP lowered, the sectors that can hold the maximum (40 and
+    # 36 rows for sin x sin y, two of 9 rows for sin y) go to Lanczos on
+    # exp(tA) exp(tA)^T instead of a dense exponential, to ~1e-8
+    op = generator(request.getfixturevalue(flow), 0.1, 8)
+    dense = semigroup_norm(op, 10.0)
+    calls = []
+
+    def counted(A, t):
+        calls.append(A.shape[0])
+        return _krylov_norm(A, t)
+
+    monkeypatch.setattr(operators, "DENSE_CAP", cap)
+    monkeypatch.setattr(operators, "_krylov_norm", counted)
+    assert semigroup_norm(op, 10.0) == pytest.approx(dense, rel=1e-8)
+    assert calls and min(calls) > cap
+
+
 def test_dense_norm_without_underflow(shear):
     # at nu t = 10, exp(ta) of the shear's x-dependent sectors falls to
     # 1e-295, so E^T E would underflow to zero without the power-of-two

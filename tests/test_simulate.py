@@ -599,10 +599,11 @@ def test_pooled_covariance_is_that_of_every_member_state(scheme):
 
 def test_ensemble_statistics_hold_one_co_moment():
     # 8 -> 64 members on the one 288-row block at N = 8: the traced peak of
-    # simulate grows per member by the rows of the sample window (64 steps)
-    # and of its centred copy, a few state vectors, the normals of a window
-    # and the norm series, not by an n_a x n_a co-moment (37 MB more over
-    # 56 members, against a bound of 18 MB)
+    # simulate grows per member by the rows of the sample window (64 steps),
+    # centred in place, a few state vectors, the normals of a window and the
+    # norm series, not by an n_a x n_a co-moment (37 MB more over 56
+    # members) or a centred copy of the window (17.1 MB more), against a
+    # bound of 9.4 MB
     N = 8
     peaks = []
     for M in (8, 64):
@@ -617,5 +618,5 @@ def test_ensemble_statistics_hold_one_co_moment():
             tracemalloc.stop()
     n_a, draws = stats.active.size, cfg.noise.support.size
     assert n_a == mode_table(N).size == 288
-    per_member = (2 * _WINDOW + 8) * n_a + _WINDOW * draws + 2 * (cfg.steps + 1)
+    per_member = (_WINDOW + 8) * n_a + _WINDOW * draws + 2 * (cfg.steps + 1)
     assert peaks[1] - peaks[0] <= (64 - 8) * per_member * 8
