@@ -18,11 +18,11 @@ one Sylvester equation per pair of sectors, each by a recursive blocked
 certificate included, holds more than three dense b x b arrays and a
 temporary of a quarter of one, and the stored Q is one of them at the
 end: a block of ``operators.DENSE_CAP`` rows needs about 0.4 GB.
-Its finite-time part has one routine, :func:`gaussian_increment_covariance`
-(Van Loan's block exponential plus doubling, per invariant block): the exact
-Gaussian sampler takes its increment from the same per-block step, on the
-blocks it steps, and :func:`covariance_by_quadrature`, an oracle
-independent of Bartels-Stewart, on the forced blocks.
+Its finite-time part has one routine, :func:`_increment_block` (Van Loan's
+block exponential plus doubling, on one invariant block): the exact
+Gaussian sampler takes its increment from it on the blocks it steps, and
+:func:`covariance_by_quadrature`, an oracle independent of Bartels-Stewart,
+on the forced blocks.
 The x-averaged (k1 = 0) block of the shear dynamics is exactly a bank of
 scalar OU processes, giving the closed-form diagonal limit
 :func:`shear_limit_covariance` with entries psi^2 / (2 j^2) on the (0, j)
@@ -33,8 +33,8 @@ A :class:`CovarianceOperator` keeps Q per block (``operators.BlockDiagonal``)
 and every diagnostic here works block by block: the H1 trace, the selector
 and distance norms, the eigenvalue summary.  The export, covariance v3,
 writes the stored blocks and nothing else: text header and index lines,
-each block's values as raw little-endian float64.  :func:`read_covariance`
-also reads the v2 block text and the dense v1 text of earlier versions.
+each block's values as raw little-endian float64, and
+:func:`read_covariance` reads it back; it is the one file format.
 
 Two structural identities hold exactly at the Galerkin level for every flow
 and every nu > 0, and the test suite enforces them:
@@ -66,7 +66,6 @@ __all__ = [
     "LyapunovError",
     "lyapunov_covariance",
     "covariance_by_quadrature",
-    "gaussian_increment_covariance",
     "shear_limit_covariance",
     "h1_trace",
     "block_operator_norm",
@@ -130,9 +129,9 @@ class NoiseSpec:
 class CovarianceOperator:
     """Symmetric PSD covariance on the canonical ordering, stored per block.
 
-    ``blocks`` is a :class:`BlockDiagonal`; a dense n x n array passed in
-    becomes one block over all indices.  ``matrix`` is the dense array,
-    built on first use (up to ``operators.DENSE_CAP`` rows).
+    ``blocks`` is a :class:`BlockDiagonal` of n = ``mode_table(N).size``
+    rows.  ``matrix`` is the dense array, built on first use (up to
+    ``operators.DENSE_CAP`` rows).
     """
 
     N: int
@@ -142,15 +141,8 @@ class CovarianceOperator:
 
     def __post_init__(self):
         n = mode_table(self.N).size
-        blocks = self.blocks
-        if not isinstance(blocks, BlockDiagonal):
-            m = np.array(blocks, dtype=float)
-            if m.shape != (n, n):
-                raise ValueError(f"covariance must be {n} x {n} for N={self.N}")
-            blocks = BlockDiagonal(n, [(np.arange(n), m)])
-        elif blocks.n != n:
-            raise ValueError(f"covariance must be {n} x {n} for N={self.N}")
-        object.__setattr__(self, "blocks", blocks)
+        if not isinstance(self.blocks, BlockDiagonal) or self.blocks.n != n:
+            raise ValueError(f"covariance must be a BlockDiagonal of {n} rows for N={self.N}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -400,36 +392,23 @@ def _doublings(t: float, h: float | None) -> int:
     return 0 if h is None or t <= h else math.ceil(math.log2(t / h))
 
 
-def gaussian_increment_covariance(
-    A: OperatorMatrix, noise: NoiseSpec, t: float, h: float | None = None
-) -> tuple[BlockDiagonal, BlockDiagonal]:
-    """E = exp(tA) and S(t) = int_0^t exp(sA) Psi Psi^T exp(sA)^T ds (no nu factor).
+def _increment_block(a: np.ndarray, psi2: np.ndarray, t: float, h: float | None = None):
+    """E = exp(ta) and S(t) = int_0^t exp(sa) diag(psi2) exp(sa)^T ds (no nu factor).
 
-    Per invariant block a of A, one Van Loan exponential (Van Loan 1978,
-    *Computing integrals involving the matrix exponential*) at the step
-    tau = t / 2^k: expm of [[-a, diag(psi^2)], [0, a^T]] tau is
+    ``a`` is one dense invariant block of the generator, forced by
+    ``psi2`` (internal: the one finite-time step of ``simulate`` and of
+    :func:`covariance_by_quadrature`).  One Van Loan exponential (Van Loan
+    1978, *Computing integrals involving the matrix exponential*) at the
+    step tau = t / 2^k: expm of [[-a, diag(psi2)], [0, a^T]] tau is
     [[X11, X12], [0, X22]], with exp(tau a) = X22^T and S(tau) = X22^T X12.
     X11 = exp(-tau a) grows like exp(tau nu max|k|^2), and S(tau) would be
     lost to cancellation, so k is the smallest with tau nu max|k|^2 <= 1
     (the dissipation on the diagonal of a) and tau <= h; ``h`` can only
     tighten the step.  Then k doublings S(2 tau) = S(tau) + E S(tau) E^T,
-    E <- E^2 (Smith 1968).  Both results are :class:`BlockDiagonal` with
-    one block per invariant block of A.  The Van Loan matrix of a block has
-    twice its rows, and it too is refused above ``operators.DENSE_CAP``:
-    each block has at most ``DENSE_CAP // 2`` rows.
+    E <- E^2 (Smith 1968).  The Van Loan matrix has twice the block's rows,
+    and it is refused above ``operators.DENSE_CAP``: a block has at most
+    ``DENSE_CAP // 2`` rows.
     """
-    _check_generator(A, noise)
-    E, S = [], []
-    for idx in invariant_blocks(A):
-        Eb, Sb = _increment_block(_dense(A.matrix, idx), noise.amps[idx] ** 2, t, h)
-        E.append((idx, Eb))
-        S.append((idx, Sb))
-    return BlockDiagonal(A.shape[0], E), BlockDiagonal(A.shape[0], S)
-
-
-def _increment_block(a: np.ndarray, psi2: np.ndarray, t: float, h: float | None = None):
-    """(exp(ta), S(t)) of one dense invariant block ``a`` forced by ``psi2``
-    (internal; see :func:`gaussian_increment_covariance`)."""
     b = len(a)
     rate = float(np.max(-np.diag(a), initial=0.0))
     k = max(_doublings(t, h), _doublings(t * rate, 1.0))
@@ -452,8 +431,8 @@ def covariance_by_quadrature(
 ) -> CovarianceOperator:
     """nu * int_0^T exp(tA) Psi Psi^T exp(tA)^T dt, the oracle for the Lyapunov solve.
 
-    Evaluated per forced invariant block by the Van Loan step of
-    :func:`gaussian_increment_covariance`, in closed form up to round-off
+    Evaluated per forced invariant block by the Van Loan step
+    :func:`_increment_block`, in closed form up to round-off
     (S(T) vanishes off the forced blocks, which are not exponentiated):
     ``h`` bounds the step T / 2^k of the Van Loan exponential
     (``meta['h']``; a block with strong dissipation takes a shorter one),
@@ -549,7 +528,7 @@ def covariance_distance(Q1: CovarianceOperator, Q2: CovarianceOperator) -> float
 # Export
 # ---------------------------------------------------------------------------
 
-_COV_HEADERS = {f"# torusmix covariance v{v}".encode(): v for v in (1, 2, 3)}
+_COV_HEADER = b"# torusmix covariance v3"
 
 
 def write_covariance(Q: CovarianceOperator, path_or_file) -> None:
@@ -563,7 +542,7 @@ def write_covariance(Q: CovarianceOperator, path_or_file) -> None:
     its own buffer, with no copy and no per-value work.
     """
     with _open(path_or_file, "wb") as fh:
-        fh.write(f"# torusmix covariance v3\nN {Q.N}\nprovenance {Q.provenance}\n"
+        fh.write(_COV_HEADER + f"\nN {Q.N}\nprovenance {Q.provenance}\n"
                  f"blocks {len(Q.blocks.blocks)}\n".encode())
         for idx, block in Q.blocks.blocks:
             fh.write((" ".join(map(str, idx.tolist())) + "\n").encode())
@@ -587,16 +566,15 @@ def _block_indices(line: bytes, b: int, n: int, taken: np.ndarray) -> np.ndarray
 
 
 def read_covariance(path_or_file) -> CovarianceOperator:
-    """Read a v3 or v2 export into its blocks, or a dense v1 export into one block.
+    """Read a covariance v3 export into its blocks.
 
-    ``path_or_file`` is a path or a binary handle.  The values of a v3
-    block are one ``np.frombuffer`` of exactly 8 b^2 bytes, and the file
-    ends after its last block; v2 blocks are text rows in ``%.17g``.  The
-    blocks of either must have distinct indices in range.
+    ``path_or_file`` is a path or a binary handle.  The values of a block
+    are one ``np.frombuffer`` of exactly 8 b^2 bytes, the blocks must have
+    distinct indices in range, and the file ends after its last block.
+    A file with any other header line is refused.
     """
     with _open(path_or_file, "rb") as fh:
-        version = _COV_HEADERS.get(fh.readline().strip())
-        if version is None:
+        if fh.readline().strip() != _COV_HEADER:
             raise ValueError("not a torusmix covariance file")
         words = fh.readline().split()
         if len(words) != 2 or words[0] != b"N" or not words[1].isdigit():
@@ -605,30 +583,18 @@ def read_covariance(path_or_file) -> CovarianceOperator:
         tag, _, provenance = fh.readline().decode().strip().partition(" ")
         if tag != "provenance":
             raise ValueError("missing provenance line")
-        if version == 1:
-            rows = [np.array(line.split(), dtype=float) for line in fh if line.strip()]
-            if not rows:
-                raise ValueError("missing matrix rows")
-            return CovarianceOperator(N, np.vstack(rows), provenance=provenance.strip())
         words = fh.readline().split()
         if len(words) != 2 or words[0] != b"blocks" or not words[1].isdigit():
             raise ValueError("missing block count line 'blocks <count>'")
         blocks, taken = [], np.zeros(n, dtype=bool)
         for b in range(int(words[1])):
             idx = _block_indices(fh.readline(), b, n, taken)
-            if version == 2:
-                rows = [fh.readline().split() for _ in idx]
-                if any(len(row) != idx.size for row in rows):
-                    raise ValueError(f"block {b}: bad index line or rows")
-                values = np.array(rows, dtype=float)
-            else:
-                size = 8 * idx.size**2
-                data = fh.read(size)
-                if len(data) != size:
-                    raise ValueError(f"block {b}: {len(data)} of its {size} value bytes")
-                values = np.frombuffer(data, dtype="<f8").reshape(idx.size, idx.size)
-            blocks.append((idx, values))
-        if version == 3 and fh.read(1):
+            size = 8 * idx.size**2
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"block {b}: {len(data)} of its {size} value bytes")
+            blocks.append((idx, np.frombuffer(data, dtype="<f8").reshape(idx.size, idx.size)))
+        if fh.read(1):
             raise ValueError(f"trailing bytes after block {len(blocks) - 1}")
     return CovarianceOperator(N, BlockDiagonal(n, blocks), provenance=provenance.strip())
 

@@ -335,12 +335,14 @@ def invariant_blocks(op: OperatorMatrix) -> list[np.ndarray]:
 
     Connected components of the symmetrized sparsity pattern.  The matrix is
     block-diagonal with respect to the returned index sets (each sorted
-    ascending); isolated coordinates appear as singleton blocks.
+    ascending, in order of (length, first index)); isolated coordinates
+    appear as singleton blocks.  One stable sort of the component labels
+    groups every component's indices in ascending order.
     """
     A = op.matrix
     pattern = (abs(A) + abs(A.T)) > 0
-    ncomp, labels = connected_components(pattern, directed=False)
-    blocks = [np.flatnonzero(labels == c) for c in range(ncomp)]
+    _, labels = connected_components(pattern, directed=False)
+    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     blocks.sort(key=lambda b: (len(b), int(b[0])))
     return blocks
 
@@ -640,8 +642,9 @@ def _sector_matrix(a: sp.spmatrix, V: sp.csc_matrix, complex_form: bool) -> np.n
 
     ``a`` is the sparse block matrix and V a sector basis of
     ``_symmetry_sectors``.  The one place that forms a sector matrix
-    dense: s is Fortran-ordered, as LAPACK takes it (the transpose of
-    V^T (V^T a)^T), and refused above ``DENSE_CAP`` rows by ``_dense``.
+    dense: s is the sparse product V^T a V written out Fortran-ordered, as
+    LAPACK takes it, and refused above ``DENSE_CAP`` rows
+    (``_refuse_above_cap``).
     With ``complex_form`` the basis pairs its columns as x and G x for a
     complex structure G that commutes with s, G acting as i on
     z = x_2r + i x_2r+1, so s is the realification of the complex b/2 x b/2
@@ -649,7 +652,8 @@ def _sector_matrix(a: sp.spmatrix, V: sp.csc_matrix, complex_form: bool) -> np.n
     its spectrum is that of C with its complex conjugate; ``_real_columns``
     maps complex vectors back.
     """
-    s = _dense(V.T @ (V.T @ a).T).T
+    _refuse_above_cap(V.shape[1])
+    s = (V.T @ a @ V).toarray(order="F")
     return np.asfortranarray(s[0::2, 0::2] + 1j * s[1::2, 0::2]) if complex_form else s
 
 

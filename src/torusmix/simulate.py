@@ -15,7 +15,7 @@ schemes are provided:
     Exact in law: f^{n+1} = E f^n + L xi_n with E = exp(dt A), L L^T =
     Sigma_dt = nu int_0^dt exp(sA) Psi Psi^T exp(sA)^T ds.  Each stepped
     invariant block b has its own dense E_b and Sigma_b from the Van Loan
-    step of ``gaussian_increment_covariance``, and only those blocks are
+    step ``covariance._increment_block``, and only those blocks are
     exponentiated.  Sigma_dt vanishes off the forced invariant blocks, so
     xi_n holds one normal per row of a forced block, and a forced block
     adds L_b xi_b, with L_b the PSD square root of Sigma_b.

@@ -1,12 +1,14 @@
-"""Hypothesis strategies for flows, shared by the test modules."""
+"""Hypothesis strategies for flows and a whole-operator Van Loan step, shared by the tests."""
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from torusmix import FourierField, make_cellular, make_shear, mode_table
+from torusmix.covariance import _increment_block
 from torusmix.fields import field_from_grid, sample_grid
 from torusmix.flows import ShearProfile
+from torusmix.operators import BlockDiagonal, invariant_blocks
 
 
 # f -> f(Mx + tau) for the lattice reflections M and tau in {0, pi}^2 (in
@@ -101,3 +103,18 @@ def random_flows(draw):
         return make_cellular(FourierField(2, rng.uniform(-1.0, 1.0, mode_table(2).size)))
     a, b = rng.uniform(-1.0, 1.0, (2, 3))
     return make_shear(ShearProfile(list(a), list(b)))
+
+
+def increment_blocks(op, noise, t, h=None):
+    """(E, S) of the generator ``op``: E = exp(tA), S = int_0^t exp(sA) Psi Psi^T exp(sA)^T ds.
+
+    ``covariance._increment_block`` on each invariant block of ``op``; both
+    are ``BlockDiagonal`` with one block per invariant block (no nu factor).
+    """
+    E, S = [], []
+    for idx in invariant_blocks(op):
+        a = op.matrix[np.ix_(idx, idx)].toarray()
+        Eb, Sb = _increment_block(a, noise.amps[idx] ** 2, t, h)
+        E.append((idx, Eb))
+        S.append((idx, Sb))
+    return BlockDiagonal(op.shape[0], E), BlockDiagonal(op.shape[0], S)

@@ -12,7 +12,7 @@ from torusmix import (CovarianceOperator, FourierField, default_cellular_flow, g
                       streamline_projection)
 from torusmix.cli import (ConfigError, _streamline_deviations, _top_eigenspace, main,
                           parse_spec)
-from torusmix.operators import _numpy_blas_pool
+from torusmix.operators import BlockDiagonal, _numpy_blas_pool
 from torusmix.spectral import _streamline_projector
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -584,13 +584,15 @@ def test_cellular_support_deviations_are_basis_free():
     lam = np.linspace(0.1, 0.5, n)
     for V, split in ((U, 1e-14), (R, -1e-14), (R, 0.0)):
         lam[-2:] = 1.0, 1.0 + split
-        top, cluster = _top_eigenspace(CovarianceOperator(N, (V * lam) @ V.T))
+        top, cluster = _top_eigenspace(
+            CovarianceOperator(N, BlockDiagonal(n, [(np.arange(n), (V * lam) @ V.T)])))
         assert len(cluster) == 2 and top == pytest.approx(1.0, rel=1e-13)
         got = _streamline_deviations(project, cluster)
         assert got == pytest.approx(want, rel=1e-12)
     # a simple top eigenvalue: the deviations of its unit eigenvector
     lam[-2:] = 0.9, 1.0
-    top, cluster = _top_eigenspace(CovarianceOperator(N, (U * lam) @ U.T))
+    top, cluster = _top_eigenspace(
+        CovarianceOperator(N, BlockDiagonal(n, [(np.arange(n), (U * lam) @ U.T)])))
     assert len(cluster) == 1
     v = FourierField(N, U[:, -1])
     pv = streamline_projection(flow, v, bins=bins, grid=grid)

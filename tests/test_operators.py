@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from torusmix import (
     mode_table,
     semigroup_apply,
     semigroup_norm,
+    sin_shear,
     sobolev_norm,
     write_operator_triplets,
 )
@@ -249,18 +251,30 @@ def test_galerkin_consistency_under_refinement(cellular):
     assert diffs[0] > diffs[1] > diffs[2]
 
 
-def test_invariant_blocks_partition(shear):
-    A = generator(shear, 0.1, 6)
+@settings(max_examples=40, deadline=None)
+@given(flow=random_flows(), N=st.integers(2, 12))
+@example(flow=sin_shear(), N=6)
+@example(flow=default_cellular_flow(), N=8)
+def test_invariant_blocks_partition(flow, N):
+    # the blocks partition the indices, each ascending, in order of (length,
+    # first index); A couples no two blocks, and each block is one connected
+    # component of its sparsity pattern
+    A = generator(flow, 0.1, N)
     blocks = invariant_blocks(A)
     n = A.shape[0]
     seen = np.concatenate(blocks)
     assert len(seen) == n and len(np.unique(seen)) == n
-    M = A.dense()
+    assert all(np.all(np.diff(idx) > 0) for idx in blocks)
+    keys = [(len(idx), idx[0]) for idx in blocks]
+    assert keys == sorted(keys)
     label = np.empty(n, dtype=int)
     for b, idx in enumerate(blocks):
         label[idx] = b
-    i, j = np.nonzero(M)
+    i, j = A.matrix.nonzero()
     assert np.all(label[i] == label[j])
+    pattern = abs(A.matrix) + abs(A.matrix.T)
+    for idx in blocks:
+        assert connected_components(pattern[np.ix_(idx, idx)], directed=False)[0] == 1
 
 
 def test_block_diagonal_matches_dense(rng):

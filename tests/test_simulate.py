@@ -21,11 +21,10 @@ from torusmix import (
 from torusmix.flows import make_cellular, sin_shear
 from torusmix.operators import (advection_matrix, dissipation_matrix, generator,
                                 invariant_blocks, semigroup_apply)
-from torusmix.covariance import gaussian_increment_covariance
 from torusmix.simulate import (_WINDOW, CovarianceAccumulator, _factor_psd, _kept_blocks,
                                 _member_rng, _union)
 
-from strategies import random_flows
+from strategies import increment_blocks, random_flows
 
 
 def single_mode_noise(N, amp=1.0):
@@ -341,7 +340,7 @@ def test_gaussian_increment_covariance_matches_quadrature(flow, N):
     for s, w in zip(0.5 * dt * (nodes + 1.0), 0.5 * dt * weights):
         E = sla.expm(s * A)
         reference += w * (E @ PPt @ E.T)
-    E, sigma = (M.toarray() for M in gaussian_increment_covariance(op, noise, dt))
+    E, sigma = (M.toarray() for M in increment_blocks(op, noise, dt))
     assert np.linalg.norm(sigma - reference) <= 1e-13 * np.linalg.norm(reference)
     E_ref = sla.expm(dt * A)
     assert np.linalg.norm(E - E_ref) <= 1e-13 * np.linalg.norm(E_ref)
@@ -353,7 +352,7 @@ def test_increment_factor_is_continuous_in_sigma(flow, N, dt):
     # the factor must not depend on the eigenvector signs and bases LAPACK
     # picks: a 1e-16 relative perturbation of Sigma may move the square root
     # by about sqrt(1e-16) where Sigma has round-off eigenvalues, not by O(1)
-    _, sigma = gaussian_increment_covariance(generator(flow, 0.1, N), _increment_noise(N), dt)
+    _, sigma = increment_blocks(generator(flow, 0.1, N), _increment_noise(N), dt)
     sigma = 0.1 * sigma.toarray()
     G = np.random.default_rng(7).standard_normal(sigma.shape)
     bumped = sigma + 1e-16 * np.linalg.norm(sigma) * (G + G.T) / np.linalg.norm(G + G.T)
@@ -374,7 +373,7 @@ def test_exact_gaussian_draws_one_normal_per_forced_row():
                     dt=dt, horizon=dt, burn_in=0.0, ensemble=1, seed=5)
     stats = simulate(cfg, make_field(N, []), track_coefficients=keys)
     f1 = np.array([stats.tracked_samples[key][1] for key in keys])
-    _, sigma = gaussian_increment_covariance(generator(sin_shear(), nu, N), noise, dt)
+    _, sigma = increment_blocks(generator(sin_shear(), nu, N), noise, dt)
     forced = [(idx, Sb) for idx, Sb in sigma.blocks if noise.amps[idx].any()]
     assert sorted(len(idx) for idx, _ in forced) == [1, 13]
     cols = np.sort(np.concatenate([idx for idx, _ in forced]))
@@ -410,8 +409,7 @@ def _whole_space_run(cfg, f0):
     N, M, noise = f0.N, cfg.ensemble, cfg.noise
     n = f0.coeffs.size
     if cfg.scheme == "ExactGaussian":
-        E, sigma = gaussian_increment_covariance(generator(cfg.flow, cfg.nu, N, s=cfg.s),
-                                                 noise, cfg.dt)
+        E, sigma = increment_blocks(generator(cfg.flow, cfg.nu, N, s=cfg.s), noise, cfg.dt)
         E, L = E.toarray(), np.zeros((n, n))
         forced = [(idx, Sb) for idx, Sb in sigma.blocks if noise.amps[idx].any()]
         for idx, Sb in forced:
