@@ -18,11 +18,13 @@ one Sylvester equation per pair of sectors, each by a recursive blocked
 certificate included, holds more than three dense b x b arrays and a
 temporary of a quarter of one, and the stored Q is one of them at the
 end: a block of ``operators.DENSE_CAP`` rows needs about 0.4 GB.
-Its finite-time part has one routine, :func:`_increment_block` (Van Loan's
-block exponential plus doubling, on one invariant block): the exact
-Gaussian sampler takes its increment from it on the blocks it steps, and
-:func:`covariance_by_quadrature`, an oracle independent of Bartels-Stewart,
-on the forced blocks.
+Its finite-time part has one routine, :func:`_increment_block` (on one
+invariant block: ``expm`` and the integrated Taylor series of the forced
+columns at a short step, then doubling; no array of more than the block's
+rows): the exact Gaussian sampler takes its increment from it on the
+blocks it steps, and :func:`covariance_by_quadrature`, an oracle that
+shares no code with Bartels-Stewart, on the forced blocks.  Either takes
+a block of up to ``operators.DENSE_CAP`` rows.
 The x-averaged (k1 = 0) block of the shear dynamics is exactly a bank of
 scalar OU processes, giving the closed-form diagonal limit
 :func:`shear_limit_covariance` with entries psi^2 / (2 j^2) on the (0, j)
@@ -392,38 +394,52 @@ def _doublings(t: float, h: float | None) -> int:
     return 0 if h is None or t <= h else math.ceil(math.log2(t / h))
 
 
+# Terms of the Taylor series of exp(s a) G that the increment keeps: the
+# first one left out is below 1/19! < 2^-53 at s ||a||_1 <= 1
+_TAYLOR_TERMS = 19
+
+
 def _increment_block(a: np.ndarray, psi2: np.ndarray, t: float, h: float | None = None):
     """E = exp(ta) and S(t) = int_0^t exp(sa) diag(psi2) exp(sa)^T ds (no nu factor).
 
     ``a`` is one dense invariant block of the generator, forced by
     ``psi2`` (internal: the one finite-time step of ``simulate`` and of
-    :func:`covariance_by_quadrature`).  One Van Loan exponential (Van Loan
-    1978, *Computing integrals involving the matrix exponential*) at the
-    step tau = t / 2^k: expm of [[-a, diag(psi2)], [0, a^T]] tau is
-    [[X11, X12], [0, X22]], with exp(tau a) = X22^T and S(tau) = X22^T X12.
-    X11 = exp(-tau a) grows like exp(tau nu max|k|^2), and S(tau) would be
-    lost to cancellation, so k is the smallest with tau nu max|k|^2 <= 1
-    (the dissipation on the diagonal of a) and tau <= h; ``h`` can only
-    tighten the step.  Then k doublings S(2 tau) = S(tau) + E S(tau) E^T,
-    E <- E^2 (Smith 1968).  The Van Loan matrix has twice the block's rows,
-    and it is refused above ``operators.DENSE_CAP``: a block has at most
-    ``DENSE_CAP // 2`` rows.
+    :func:`covariance_by_quadrature`).  At the step tau = t / 2^k, k the
+    smallest with tau ||a||_1 <= 1 and tau <= h (``h`` can only tighten
+    the step), E(tau) = expm(tau a), and S(tau) integrates the Taylor
+    series of exp(s a) G, G the forced columns of diag(sqrt(psi2)), cut
+    after M + 1 = ``_TAYLOR_TERMS`` terms (Moler & Van Loan, SIAM Review
+    2003): with Y_m = (tau a)^m G / m!,
+
+        S(tau) = tau sum_{p,q=0..M} Y_p Y_q^T / (p + q + 1) = tau Y H Y^T,
+
+    H the Hilbert matrix.  Then k doublings S(2 tau) = S(tau) +
+    E S(tau) E^T, E <- E^2 (Smith 1968).  S is additive over the forced
+    columns, taken b // (M + 1) at a time (one at least), so the stacked
+    Y is never larger than b x b; no array of the step has more than the
+    block's b rows, and its peak is that of ``expm``, about 8 b^2 doubles.
     """
     b = len(a)
-    rate = float(np.max(-np.diag(a), initial=0.0))
-    k = max(_doublings(t, h), _doublings(t * rate, 1.0))
-    # [[-a, diag(psi2)], [0, a^T]], filled in place: 2b rows, refused above the cap
-    C = _dense(sp.csr_matrix((2 * b, 2 * b)))
-    np.negative(a, out=C[:b, :b])
-    C[b:, b:] = a.T
-    C[np.arange(b), np.arange(b, 2 * b)] = psi2
-    X = sla.expm((t / 2**k) * C)
-    Eb = X[b:, b:].T
-    Sb = Eb @ X[:b, b:]
+    k = max(_doublings(t, h), _doublings(t * np.linalg.norm(a, 1), 1.0))
+    tau = t / 2**k
+    ta = tau * a
+    E = sla.expm(ta)
+    terms = np.arange(_TAYLOR_TERMS)
+    H = tau / (terms[:, None] + terms + 1.0)
+    forced = np.flatnonzero(psi2)
+    S = np.zeros((b, b))
+    chunk = max(1, b // _TAYLOR_TERMS)
+    for cols in (forced[i:i + chunk] for i in range(0, forced.size, chunk)):
+        Y = np.zeros((b, _TAYLOR_TERMS, cols.size))     # Y[:, m] = Y_m
+        Y[cols, 0, np.arange(cols.size)] = np.sqrt(psi2[cols])
+        for m in range(1, _TAYLOR_TERMS):
+            np.matmul(ta, Y[:, m - 1], out=Y[:, m])
+            Y[:, m] /= m
+        S += Y.reshape(b, -1) @ np.matmul(H, Y).reshape(b, -1).T
     for _ in range(k):
-        Sb += Eb @ Sb @ Eb.T
-        Eb = Eb @ Eb
-    return Eb, 0.5 * (Sb + Sb.T)
+        S += E @ S @ E.T
+        E = E @ E
+    return E, 0.5 * (S + S.T)
 
 
 def covariance_by_quadrature(
@@ -431,11 +447,11 @@ def covariance_by_quadrature(
 ) -> CovarianceOperator:
     """nu * int_0^T exp(tA) Psi Psi^T exp(tA)^T dt, the oracle for the Lyapunov solve.
 
-    Evaluated per forced invariant block by the Van Loan step
+    Evaluated per forced invariant block by the finite-time step
     :func:`_increment_block`, in closed form up to round-off
     (S(T) vanishes off the forced blocks, which are not exponentiated):
-    ``h`` bounds the step T / 2^k of the Van Loan exponential
-    (``meta['h']``; a block with strong dissipation takes a shorter one),
+    ``h`` bounds the step T / 2^k of its exponential and series
+    (``meta['h']``; a block with a larger ||a||_1 takes a shorter one),
     not a quadrature error.  The only approximation is the neglected tail,
     bounded by exp(-2 nu lambda_1 T) * nu ||Psi||^2 / (2 nu lambda_1) and
     reported in ``meta['tail_bound']``.  No Bartels-Stewart solve is

@@ -717,19 +717,21 @@ def _symmetry_sectors(op: OperatorMatrix) -> list:
 
 
 def _dense_norm(A: np.ndarray, t: float) -> float:
-    """Largest singular value of exp(tA): top eigenvalue of E^H E.
+    """Largest singular value of exp(tA): top eigenvalue of E^H E.  Overwrites A with tA.
 
     A is a real sector matrix, or the complex form C of a sector
     (``_sector_matrix``), whose realification has the same norm at twice
-    the rows.  The eigenvalue comes from Lanczos (ARPACK) on the dense
-    E^H E, run to machine precision (tol = 0) from a fixed start, so
-    reruns agree bit for bit; unlike a dense ``eigh`` it never
+    the rows; it is scaled in place, so ``expm`` takes it without a
+    scaled copy beside it.  The eigenvalue comes from Lanczos (ARPACK) on
+    the dense E^H E, run to machine precision (tol = 0) from a fixed
+    start, so reruns agree bit for bit; unlike a dense ``eigh`` it never
     tridiagonalises E^H E.  E is first scaled by the power of two that
     brings max|E| into [1/2, 1), so E^H E neither underflows (max|E| below
     about 1e-154 would make it zero) nor overflows; the scaling is exact
     and is undone on the result.
     """
-    E = sla.expm(t * A)
+    A *= t
+    E = sla.expm(A)
     top = np.abs(E).max()
     if top == 0.0:
         return 0.0

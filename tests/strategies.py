@@ -1,14 +1,17 @@
-"""Hypothesis strategies for flows and a whole-operator Van Loan step, shared by the tests."""
+"""Hypothesis strategies for flows, the per-block finite-time step of a whole operator, and
+Van Loan's formula for that step as a reference, shared by the tests."""
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from torusmix import FourierField, make_cellular, make_shear, mode_table
-from torusmix.covariance import _increment_block
+from torusmix.covariance import _doublings, _increment_block
 from torusmix.fields import field_from_grid, sample_grid
 from torusmix.flows import ShearProfile
-from torusmix.operators import BlockDiagonal, invariant_blocks
+from torusmix.operators import BlockDiagonal, _dense, invariant_blocks
 
 
 # f -> f(Mx + tau) for the lattice reflections M and tau in {0, pi}^2 (in
@@ -118,3 +121,36 @@ def increment_blocks(op, noise, t, h=None):
         E.append((idx, Eb))
         S.append((idx, Sb))
     return BlockDiagonal(op.shape[0], E), BlockDiagonal(op.shape[0], S)
+
+
+def van_loan_increment(a: np.ndarray, psi2: np.ndarray, t: float, h: float | None = None):
+    """Van Loan's (E, S) of one block: the reference for ``covariance._increment_block``.
+
+    Same contract: E = exp(ta), S(t) = int_0^t exp(sa) diag(psi2)
+    exp(sa)^T ds (no nu factor).  One Van Loan exponential (Van Loan
+    1978, *Computing integrals involving the matrix exponential*) at the
+    step tau = t / 2^k: expm of [[-a, diag(psi2)], [0, a^T]] tau is
+    [[X11, X12], [0, X22]], with exp(tau a) = X22^T and S(tau) = X22^T X12.
+    X11 = exp(-tau a) grows like exp(tau nu max|k|^2), and S(tau) would be
+    lost to cancellation, so k is the smallest with tau nu max|k|^2 <= 1
+    (the dissipation on the diagonal of a) and tau <= h; ``h`` can only
+    tighten the step.  Then k doublings S(2 tau) = S(tau) + E S(tau) E^T,
+    E <- E^2 (Smith 1968).  The Van Loan matrix has twice the block's rows
+    and holds about 36 b^2 doubles at its peak; it is refused above
+    ``operators.DENSE_CAP``.
+    """
+    b = len(a)
+    rate = float(np.max(-np.diag(a), initial=0.0))
+    k = max(_doublings(t, h), _doublings(t * rate, 1.0))
+    # [[-a, diag(psi2)], [0, a^T]], filled in place: 2b rows, refused above the cap
+    C = _dense(sp.csr_matrix((2 * b, 2 * b)))
+    np.negative(a, out=C[:b, :b])
+    C[b:, b:] = a.T
+    C[np.arange(b), np.arange(b, 2 * b)] = psi2
+    X = sla.expm((t / 2**k) * C)
+    Eb = X[b:, b:].T
+    Sb = Eb @ X[:b, b:]
+    for _ in range(k):
+        Sb += Eb @ Sb @ Eb.T
+        Eb = Eb @ Eb
+    return Eb, 0.5 * (Sb + Sb.T)

@@ -122,8 +122,8 @@ def test_criterion_3_dirac_limit_diagnostic():
 
 def test_criterion_4_lyapunov_quadrature_agreement():
     # The oracle is exact up to round-off and the exp(-80) tail beyond T:
-    # h only bounds the step of its Van Loan exponential, which is doubled
-    # up to T.  The check runs at h = 0.001/nu; the distance at the stated
+    # h only bounds the step of its exponential and series, which is
+    # doubled up to T.  The check runs at h = 0.001/nu; the distance at the stated
     # step h = 0.01/nu is printed alongside for the record.
     N, nu = 8, 0.5
     shear = sin_shear()

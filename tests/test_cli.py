@@ -904,7 +904,7 @@ _FOUR_MODES = "[noise]\nmodes =\n    0 1 cos 1.0\n    1 0 sin 1.0\n    1 1 cos 1
 
 # one small run of each experiment that builds dense blocks
 _SMALL_DENSE_RUNS = {
-    # one block of 288 rows: Van Loan's 576 x 576 exponential
+    # one block of 288 rows: the expm of its finite-time step
     "simulate": f"N = 8\n{RANDOM_FLOW}{_FOUR_MODES}[simulate]\nnu = 0.1\n"
                 "scheme = ExactGaussian\ndt = 0.5\nhorizon = 1.0\nburn_in = 0.0\n"
                 "ensemble = 2\nseed = 0\nf0 =\n",
@@ -933,16 +933,20 @@ def test_validate_memory_estimate_within_twice_the_traced_peak(tmp_path, capsys,
     assert 0.5 * peak <= estimate <= 2.0 * peak
 
 
-def test_exact_gaussian_refuses_a_van_loan_matrix_above_the_cap(tmp_path, capsys):
-    # the random flow's one block of 2208 rows at N = 23 is under the cap,
-    # but its Van Loan matrix has 4416 rows: validate warns, run refuses
+def test_exact_gaussian_refuses_only_a_block_above_the_cap(tmp_path, capsys):
+    # the step of a block holds arrays of its own rows only: the random
+    # flow's one block of 2208 rows at N = 23 passes validate without a
+    # warning, and the 4224 rows at N = 32 are refused by _dense before
+    # any exponential
     cfg = simulate_config(tmp_path, "ExactGaussian", N=23, flow=RANDOM_FLOW)
     assert main(["validate", "--config", cfg]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert "largest_block = 2208" in out
-    assert ("warning: the Van Loan matrix of a block of 2208 rows has 4416 rows, above the "
-            "dimension cap 4000; the run will be refused") in out
+    out = capsys.readouterr().out
+    assert "largest_block = 2208\n" in out and "warning" not in out
+    cfg = simulate_config(tmp_path, "ExactGaussian", N=32, flow=RANDOM_FLOW)
+    assert main(["validate", "--config", cfg]) == 0
+    assert ("warning: a dense block of 4224 rows exceeds the dimension cap 4000; "
+            "the run will be refused") in capsys.readouterr().out.splitlines()
     out = tmp_path / "refused"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     record = json.loads((out / "error.json").read_text())
-    assert "dense block of 4416 rows exceeds the dimension cap 4000" in record["message"]
+    assert "dense block of 4224 rows exceeds the dimension cap 4000" in record["message"]

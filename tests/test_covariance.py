@@ -35,11 +35,13 @@ from torusmix import (
     spectrum,
     write_covariance,
 )
-from torusmix.covariance import _LEAF, _split, _triangular_lyapunov, _triangular_sylvester
+from torusmix.covariance import (_LEAF, _increment_block, _split, _triangular_lyapunov,
+                                 _triangular_sylvester)
 from torusmix.fields import random_field
 from torusmix.operators import BlockDiagonal, _symmetry_sectors, invariant_blocks
 
-from strategies import dihedral_flows, increment_blocks, random_flows, symmetric_flows
+from strategies import (dihedral_flows, increment_blocks, random_flows, symmetric_flows,
+                        van_loan_increment)
 
 
 def unit_noise(N, entries):
@@ -271,8 +273,9 @@ def test_lyapunov_on_complex_sectors_of_dihedral_flows(flow, N, nu, forcing_seed
 
 def test_increment_covariance_without_step_bound(shear):
     # strong dissipation over a long step: S(t) = X - E X E^T with
-    # A X + X A^T + Psi Psi^T = 0, where one Van Loan exponential over all
-    # of t loses S(t) to cancellation (relative error ~1e20 at t = 5)
+    # A X + X A^T + Psi Psi^T = 0.  The step is doubled up to t: one Van
+    # Loan exponential over all of t lost S(t) to cancellation (relative
+    # error ~1e20 at t = 5), and the series needs t ||a||_1 <= 1
     N, nu = 5, 0.9
     noise = unit_noise(N, [((0, 1), "cos", 1.0), ((1, 1), "cos", 1.0)])
     op = generator(shear, nu, N)
@@ -284,6 +287,31 @@ def test_increment_covariance_without_step_bound(shear):
         want = X - Ed @ X @ Ed.T
         assert np.max(np.abs(S.toarray() - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(E.toarray() - Ed)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flow=st.one_of(random_flows(), symmetric_flows()), N=st.integers(2, 6),
+       nu=st.floats(0.05, 1.0), t=st.floats(0.01, 2.0), bounded=st.booleans(),
+       forcing_seed=st.integers(0, 2**32 - 1))
+def test_increment_block_matches_van_loan(flow, N, nu, t, bounded, forcing_seed):
+    # the series step against Van Loan's 2b x 2b exponential, on every
+    # block (shears have singletons) with no forced row, one, some, and
+    # every row forced, which takes the forced columns in chunks
+    rng = np.random.default_rng(forcing_seed)
+    op = generator(flow, nu, N)
+    h = t / 4 if bounded else None
+    for idx in invariant_blocks(op):
+        a = op.matrix[np.ix_(idx, idx)].toarray()
+        b = len(idx)
+        amps = rng.uniform(0.1, 2.0, b)
+        one = np.zeros(b)
+        one[rng.integers(b)] = 1.0
+        for psi2 in (np.zeros(b), one, np.where(rng.random(b) < 0.3, amps, 0.0), amps):
+            E, S = _increment_block(a, psi2, t, h)
+            E0, S0 = van_loan_increment(a, psi2, t, h)
+            assert np.max(np.abs(E - E0)) <= 1e-13 * np.max(np.abs(E0))
+            assert np.max(np.abs(S - S0)) <= 1e-13 * np.max(np.abs(S0), initial=0.0)
+            assert psi2.any() or not S.any()
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +343,8 @@ def test_quadrature_zero_noise(shear):
 
 
 def test_quadrature_exponentiates_the_forced_blocks_only(shear, monkeypatch):
-    # S(T) vanishes off the forced blocks: the oracle runs one Van Loan step
-    # per forced invariant block and stores nothing else
+    # S(T) vanishes off the forced blocks: the oracle runs one finite-time
+    # step per forced invariant block and stores nothing else
     N = 6
     noise = unit_noise(N, [((0, 1), "cos", 1.0), ((1, 1), "cos", 1.0), ((2, 3), "sin", 0.5)])
     A = generator(shear, 0.5, N)
@@ -562,6 +590,15 @@ def test_solve_and_top_eigenspace_hold_few_block_arrays(N):
     assert _traced_peak(lyapunov_covariance, A, noise) <= 3.3 * 8 * b * b
     Q = lyapunov_covariance(A, noise)
     assert _traced_peak(cli._top_eigenspace, Q) <= 2.2 * 8 * b * b
+
+
+def test_increment_block_holds_arrays_of_its_rows_only():
+    # b = 288, every row forced: expm of tau a sets the peak at about
+    # 8 b^2 doubles; Van Loan's 2b x 2b exponential took 36 b^2
+    N = 8
+    b = mode_table(N).size
+    a = _one_block_generator(N, nu=0.1).dense()
+    assert _traced_peak(_increment_block, a, np.ones(b), 0.5) <= 12 * 8 * b * b
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM of Linux")

@@ -519,7 +519,7 @@ def test_semigroup_norm_exponentiates_only_sectors_with_a_unit_mode(cellular, mo
     calls = []
 
     def counted(A, t):
-        calls.append(A)
+        calls.append(A.copy())      # _dense_norm overwrites A with tA
         return _dense_norm(A, t)
 
     monkeypatch.setattr("torusmix.operators._dense_norm", counted)
