@@ -17,6 +17,11 @@ then runs the checks that span keys, so ``validate`` and ``run`` reject the
 same inputs; ``run`` looks the runner up there.  Every number passes one
 parser that rejects non-finite values.
 
+A viscosity ladder (``covariance-ladder``, ``cellular-support``,
+``dissipation-probe``) runs its per-nu body through ``_map_ladder``, which
+solves the nu in this process and in workers forked from it, one per free
+CPU, with one BLAS thread in each.
+
 Every run writes its result CSVs (and covariance v3 ``.cov`` files) plus
 ``manifest.txt`` (the fully resolved config, seed, code version and RNG
 algorithm -- enough to reproduce the run) and ``timestamps.txt``
@@ -32,8 +37,12 @@ import configparser
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -47,8 +56,8 @@ from .covariance import (NoiseSpec, block_operator_norm, covariance_distance, ei
 from .fields import (FourierField, _write_csv, format_record, make_field, mode_table,
                      parse_record)
 from .flows import Flow, ShearProfile, make_cellular, make_shear
-from .operators import (DENSE_CAP, _one_blas_pool, _symmetry_sectors, advection_matrix, generator,
-                        invariant_blocks, semigroup_norm)
+from .operators import (DENSE_CAP, _blas_pools, _one_blas_pool, _symmetry_sectors,
+                        advection_matrix, generator, invariant_blocks, semigroup_norm)
 from .simulate import (RNG_ALGORITHM, SimConfig, _kept_blocks, _window_steps,
                        empirical_covariance, simulate)
 from .spectral import _growth_method, _streamline_projector, _time_grid, h1_growth_average, spectrum
@@ -269,7 +278,8 @@ def parse_spec(path) -> ExperimentSpec:
 
     params = {key.param or key.key: _read(cfg, experiment, key, N, problems)
               for key in entry.keys}
-    known = {experiment: {key.key.lower() for key in entry.keys},   # configparser stores T as t
+    known = {"experiment": ("type", "n", "out"),
+             experiment: {key.key.lower() for key in entry.keys},   # configparser stores T as t
              "flow": ("kind", *_FLOW_KEYS.get(cfg.get("flow", "kind", fallback=None), ())),
              "noise": ("modes",)}
     for section, keys in known.items():
@@ -277,7 +287,7 @@ def parse_spec(path) -> ExperimentSpec:
             warnings += [f"{section}.{key}: unknown key, ignored"
                          for key in cfg.options(section) if key not in keys]
     warnings += [f"{section}: unknown section, ignored" for section in cfg.sections()
-                 if section != "experiment" and section not in known]
+                 if section not in known]
 
     grid, bins = params.get("grid"), params.get("bins")
     if grid is not None and grid < 4 * N:
@@ -370,6 +380,115 @@ def _write_eigs_csv(path: Path, Q) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The viscosity ladder
+# ---------------------------------------------------------------------------
+
+# Rows n = (2 N + 1)^2 - 1 from which a ladder may solve its nu in parallel
+# processes.  Forking a worker and shutting it down took 12-24 ms (2 cores,
+# from a process of 66 MB).  Two-nu ladders of the three experiments on
+# sin y and sin x sin y ran as fast or faster forked from n = 288 (N = 8) on,
+# and a two-nu sin y ladder at n = 80 (N = 4) ran slower
+_LADDER_FORK_ROWS = 288
+
+
+def _parallel_ladder(spec: ExperimentSpec) -> bool:
+    """Whether the viscosity ladder of ``spec`` may solve its nu in parallel processes.
+
+    It has more than one nu and at least ``_LADDER_FORK_ROWS`` rows, and
+    numpy and scipy each bundle an OpenBLAS whose thread count can be set
+    (``operators._blas_pools``).
+    """
+    return (len(spec.params.get("nu_ladder", ())) > 1 and spec.dimension >= _LADDER_FORK_ROWS
+            and _blas_pools() is not None)
+
+
+def _available_bytes() -> int:
+    """``MemAvailable`` of /proc/meminfo in bytes; 0 where there is none."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return 0
+
+
+def _ladder_processes(spec: ExperimentSpec, doubles=None) -> int:
+    """k, the processes that solve the ladder of ``spec``: this one and k - 1 forked workers.
+
+    1 unless the ladder is a ``_parallel_ladder``.  Else the least of the
+    CPUs this process may run on, the nu of the ladder and the processes
+    whose working set fits in ``MemAvailable``: ``doubles`` per process,
+    as validate models it (``_memory_doubles``, computed here if None).
+    Without a ``MemAvailable``, that is off Linux, 1.
+    """
+    if not _parallel_ladder(spec) or len(os.sched_getaffinity(0)) < 2:
+        return 1
+    if doubles is None:
+        doubles = _memory_doubles(spec, _dense_block_sizes(spec, []))
+    fits = _available_bytes() // max(8 * doubles, 1)
+    return max(1, min(len(os.sched_getaffinity(0)), len(spec.params["nu_ladder"]), fits))
+
+
+_LADDER_BODY = None   # in a forked ladder worker: the body(i, nu) of its ladder
+
+
+def _ladder_worker(body: Callable) -> None:
+    global _LADDER_BODY
+    _LADDER_BODY = body
+
+
+def _ladder_step(i: int, nu: float):
+    return _LADDER_BODY(i, nu)
+
+
+def _map_ladder(spec: ExperimentSpec, body: Callable) -> list:
+    """[body(i, nu) for i, nu in enumerate(the viscosity ladder of ``spec``)].
+
+    k = ``_ladder_processes(spec)`` processes solve it: this one takes nu
+    number 0, k, 2k, ... and a pool of k - 1 workers forked from it takes
+    the others.  A worker inherits ``body`` with the fork (its closure is
+    never pickled), writes the files ``body`` writes and sends back only
+    what ``body`` returns.  In a ``_parallel_ladder`` both OpenBLAS pools
+    run one thread in every process, this one included, so the results do
+    not depend on k.  A body that raises ends the map with its exception,
+    the first in ladder order, as without workers; a worker that dies
+    raises ``BrokenProcessPool``.  No worker outlives the call.
+    """
+    ladder = list(enumerate(spec.params["nu_ladder"]))
+    with _one_blas_pool(scipy=True) if _parallel_ladder(spec) else nullcontext():
+        k = _ladder_processes(spec)
+        if k == 1:
+            return [body(i, nu) for i, nu in ladder]
+        # fork, not spawn: a spawned worker imports numpy, scipy and torusmix
+        # again (about 0.45 s) and assembles B again, as much as forking
+        # saves on the cellular-support ladders of the covariance benchmark
+        # (0.4-0.7 s).  No Python thread runs at the fork (the pool starts
+        # its own after forking), and both OpenBLAS builds register a fork
+        # handler (openblas_fork_handler) that stops their threads
+        pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_ladder_worker, initargs=(body,))
+        try:
+            futures = {i: pool.submit(_ladder_step, i, nu) for i, nu in ladder if i % k}
+            own, failure = {}, None
+            for i, nu in ladder[::k]:
+                try:
+                    own[i] = body(i, nu)
+                except Exception as exc:   # raised below, after the results of the nu before
+                    failure = i, exc
+                    break
+            results = []
+            for i, _ in ladder:
+                if failure is not None and failure[0] == i:
+                    raise failure[1]
+                results.append(own[i] if i in own else futures[i].result())
+            return results
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
 # Experiment bodies
 # ---------------------------------------------------------------------------
 
@@ -377,19 +496,15 @@ def _write_eigs_csv(path: Path, Q) -> None:
 def _run_covariance_ladder(spec: ExperimentSpec, outdir: Path) -> None:
     Q0 = shear_limit_covariance(spec.noise)
     B = advection_matrix(spec.flow, spec.N)
-    rows = []
-    for i, nu in enumerate(spec.params["nu_ladder"]):
-        A = generator(B, nu, spec.N)
-        Q = lyapunov_covariance(A, spec.noise)
+
+    def solve(i: int, nu: float) -> tuple:
+        Q = lyapunov_covariance(generator(B, nu, spec.N), spec.noise)
         write_covariance(Q, outdir / f"covariance_{i:02d}.cov")
         _write_eigs_csv(outdir / f"eigenvalues_{i:02d}.csv", Q)
-        rows.append(
-            (nu, h1_trace(Q), block_operator_norm(Q, "k1-nonzero"),
-             covariance_distance(Q, Q0))
-        )
-        del Q   # the next solve does not hold this one beside its own
+        return nu, h1_trace(Q), block_operator_norm(Q, "k1-nonzero"), covariance_distance(Q, Q0)
+
     _write_csv(outdir / "summary.csv",
-               ["nu", "h1_trace", "offblock_norm", "dist_to_Q0"], rows)
+               ["nu", "h1_trace", "offblock_norm", "dist_to_Q0"], _map_ladder(spec, solve))
 
 
 def _run_simulate(spec: ExperimentSpec, outdir: Path) -> None:
@@ -417,12 +532,12 @@ def _run_growth(spec: ExperimentSpec, outdir: Path) -> None:
 def _run_dissipation_probe(spec: ExperimentSpec, outdir: Path) -> None:
     tau = spec.params["tau"]
     B = advection_matrix(spec.flow, spec.N)
-    rows = []
-    for nu in spec.params["nu_ladder"]:
-        A = generator(B, nu, spec.N)
+
+    def probe(i: int, nu: float) -> tuple:
         t = tau / nu
-        rows.append((nu, t, semigroup_norm(A, t), math.exp(-nu * t)))
-    _write_csv(outdir / "probe.csv", ["nu", "t", "norm", "heat_bound"], rows)
+        return nu, t, semigroup_norm(generator(B, nu, spec.N), t), math.exp(-nu * t)
+
+    _write_csv(outdir / "probe.csv", ["nu", "t", "norm", "heat_bound"], _map_ladder(spec, probe))
 
 
 # Eigenvalues of Q within this relative distance of the largest one span the
@@ -508,8 +623,8 @@ def _run_cellular_support(spec: ExperimentSpec, outdir: Path) -> None:
     """
     p = spec.params
     B = advection_matrix(spec.flow, spec.N)
-    tops = [_top_eigenspace(lyapunov_covariance(generator(B, nu, spec.N), spec.noise))
-            for nu in p["nu_ladder"]]
+    tops = _map_ladder(spec, lambda i, nu: _top_eigenspace(
+        lyapunov_covariance(generator(B, nu, spec.N), spec.noise)))
     # psi is ranked once per run, after the solves: bins held through the
     # solves raised the peak RSS of the covariance benchmark by about 2 MB
     project = _streamline_projector(spec.flow, p["bins"], p["grid"])
@@ -645,19 +760,16 @@ def _simulate_doubles(cfg: SimConfig, rows: int) -> int:
 _GROWTH_GRID_ARRAYS = 5
 
 
-def validate_report(spec: ExperimentSpec) -> str:
-    """What ``validate`` prints for a valid ``spec``.
+def _memory_doubles(spec: ExperimentSpec, sizes: list, stepped=()) -> int:
+    """Doubles that one process of a run of ``spec`` holds at its peak.
 
-    n, the largest dense block, a memory estimate and a runtime class from
-    the sum of b^3; a warning if a dense array of the run passes
-    ``DENSE_CAP``, then the warnings of ``spec``.  The memory counts the
-    blocks a run stores and the working set of its largest block, in
-    doubles per b^2 as measured (``_MEMORY_PER_B2``), with the statistics
-    of ``simulate`` (``_simulate_doubles``) and the time grid of ``growth``.
+    For dense blocks of ``sizes`` rows: the blocks a run stores and the
+    working set of its largest one, in doubles per b^2 as measured
+    (``_MEMORY_PER_B2``), with the statistics of ``simulate`` on the
+    ``stepped`` rows (``_simulate_doubles``) and the time grid of
+    ``growth``.
     """
-    stepped = [len(idx) for idx in _stepped_blocks(spec)] if spec.experiment == "simulate" else []
-    sizes = _dense_block_sizes(spec, stepped)
-    largest, cubes = max(sizes, default=0), sum(b**3 for b in sizes)
+    largest = max(sizes, default=0)
     stored, working = _MEMORY_PER_B2[spec.experiment]
     # simulate builds E_b and L_b from its finite-time step before it
     # allocates its statistics, so the peak is the larger of the two
@@ -666,7 +778,23 @@ def validate_report(spec: ExperimentSpec) -> str:
     if spec.experiment == "growth" and sizes:
         points = len(_time_grid(max(spec.params["T"]), spec.params["h"], 1000))
         peak += _GROWTH_GRID_ARRAYS * points * largest
-    doubles = stored * sum(b * b for b in sizes) + peak
+    return stored * sum(b * b for b in sizes) + peak
+
+
+def validate_report(spec: ExperimentSpec) -> str:
+    """What ``validate`` prints for a valid ``spec``.
+
+    n, the largest dense block, a memory estimate (``_memory_doubles``) and
+    a runtime class from the sum of b^3; for a viscosity ladder, the
+    processes that solve it (``_ladder_processes``) and the memory of them
+    all, each holding the stored blocks and the working set of its own nu;
+    a warning if a dense array of the run passes ``DENSE_CAP``, then the
+    warnings of ``spec``.
+    """
+    stepped = [len(idx) for idx in _stepped_blocks(spec)] if spec.experiment == "simulate" else []
+    sizes = _dense_block_sizes(spec, stepped)
+    largest, cubes = max(sizes, default=0), sum(b**3 for b in sizes)
+    doubles = _memory_doubles(spec, sizes, stepped)
     lines = [
         "ok",
         f"experiment = {spec.experiment}",
@@ -675,6 +803,9 @@ def validate_report(spec: ExperimentSpec) -> str:
         f"memory_estimate_mb = {doubles * 8 / 1e6:.1f}",
         f"runtime_class = {'seconds' if cubes <= 1e9 else 'minutes' if cubes <= 1e11 else 'tens-of-minutes'}",
     ]
+    if "nu_ladder" in spec.params:
+        k = _ladder_processes(spec, doubles)
+        lines += [f"processes = {k}", f"memory_all_processes_mb = {k * doubles * 8 / 1e6:.1f}"]
     if largest > DENSE_CAP:
         lines.append(f"warning: a dense block of {largest} rows exceeds the dimension cap "
                      f"{DENSE_CAP}; the run will be refused")

@@ -288,41 +288,47 @@ def _openblas_threads(package: str):
 
 
 @lru_cache(maxsize=None)
-def _numpy_blas_pool():
-    """(get, set) of numpy's thread count when numpy and scipy each bundle an
-    OpenBLAS, else None: one shared BLAS, or not an OpenBLAS found (internal)."""
+def _blas_pools():
+    """((get, set) of numpy's thread count, (get, set) of scipy's) when numpy
+    and scipy each bundle an OpenBLAS, else None: one shared BLAS, or not an
+    OpenBLAS found (internal)."""
     numpy_pool, scipy_pool = _openblas_threads("numpy"), _openblas_threads("scipy")
     if numpy_pool is None or scipy_pool is None or numpy_pool[0] == scipy_pool[0]:
         return None
-    return numpy_pool[1:]
+    return numpy_pool[1:], scipy_pool[1:]
 
 
 @contextmanager
-def _one_blas_pool():
-    """Run numpy's bundled OpenBLAS on one thread for the scope (internal).
+def _one_blas_pool(scipy: bool = False):
+    """Run numpy's bundled OpenBLAS on one thread for the scope, and scipy's
+    too if ``scipy`` (internal).
 
     The numpy and scipy wheels each bundle an OpenBLAS with its own pool of
     busy-waiting threads, and the code here alternates between them (numpy
     ``@`` and ``eigh``, scipy ``schur``, ``dtrsyl`` and ``expm``), so two
     pools oversubscribe the cores.  At the block sizes solved here (hundreds
     of rows) a second numpy thread costs more in contention than it gains,
-    so numpy's pool is capped at one thread and scipy's keeps its count.  Numpy's count is restored on exit,
+    so a run caps numpy's pool at one thread and scipy's keeps its count.
+    A ladder solved in parallel processes (``cli._map_ladder``) caps both:
+    there each core runs one process.  The counts are restored on exit,
     after an exception too; the libraries are looked up on first entry.
-    The count is process-wide, so scopes that overlap in two Python threads
-    may restore it out of order.  Without two bundled OpenBLAS pools this
-    does nothing.
+    The counts are process-wide, so scopes that overlap in two Python
+    threads may restore them out of order.  Without two bundled OpenBLAS
+    pools this does nothing.
     """
-    pool = _numpy_blas_pool()
-    if pool is None:
+    pools = _blas_pools()
+    if pools is None:
         yield
         return
-    get, put = pool
-    before = get()
-    put(1)
+    pools = pools if scipy else pools[:1]
+    before = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
     try:
         yield
     finally:
-        put(before)
+        for (_, put), count in zip(pools, before):
+            put(count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,8 @@ from torusmix import (CovarianceOperator, FourierField, default_cellular_flow, g
                       streamline_projection)
 from torusmix.cli import (ConfigError, _streamline_deviations, _top_eigenspace, main,
                           parse_spec)
-from torusmix.operators import BlockDiagonal, _numpy_blas_pool
+from torusmix.covariance import LyapunovError
+from torusmix.operators import BlockDiagonal, _blas_pools
 from torusmix.spectral import _streamline_projector
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -209,15 +214,17 @@ nu = 0.1
 
 def test_validate_reports_block_sizes_not_dimension(tmp_path, capsys):
     # the sin y shear at N = 40 (n = 6560): forced blocks of 1 and 81 rows,
-    # and the solve's two working arrays of the 81-row block
-    assert main(["validate", "--config", ladder_config(tmp_path, N=40,
-                                                       noise="0 1 cos 1.0\n    1 1 cos 1.0")]) == 0
+    # and the solve's two working arrays of the 81-row block; each of the
+    # ladder's k processes holds both for its own nu
+    cfg = ladder_config(tmp_path, N=40, noise="0 1 cos 1.0\n    1 1 cos 1.0")
+    assert main(["validate", "--config", cfg]) == 0
     out = capsys.readouterr().out.splitlines()
     doubles = 1 + 81**2 + 2 * 81**2
-    assert out[:6] == ["ok", "experiment = covariance-ladder", "dimension = 6560",
-                       "largest_block = 81", f"memory_estimate_mb = {doubles * 8 / 1e6:.1f}",
-                       "runtime_class = seconds"]
-    assert len(out) == 6
+    k = cli._ladder_processes(parse_spec(cfg))
+    assert out == ["ok", "experiment = covariance-ladder", "dimension = 6560",
+                   "largest_block = 81", f"memory_estimate_mb = {doubles * 8 / 1e6:.1f}",
+                   "runtime_class = seconds", f"processes = {k}",
+                   f"memory_all_processes_mb = {k * doubles * 8 / 1e6:.1f}"]
 
 
 def test_validate_growth_reports_the_blocks_f0_touches(tmp_path, capsys):
@@ -451,9 +458,9 @@ N = 6
 
 
 def test_run_computes_on_one_numpy_blas_thread(tmp_path, monkeypatch):
-    if _numpy_blas_pool() is None:
+    if _blas_pools() is None:
         pytest.skip("numpy and scipy do not each bundle an OpenBLAS")
-    get, put = _numpy_blas_pool()
+    get, put = _blas_pools()[0]
     seen = []
     monkeypatch.setitem(cli.EXPERIMENTS, "spectrum", cli.EXPERIMENTS["spectrum"]._replace(
         run=lambda spec, outdir: seen.append(get())))
@@ -770,16 +777,30 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, case):
 
 
 def test_unknown_key_in_experiment_section_warns(tmp_path, capsys):
-    # keys compare lowercased (configparser stores T as t); [experiment]
-    # accepts keys it does not use, such as the benchmark's threads
-    text = _growth_config("T = 1.0\nbin = 32").replace("N = 6\n", "N = 6\nthreads = 2\n")
-    cfg = write_config(tmp_path, text)
+    # keys compare lowercased (configparser stores T as t)
+    cfg = write_config(tmp_path, _growth_config("T = 1.0\nbin = 32"))
     assert main(["validate", "--config", cfg]) == 0
     warnings = [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("warning:")]
     assert warnings == ["warning: growth.bin: unknown key, ignored"]
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert "warning: growth.bin: unknown key, ignored" in capsys.readouterr().err
+
+
+def test_unknown_key_in_section_experiment_warns(tmp_path, capsys):
+    # [experiment] reads type, N and out only: a threads key selects nothing,
+    # and a nu there is not the ladder's
+    text = Path(ladder_config(tmp_path)).read_text().replace(
+        "N = 6\n", "N = 6\nthreads = 2\nnu = 0.3\nout = elsewhere\n")
+    cfg = write_config(tmp_path, text, name="keys.ini")
+    expected = ["warning: experiment.threads: unknown key, ignored",
+                "warning: experiment.nu: unknown key, ignored"]
+    assert main(["validate", "--config", cfg]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("warning:")] == expected
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == expected
+    assert (tmp_path / "out" / "summary.csv").read_text().count("\n") == 3   # nu = 0.2 0.1
 
 
 @pytest.mark.parametrize("flow,extra,warning", [
@@ -950,3 +971,127 @@ def test_exact_gaussian_refuses_only_a_block_above_the_cap(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     record = json.loads((out / "error.json").read_text())
     assert "dense block of 4224 rows exceeds the dimension cap 4000" in record["message"]
+
+
+# ---------------------------------------------------------------------------
+# Viscosity ladders solved in parallel processes
+# ---------------------------------------------------------------------------
+
+# three nu at N = 8 (288 rows, cli._LADDER_FORK_ROWS): with k >= 2 processes
+# nu = 0.1 is a forked worker's
+_LADDERS = {
+    "covariance-ladder": f"N = 8\n{CELL_FLOW}{_FOUR_MODES}[covariance-ladder]\nnu = 0.2 0.1 0.05\n",
+    "cellular-support": f"N = 8\n{CELL_FLOW}{_FOUR_MODES}[cellular-support]\n"
+                        "nu = 0.2 0.1 0.05\ngrid = 64\n",
+    "dissipation-probe": f"N = 8\n{CELL_FLOW}[dissipation-probe]\ntau = 1.0\nnu = 0.2 0.1 0.05\n",
+}
+
+
+def _forked_ladder(tmp_path, experiment: str) -> str:
+    """The config of ``_LADDERS[experiment]``; skips where it would not fork."""
+    cfg = write_config(tmp_path, f"[experiment]\ntype = {experiment}\n{_LADDERS[experiment]}",
+                       name=f"{experiment}.ini")
+    if cli._ladder_processes(parse_spec(cfg)) < 2:
+        pytest.skip("one CPU, or not two bundled OpenBLAS pools: the ladder does not fork")
+    return cfg
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+
+
+def _children() -> list:
+    """Processes, zombies included, whose parent is this one (Linux /proc)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:     # ended while listed
+            continue
+        if int(fields[1]) == os.getpid():
+            found.append((stat.parent.name, fields[0]))
+    return found
+
+
+def _payloads(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timestamps.txt"}
+
+
+@pytest.mark.parametrize("experiment", _LADDERS)
+def test_forked_ladder_writes_the_payloads_of_one_process(tmp_path, monkeypatch, experiment):
+    cfg = _forked_ladder(tmp_path, experiment)
+    pools = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: pools.append(args) or ProcessPoolExecutor(
+                            *args, **kwargs))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "forked")]) == 0
+    assert pools
+    _one_cpu(monkeypatch)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "alone")]) == 0
+    assert len(pools) == 1
+    forked, alone = _payloads(tmp_path / "forked"), _payloads(tmp_path / "alone")
+    assert forked == alone and len(forked) >= 2   # the manifest and the results
+    assert multiprocessing.active_children() == [] and _children() == []
+
+
+def test_ladder_runs_one_blas_thread_per_pool_in_every_process_and_restores_both(tmp_path):
+    spec = parse_spec(_forked_ladder(tmp_path, "covariance-ladder"))
+    (get, put), (scipy_get, scipy_put) = _blas_pools()
+    before = get(), scipy_get()
+    put(2)
+    scipy_put(2)
+    try:
+        seen = cli._map_ladder(spec, lambda i, nu: (i, nu, os.getpid(), get(), scipy_get()))
+        assert (get(), scipy_get()) == (2, 2)
+    finally:
+        put(before[0])
+        scipy_put(before[1])
+    # this process takes nu 0, k, 2k, ..., the k - 1 workers the others
+    k = cli._ladder_processes(spec)
+    assert [(i, nu) for i, nu, *_ in seen] == list(enumerate(spec.params["nu_ladder"]))
+    assert [i for i, _, pid, *_ in seen if pid == os.getpid()] == list(range(0, len(seen), k))
+    assert 2 <= len({pid for _, _, pid, *_ in seen}) <= k
+    assert {(threads, scipy_threads) for *_, threads, scipy_threads in seen} == {(1, 1)}
+    assert multiprocessing.active_children() == []
+
+
+def _failing_solve(solve):
+    """``solve`` that fails its certificate at nu = 0.1, a forked worker's,
+    and at nu = 0.05, on 2 CPUs this process's second nu."""
+    def failing(A, noise):
+        if A.nu <= 0.1:
+            raise LyapunovError(f"residual above tolerance at nu = {A.nu}")
+        return solve(A, noise)
+    return failing
+
+
+def test_worker_error_ends_the_run_as_in_one_process(tmp_path, monkeypatch, capsys):
+    # the first failure in ladder order ends the run, whichever process
+    # meets its own first
+    cfg = _forked_ladder(tmp_path, "covariance-ladder")
+    monkeypatch.setattr(cli, "lyapunov_covariance", _failing_solve(cli.lyapunov_covariance))
+    records = []
+    for run in ("forked", "alone"):
+        if run == "alone":
+            _one_cpu(monkeypatch)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / run)]) == 3
+        records.append(json.loads((tmp_path / run / "error.json").read_text()))
+        assert json.loads(capsys.readouterr().err) == records[-1]
+        assert multiprocessing.active_children() == [] and _children() == []
+    assert records[0] == records[1] == {"error": "LyapunovError",
+                                        "message": "residual above tolerance at nu = 0.1"}
+
+
+def test_killed_worker_ends_the_run_with_a_broken_pool(tmp_path, monkeypatch):
+    cfg = _forked_ladder(tmp_path, "dissipation-probe")
+    parent, norm = os.getpid(), cli.semigroup_norm
+
+    def killed(A, t):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return norm(A, t)
+
+    monkeypatch.setattr(cli, "semigroup_norm", killed)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert json.loads((tmp_path / "out" / "error.json").read_text())["error"] == "BrokenProcessPool"
+    assert multiprocessing.active_children() == [] and _children() == []

@@ -29,7 +29,7 @@ from torusmix import (
 )
 from torusmix import operators
 from torusmix.fields import random_field
-from torusmix.operators import (BlockDiagonal, _dense_norm, _krylov_norm, _numpy_blas_pool,
+from torusmix.operators import (BlockDiagonal, _blas_pools, _dense_norm, _krylov_norm,
                                 _one_blas_pool, _openblas_threads, _sector_bounds,
                                 _symmetry_sectors)
 
@@ -602,9 +602,9 @@ def test_triplet_export_round_trip(shear):
 
 def _bundled_pools():
     """(numpy get, numpy set, scipy get, scipy set), or skip without two pools."""
-    if _numpy_blas_pool() is None:
+    if _blas_pools() is None:
         pytest.skip("numpy and scipy do not each bundle an OpenBLAS")
-    return (*_openblas_threads("numpy")[1:], *_openblas_threads("scipy")[1:])
+    return (*_blas_pools()[0], *_blas_pools()[1])
 
 
 @pytest.fixture
@@ -642,6 +642,17 @@ def test_one_blas_pool_restores_numpy_count(two_threads):
     assert get() == 2
 
 
+def test_one_blas_pool_for_scipy_caps_and_restores_both(two_threads):
+    get, scipy_get = two_threads
+    with _one_blas_pool():
+        with pytest.raises(ZeroDivisionError):
+            with _one_blas_pool(scipy=True):
+                assert (get(), scipy_get()) == (1, 1)
+                1 / 0
+        assert (get(), scipy_get()) == (1, 2)
+    assert (get(), scipy_get()) == (2, 2)
+
+
 @pytest.mark.parametrize("missing", ["shared", "numpy", "scipy"])
 def test_one_blas_pool_without_two_pools_is_a_noop(monkeypatch, missing):
     # one BLAS for both packages, or no OpenBLAS symbols found in one
@@ -649,13 +660,13 @@ def test_one_blas_pool_without_two_pools_is_a_noop(monkeypatch, missing):
     found = (Path("libopenblas.so"), lambda: 2, calls.append)
     monkeypatch.setattr(operators, "_openblas_threads",
                         lambda package: None if package == missing else found)
-    _numpy_blas_pool.cache_clear()
+    _blas_pools.cache_clear()
     try:
-        assert _numpy_blas_pool() is None
-        with _one_blas_pool():
+        assert _blas_pools() is None
+        with _one_blas_pool(), _one_blas_pool(scipy=True):
             pass
     finally:
-        _numpy_blas_pool.cache_clear()
+        _blas_pools.cache_clear()
     assert calls == []
 
 
